@@ -511,7 +511,7 @@ func NewNetwork(latency time.Duration) *Network { return p2p.NewNetwork(latency)
 // NewPeer assembles a peer with an in-memory operation log, or a durable
 // one when WithWALFile / WithWALDir is given. An option carrying an invalid
 // value yields an error matching ErrBadOption; a durable log that cannot be
-// opened yields the open error. MustPeer keeps the old panicking shape.
+// opened yields the open error.
 func NewPeer(t Transport, opts ...Option) (*Peer, error) {
 	cfg := resolve(opts)
 	if cfg.err != nil {
@@ -545,18 +545,6 @@ func NewPeerWithLog(t Transport, log Log, opts ...Option) (*Peer, error) {
 		return nil, cfg.err
 	}
 	return core.NewPeer(t, log, cfg.opts), nil
-}
-
-// MustPeer is NewPeer that panics on error — the pre-1.x constructor shape,
-// convenient in tests and demos.
-//
-// Deprecated: use NewPeer and handle the error.
-func MustPeer(t Transport, opts ...Option) *Peer {
-	p, err := NewPeer(t, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 func resolve(opts []Option) *peerConfig {
@@ -599,8 +587,7 @@ func WithLogSegments(opts SegmentOptions) LogOption {
 
 // OpenLog opens (creating if needed) a durable operation log at path: a
 // single append-only record file by default, or a segmented directory with
-// WithLogSegments. It consolidates the former OpenFileLog / OpenFileLogMode
-// / OpenSegmentedLog entry points:
+// WithLogSegments:
 //
 //	log, err := axmltx.OpenLog("peer.wal", axmltx.WithLogSync(axmltx.SyncGroup))
 //	seg, err := axmltx.OpenLog("waldir", axmltx.WithLogSegments(axmltx.SegmentOptions{}))
@@ -619,20 +606,6 @@ func OpenLog(path string, opts ...LogOption) (Log, error) {
 	return wal.OpenFileWith(path, wal.FileOptions{Sync: cfg.sync})
 }
 
-// OpenFileLog opens a durable file-backed operation log; with sync true,
-// every record is fsynced.
-//
-// Deprecated: use OpenLog with WithLogSync(SyncEach).
-func OpenFileLog(path string, sync bool) (Log, error) { return wal.OpenFile(path, sync) }
-
-// OpenFileLogMode opens a durable file-backed operation log with an
-// explicit durability mode (SyncNone, SyncEach or SyncGroup).
-//
-// Deprecated: use OpenLog with WithLogSync.
-func OpenFileLogMode(path string, mode SyncMode) (Log, error) {
-	return OpenLog(path, WithLogSync(mode))
-}
-
 // SegmentedLog is a durable operation log split into rotated segment
 // files, with checkpoint snapshots and compaction of covered segments
 // (see OpenLog / WithWALDir).
@@ -641,14 +614,6 @@ type SegmentedLog = wal.SegmentedLog
 // SegmentOptions configure a SegmentedLog (rotation thresholds, automatic
 // checkpoint cadence, durability mode); the zero value uses defaults.
 type SegmentOptions = wal.SegmentOptions
-
-// OpenSegmentedLog opens (or creates) a segmented operation log in a
-// directory, replaying existing segments from the latest checkpoint.
-//
-// Deprecated: use OpenLog with WithLogSegments.
-func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
-	return wal.OpenDir(dir, opts)
-}
 
 // ListenTCP starts a TCP transport for a peer.
 func ListenTCP(self PeerID, addr string) (*TCPTransport, error) { return p2p.ListenTCP(self, addr) }

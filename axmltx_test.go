@@ -234,8 +234,7 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 }
 
 // TestPublicAPIBadOption checks that NewPeer rejects invalid option values
-// with a typed error instead of constructing a misconfigured peer (MustPeer
-// keeps the old panicking shape).
+// with a typed error instead of constructing a misconfigured peer.
 func TestPublicAPIBadOption(t *testing.T) {
 	net := axmltx.NewNetwork(0)
 	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithCallCache(0)); !errors.Is(err, axmltx.ErrBadOption) {
@@ -247,12 +246,9 @@ func TestPublicAPIBadOption(t *testing.T) {
 	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithLockTimeout(-time.Second)); !errors.Is(err, axmltx.ErrBadOption) {
 		t.Fatalf("WithLockTimeout(-1s) err = %v, want ErrBadOption", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustPeer with a bad option did not panic")
-		}
-	}()
-	axmltx.MustPeer(net.Join("AP2"), axmltx.WithMaxConcurrentCalls(-1))
+	if _, err := axmltx.NewPeer(net.Join("AP2"), axmltx.WithMaxConcurrentCalls(-1)); !errors.Is(err, axmltx.ErrBadOption) {
+		t.Fatalf("WithMaxConcurrentCalls(-1) err = %v, want ErrBadOption", err)
+	}
 }
 
 func TestPublicAPIScheduler(t *testing.T) {

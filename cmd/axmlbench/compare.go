@@ -160,16 +160,8 @@ func runCompare(current []sim.PerfResult, baselinePath string) bool {
 		speedupRatio(baseline, "materialize_sequential", "materialize_parallel"))
 	check("wal_group_commit_speedup_x", speedupRatio(current, "wal_sync_each", "wal_group_commit"),
 		speedupRatio(baseline, "wal_sync_each", "wal_group_commit"))
-	check("wire_codec_speedup_x", speedupRatio(current, "wire_roundtrip_gob", "wire_roundtrip_binary"),
-		speedupRatio(baseline, "wire_roundtrip_gob", "wire_roundtrip_binary"))
 	check("wal_replay_ckpt_speedup_x", p50Ratio(current, "wal_replay_history", "wal_replay_checkpointed"),
 		p50Ratio(baseline, "wal_replay_history", "wal_replay_checkpointed"))
-	// Absolute floor on top of the baseline-relative gate: the binary wire
-	// codec exists to beat gob by at least 3x round-trip throughput.
-	if wx := speedupRatio(current, "wire_roundtrip_gob", "wire_roundtrip_binary"); wx > 0 && wx < 3.0 {
-		fmt.Printf("%-28s %8.2f  below the 3.00x floor  FAIL\n", "wire_codec_floor", wx)
-		ok = false
-	}
 	check("cache_dedupe_ratio_x", dedupeRatio(current), dedupeRatio(baseline))
 	// load_p99_ratio is the one lower-is-better gate: the open-loop tail may
 	// not stretch much further under the loaded rate than the baseline run's

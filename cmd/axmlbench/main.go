@@ -342,8 +342,7 @@ func runPerf(out string, quick bool) []sim.PerfResult {
 	fmt.Printf("\nmaterialize speedup: %.2fx   wal group-commit speedup: %.2fx\n",
 		speedup("materialize_sequential", "materialize_parallel"),
 		speedup("wal_sync_each", "wal_group_commit"))
-	fmt.Printf("wire codec speedup: %.2fx   wal checkpointed-replay speedup: %.2fx (vs empty restart: %.2fx)\n",
-		speedup("wire_roundtrip_gob", "wire_roundtrip_binary"),
+	fmt.Printf("wal checkpointed-replay speedup: %.2fx (vs empty restart: %.2fx)\n",
 		speedup("wal_replay_history", "wal_replay_checkpointed"),
 		speedup("wal_replay_checkpointed", "wal_replay_empty"))
 	fmt.Printf("cache dedupe ratio: %.2fx fewer upstream calls than uncached\n", dedupeRatio(results))

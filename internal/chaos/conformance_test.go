@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"axmltx/internal/p2p"
 )
 
 // noiseMixes are the fault schedules the sweep layers over each scenario's
@@ -99,5 +101,49 @@ func TestSweepSameSeedSameInjections(t *testing.T) {
 	}
 	if len(a.Violations)+len(b.Violations) > 0 {
 		t.Fatalf("violations: %v / %v", a.Violations, b.Violations)
+	}
+}
+
+// TestDepthSelectorMatches checks the harness itself: a depth= rule must see
+// the chain inside invoke payloads. On Figure 1 S3 and S2 are invoked by the
+// origin (depth 1), S4 and S5 by AP3 (depth 2), S6 by AP5 (depth 3). A
+// selector that cannot decode the payload reads every depth as 0 and its
+// rules silently never fire.
+func TestDepthSelectorMatches(t *testing.T) {
+	rules, err := ParseRules("hangup service=S5 depth=2; hangup service=S3 depth=2; " +
+		"delay service=S3 depth=1 for=1us; delay depth=1 for=1us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(1, rules, nil)
+	runFig1(NewCluster(inj), "fig1")
+
+	matches := func(rule int) (n int) {
+		inj.mu.Lock()
+		defer inj.mu.Unlock()
+		for _, c := range inj.counts[rule] {
+			n += c
+		}
+		return n
+	}
+	if n := matches(0); n < 1 {
+		t.Errorf("%q matched %d messages, want >= 1 (S5 is invoked at depth 2)", rules[0], n)
+	}
+	if n := matches(1); n != 0 {
+		t.Errorf("%q matched %d messages, want 0 (S3 is invoked at depth 1)", rules[1], n)
+	}
+	if n := matches(2); n < 1 {
+		t.Errorf("%q matched %d messages, want >= 1", rules[2], n)
+	}
+	// The kind-less rule meets every message of the run — the abort cascade
+	// the hangup sets off included — and may match (hence fire on) invokes
+	// only.
+	if n := matches(3); n < 2 {
+		t.Errorf("%q matched %d messages, want at least the S3 and S5 invocations", rules[3], n)
+	}
+	for _, in := range inj.Injections() {
+		if in.Kind != p2p.KindInvoke {
+			t.Errorf("depth-constrained rule %q fired on a %s message", rules[in.Rule], in.Kind)
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -449,7 +447,7 @@ func (in *Injector) takeHeld(from, to p2p.PeerID) []heldSend {
 // depth (ancestors between it and the origin); 0 when unknown.
 func invokeDepth(msg *p2p.Message) int {
 	var req core.InvokeRequest
-	if err := gob.NewDecoder(bytes.NewReader(msg.Payload)).Decode(&req); err != nil {
+	if err := core.DecodeWire(msg.Payload, &req); err != nil {
 		return 0
 	}
 	if req.Chain == nil {

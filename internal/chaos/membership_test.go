@@ -184,7 +184,7 @@ func gossipConverged(c *Cluster, ids []p2p.PeerID) string {
 }
 
 // catalogKey canonicalizes a catalog snapshot, ignoring announce timestamps
-// (gob round-trips strip the monotonic clock, so times are not comparable).
+// (a wire round trip strips the monotonic clock, so times are not comparable).
 func catalogKey(g *membership.Gossip) string {
 	var b strings.Builder
 	for _, e := range g.CatalogSnapshot() {

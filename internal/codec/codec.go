@@ -9,7 +9,7 @@
 // byte slices returned by a Reader alias the input buffer, so the single
 // allocation of receiving a payload is shared by everything decoded from it
 // — no per-field copies, no reflection, no type descriptors on the wire
-// (the cost centers of encoding/gob this package replaces).
+// (the cost centers of encoding/gob, which this package replaced everywhere).
 //
 // Safety contract: a Reader never panics and never reads past the end of
 // its buffer, no matter how mangled the input is. Errors are sticky — the
@@ -30,7 +30,7 @@ import (
 // ErrMalformed.
 var (
 	// ErrMalformed is the class of every decode failure: truncated buffer,
-	// over-long varint, implausible length prefix.
+	// over-long or non-minimal varint, implausible length prefix.
 	ErrMalformed = errors.New("codec: malformed input")
 	// ErrTrailing is returned by Finish when decoded length < input length.
 	ErrTrailing = errors.New("codec: trailing bytes after payload")
@@ -200,6 +200,13 @@ func (r *Reader) Uvarint() uint64 {
 		if b < 0x80 {
 			if i == 9 && b > 1 {
 				r.fail("uvarint overflows 64 bits")
+				return 0
+			}
+			if i > 0 && b == 0 {
+				// One value, one encoding: what a decoder accepts re-encodes
+				// to the same bytes (the golden fixtures and fuzz targets
+				// rely on it).
+				r.fail("non-minimal uvarint")
 				return 0
 			}
 			return x | uint64(b)<<s

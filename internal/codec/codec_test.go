@@ -98,6 +98,17 @@ func TestUvarintOverflow(t *testing.T) {
 	}
 }
 
+func TestUvarintCanonical(t *testing.T) {
+	// 0 and 1 padded with a continuation byte: same values, second encoding.
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0x80, 0x80, 0x00}} {
+		r := NewReader(b)
+		r.Uvarint()
+		if !errors.Is(r.Err(), ErrMalformed) {
+			t.Fatalf("% x: Err = %v, want ErrMalformed", b, r.Err())
+		}
+	}
+}
+
 func TestCountGuard(t *testing.T) {
 	// Count claims 2^20 elements with 2 bytes remaining: must fail without
 	// allocating.

@@ -19,7 +19,7 @@ import (
 //
 // The paper's notation [AP1* → AP2 → [AP3 → AP6] || [AP4 → AP5]] is an
 // invocation tree; Chain stores it as a flat node list with parent indexes,
-// which gob-encodes compactly for propagation.
+// which encodes compactly for propagation (appendChain).
 type Chain struct {
 	Nodes []ChainNode
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/codec"
 	"axmltx/internal/p2p"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
@@ -238,19 +237,43 @@ func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
 	return affected, nil
 }
 
-// Encode serializes the definition for the wire.
+// compDefVersion opens every encoded CompensationDef. A definition travels
+// inside InvokeResponse.Comp and also as the whole payload of compensate and
+// compdef messages, so it carries a version byte of its own.
+const compDefVersion = 0x01
+
+// Encode serializes the definition for the wire: the version byte, then
+// the fields in declaration order.
 func (d *CompensationDef) Encode() []byte {
-	var buf bytes.Buffer
-	// Encoding a plain struct of strings/ints cannot fail.
-	_ = gob.NewEncoder(&buf).Encode(d)
-	return buf.Bytes()
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	w.Byte(compDefVersion)
+	w.String(d.Txn)
+	w.String(string(d.Peer))
+	w.String(d.Service)
+	w.Strings(d.Actions)
+	w.Strings(d.Docs)
+	w.Varint(int64(d.Nodes))
+	return w.Finish()
 }
 
-// DecodeCompensationDef parses a wire-encoded definition.
+// DecodeCompensationDef parses a wire-encoded definition. Its strings alias
+// b, like every decoded wire payload.
 func DecodeCompensationDef(b []byte) (*CompensationDef, error) {
-	var d CompensationDef
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&d); err != nil {
+	r := codec.NewReader(b)
+	if v := r.Byte(); r.Err() == nil && v != compDefVersion {
+		return nil, fmt.Errorf("core: decode compensation def: %w: %d", errWireVersion, v)
+	}
+	d := &CompensationDef{
+		Txn:     r.String(),
+		Peer:    p2p.PeerID(r.String()),
+		Service: r.String(),
+		Actions: r.Strings(),
+		Docs:    r.Strings(),
+		Nodes:   int(r.Varint()),
+	}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("core: decode compensation def: %w", err)
 	}
-	return &d, nil
+	return d, nil
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/hex"
+	"errors"
+	"reflect"
 	"testing"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/codec"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
@@ -295,9 +299,39 @@ func TestCompensationDefRoundTripAndExecute(t *testing.T) {
 	}
 }
 
-func TestDecodeCompensationDefGarbage(t *testing.T) {
-	if _, err := DecodeCompensationDef([]byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage decoded")
+func TestCompensationDefCodec(t *testing.T) {
+	defs := map[string]*CompensationDef{
+		"zero": {},
+		"all fields": {
+			Txn: "txn-1", Peer: "AP2", Service: "svcB",
+			Actions: []string{`<action type="delete"/>`, `<action type="insert"><x/></action>`},
+			Docs:    []string{"D2.xml", "D3.xml"}, Nodes: 7,
+		},
+	}
+	for name, in := range defs {
+		out, err := DecodeCompensationDef(in.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", name, out, in)
+		}
+	}
+	blob := defs["all fields"].Encode()
+	if got := hex.EncodeToString(blob[:8]); got != "010574786e2d3103" {
+		t.Fatalf("encoding opens with %s, want version 01 then the txn", got)
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := DecodeCompensationDef(blob[:cut]); !errors.Is(err, codec.ErrMalformed) {
+			t.Fatalf("truncated at %d: err = %v, want codec.ErrMalformed", cut, err)
+		}
+	}
+	if _, err := DecodeCompensationDef(append(blob, 0)); !errors.Is(err, codec.ErrTrailing) {
+		t.Fatalf("trailing byte: err = %v, want codec.ErrTrailing", err)
+	}
+	blob[0] = 0x02
+	if _, err := DecodeCompensationDef(blob); !errors.Is(err, errWireVersion) {
+		t.Fatalf("unknown version: err = %v, want errWireVersion", err)
 	}
 }
 

@@ -173,7 +173,12 @@ func TestF2bParentDisconnectionDetectedByChild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// AP6 redirected its results past the dead parent.
+	// AP6 redirected its results past the dead parent. It counts the redirect
+	// and then ends its span only after its Send to AP2 returns, and AP2's
+	// whole recovery — all this test has waited for so far — can finish first.
+	waitFor(t, func() bool {
+		return findSpan(ring.Trace(txc.ID), byKind(obs.KindRedirect, "AP6", "S6")) != nil
+	})
 	if f.peers["AP6"].Metrics().Redirects.Load() != 1 {
 		t.Error("AP6 did not redirect")
 	}

@@ -242,11 +242,6 @@ func (p *Peer) AssembleSharded(ctx context.Context, name string) (*xmldom.Docume
 			ids = append(ids, axml.FragmentID(id))
 		}
 	}
-	if len(ids) == 0 {
-		// No manifest travelled with the spine (legacy holder): fall back to
-		// the catalog's view.
-		ids = p.documentFragmentIDs(name)
-	}
 	frags := make([]*axml.Fragment, len(ids))
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
@@ -264,31 +259,6 @@ func (p *Peer) AssembleSharded(ctx context.Context, name string) (*xmldom.Docume
 		}
 	}
 	return axml.AssembleDocument(name, spine, frags)
-}
-
-// documentFragmentIDs enumerates the fragments a complete assembly of doc
-// needs: the catalog's deduplicated view plus any locally held fragments
-// (which a gossip-less peer relies on exclusively).
-func (p *Peer) documentFragmentIDs(doc string) []axml.FragmentID {
-	seen := make(map[axml.FragmentID]bool)
-	var ids []axml.FragmentID
-	if m := p.opts.Membership; m != nil {
-		ads, _ := m.DocumentFragments(doc)
-		for _, ad := range ads {
-			id := axml.FragmentID(ad.ID)
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
-	for _, f := range p.store.Fragments() {
-		if f.Doc == doc && !seen[f.ID] {
-			seen[f.ID] = true
-			ids = append(ids, f.ID)
-		}
-	}
-	return ids
 }
 
 // MigrateFragment hands a locally held fragment off to another peer. The

@@ -87,6 +87,27 @@ func TestShardAssembleRemote(t *testing.T) {
 	}
 }
 
+// TestShardAssembleMissingHolderFails: the fragment set of an assembly is the
+// manifest that travels with the spine. When one manifest fragment has no
+// advertised holder (mid-handoff, or its holder withdrew), assembly must
+// fail — never return the document minus that subtree.
+func TestShardAssembleMissingHolderFails(t *testing.T) {
+	_, peers, gossips := shardCluster(t, 3)
+	a, c := peers[0], peers[2]
+	lost := a.Store().Fragments()[0].ID
+	gossips[0].WithdrawFragment(string(lost))
+	converge(t, peers, gossips, func() bool {
+		return len(c.fragmentOwners(string(lost))) == 0
+	})
+	doc, err := c.AssembleSharded(bg, "league")
+	if err == nil {
+		t.Fatalf("assembly succeeded without fragment %s:\n%s", lost, xmldom.DocumentString(doc))
+	}
+	if !strings.Contains(err.Error(), string(lost)) {
+		t.Fatalf("err = %v, want it to name fragment %s", err, lost)
+	}
+}
+
 func TestShardMigrationHandoff(t *testing.T) {
 	_, peers, gossips := shardCluster(t, 3)
 	a, b, c := peers[0], peers[1], peers[2]

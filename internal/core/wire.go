@@ -1,13 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sync"
-
-	"axmltx/internal/p2p"
-)
+import "axmltx/internal/p2p"
 
 // InvokeRequest is the payload of a KindInvoke message.
 type InvokeRequest struct {
@@ -46,7 +39,7 @@ type InvokeResponse struct {
 	// Chain is the callee's updated active peer list, including every
 	// sub-invocation it made; the caller adopts it.
 	Chain *Chain
-	// Comp is the gob-encoded CompensationDef for the callee's effects;
+	// Comp is the encoded CompensationDef (Encode) for the callee's effects;
 	// nil unless the system runs peer-independent recovery.
 	Comp []byte
 	// Nodes is the number of XML nodes the invocation touched at the
@@ -170,37 +163,4 @@ type FragMigrateRequest struct {
 type FragMigrateResponse struct {
 	ID string
 	OK bool
-}
-
-// encodeBufs recycles gob scratch buffers for the legacy encoder, which the
-// cross-version compatibility test and the codec benchmarks still exercise.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledEncodeCap bounds pooled buffer capacity so one oversized payload
-// doesn't pin memory.
-const maxPooledEncodeCap = 1 << 16
-
-// encodeGob is the legacy (pre-binary) wire encoding. Kept because decode
-// still accepts its output: peers running the previous version interoperate
-// with current ones during a rolling upgrade.
-func encodeGob(v any) []byte {
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		// All wire types are plain data; an encode failure is a programming
-		// error.
-		panic(fmt.Sprintf("core: encode %T: %v", v, err))
-	}
-	out := append([]byte(nil), buf.Bytes()...)
-	if buf.Cap() <= maxPooledEncodeCap {
-		encodeBufs.Put(buf)
-	}
-	return out
-}
-
-func decodeGob(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("core: decode %T: %w", v, err)
-	}
-	return nil
 }

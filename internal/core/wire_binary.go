@@ -9,18 +9,11 @@ import (
 	"axmltx/internal/p2p"
 )
 
-// The binary wire format: every payload opens with a version byte and a
+// The wire format: every payload opens with a version byte and a
 // message-kind tag, then the fields in declaration order under the varint
-// framing of internal/codec. Version bytes occupy 0x01..0x07 — a gob blob
-// of any wire struct opens with the uvarint length of its type-descriptor
-// message, which is always far larger, so the first byte cleanly separates
-// binary payloads from legacy gob ones and decode falls back accordingly.
-// A version in the reserved range that this build does not speak is a typed
-// error (errWireVersion), not a gob misparse.
-const (
-	wireVersion    = 0x02
-	wireVersionMax = 0x07
-)
+// framing of internal/codec. It is the only payload format peers speak;
+// TestGoldenWireBytes pins its bytes, and a format change bumps wireVersion.
+const wireVersion = 0x02
 
 // Message-kind tags; decode validates the tag against the decode target so
 // a payload routed to the wrong handler fails loudly instead of shredding
@@ -40,12 +33,12 @@ const (
 	wkFragMigrateResponse
 )
 
-// errWireVersion reports a payload from a future protocol version.
+// errWireVersion reports a payload whose version byte this build does not
+// speak.
 var errWireVersion = errors.New("core: unsupported wire version")
 
-// encode renders a wire payload in the binary format. The hot-path
-// replacement for gob: no reflection, no type descriptors, one output
-// allocation per message (strings decode zero-copy on the other side).
+// encode renders a wire payload: no reflection, no type descriptors, one
+// output allocation per message (strings decode zero-copy on the other side).
 func encode(v any) []byte {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -125,22 +118,14 @@ func encode(v any) []byte {
 	return w.Finish()
 }
 
-// decode parses a wire payload into v: binary payloads by version byte,
-// legacy gob payloads otherwise (rolling-upgrade interop). Strings in the
-// decoded message alias b, which is freshly allocated per message by every
-// transport.
+// decode parses a wire payload into v. Strings in the decoded message alias
+// b, which is freshly allocated per message by every transport and never
+// recycled.
 func decode(b []byte, v any) error {
-	if len(b) > 0 && b[0] >= 0x01 && b[0] <= wireVersionMax {
-		if b[0] != wireVersion {
-			return fmt.Errorf("%w: %d (max %d)", errWireVersion, b[0], wireVersion)
-		}
-		return decodeBinary(b[1:], v)
-	}
-	return decodeGob(b, v)
-}
-
-func decodeBinary(b []byte, v any) error {
 	r := codec.NewReader(b)
+	if ver := r.Byte(); r.Err() == nil && ver != wireVersion {
+		return fmt.Errorf("%w: %d, want %d", errWireVersion, ver, wireVersion)
+	}
 	kind := r.Byte()
 	var want byte
 	switch m := v.(type) {
@@ -324,8 +309,7 @@ func readChain(r *codec.Reader) *Chain {
 }
 
 // appendStringMap encodes a map in sorted key order, so equal maps encode
-// to equal bytes (the golden fixture test depends on determinism; gob does
-// not provide it).
+// to equal bytes (the golden fixture test depends on determinism).
 func appendStringMap(w *codec.Writer, m map[string]string) {
 	w.Uvarint(uint64(len(m)))
 	keys := make([]string, 0, len(m))
@@ -386,14 +370,10 @@ func readStringsMap(r *codec.Reader) map[string][]string {
 	return m
 }
 
-// EncodeWire renders v in the current (binary) wire format. Exported for
-// the codec benchmarks in internal/sim and cmd/axmlbench.
+// EncodeWire renders v in the wire format. Exported for the codec benchmarks
+// in internal/sim and cmd/axmlbench.
 func EncodeWire(v any) []byte { return encode(v) }
 
-// DecodeWire parses a wire payload of either format into v.
+// DecodeWire parses a wire payload into v. Besides the benchmarks, the chaos
+// injector reads an invocation's depth from its payload with it.
 func DecodeWire(b []byte, v any) error { return decode(b, v) }
-
-// EncodeWireLegacy renders v in the legacy gob wire format, the baseline
-// the benchmarks compare against and the input of the cross-version
-// compatibility tests.
-func EncodeWireLegacy(v any) []byte { return encodeGob(v) }

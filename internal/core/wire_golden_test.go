@@ -19,9 +19,9 @@ func goldenChain() *Chain {
 }
 
 // wireFixture pairs one fully-populated instance of each message kind with
-// the pinned bytes of its binary encoding. The bytes are part of the wire
-// contract: changing them silently would break rolling upgrades, so any
-// format change must bump wireVersion and extend decode, not rewrite these.
+// the pinned bytes of its encoding. The bytes are the compatibility contract
+// between peers: a format change bumps wireVersion, it does not rewrite
+// these.
 type wireFixture struct {
 	name   string
 	msg    any
@@ -107,38 +107,16 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// TestWireCrossVersionInterop asserts the upgrade matrix the version byte
-// buys: the current decoder reads both current (binary) and legacy (gob)
-// encodings, the legacy decoder still reads legacy bytes, and a payload
-// from a future version fails with the typed version error rather than a
-// gob misparse.
-func TestWireCrossVersionInterop(t *testing.T) {
-	for _, f := range wireFixtures() {
-		t.Run(f.name, func(t *testing.T) {
-			// New decoder ← old encoder.
-			out := f.fresh()
-			if err := DecodeWire(EncodeWireLegacy(f.msg), out); err != nil {
-				t.Fatalf("decode legacy: %v", err)
-			}
-			if !reflect.DeepEqual(out, f.msg) {
-				t.Fatalf("legacy decode mismatch:\n got %+v\nwant %+v", out, f.msg)
-			}
-			// Old decoder ← old encoder (the pre-upgrade pairing keeps
-			// working while both versions coexist).
-			out = f.fresh()
-			if err := decodeGob(EncodeWireLegacy(f.msg), out); err != nil {
-				t.Fatalf("gob round trip: %v", err)
-			}
-			if !reflect.DeepEqual(out, f.msg) {
-				t.Fatalf("gob round trip mismatch:\n got %+v\nwant %+v", out, f.msg)
-			}
-		})
-	}
-	// Future version byte: typed error.
-	var req InvokeRequest
-	err := DecodeWire([]byte{0x05, 0x01, 0x00}, &req)
-	if !errors.Is(err, errWireVersion) {
-		t.Fatalf("future version: err = %v, want errWireVersion", err)
+// TestWireUnknownVersion: any first byte other than wireVersion — an older
+// or newer format, or bytes that are no payload at all — is the typed
+// version error, never a misparse.
+func TestWireUnknownVersion(t *testing.T) {
+	for _, first := range []byte{0x00, 0x01, 0x03, 0x05, 0x40, 0xff} {
+		var req InvokeRequest
+		err := DecodeWire([]byte{first, wkInvokeRequest, 0x00}, &req)
+		if !errors.Is(err, errWireVersion) {
+			t.Fatalf("first byte %#x: err = %v, want errWireVersion", first, err)
+		}
 	}
 }
 
@@ -171,9 +149,6 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		for _, fresh := range targets {
 			v := fresh()
-			if len(b) > 0 && b[0] != wireVersion {
-				continue // gob fallback is out of scope for this fuzzer
-			}
 			if err := DecodeWire(b, v); err != nil {
 				if !errors.Is(err, codec.ErrMalformed) && !errors.Is(err, codec.ErrTrailing) &&
 					!errors.Is(err, errWireVersion) && err.Error() == "" {
@@ -181,8 +156,7 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				continue
 			}
-			// Accepted input: value round trip must be stable (byte-level
-			// identity is not required — non-minimal varints decode fine).
+			// Accepted input: the value round trip must be stable.
 			w := fresh()
 			if err := DecodeWire(EncodeWire(v), w); err != nil {
 				t.Fatalf("re-decode: %v", err)

@@ -1,8 +1,6 @@
 package membership
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"time"
 
@@ -134,21 +132,6 @@ type syncMsg struct {
 // pingReq asks the receiver to probe Target on the sender's behalf.
 type pingReq struct {
 	Target p2p.PeerID
-}
-
-// encodeGob is the legacy gossip encoding, kept so mixed-version
-// deployments keep exchanging sync messages during a rolling upgrade (the
-// current decode accepts both formats; see codec.go).
-func encodeGob(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic("membership: gob encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeGob(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
 // AnnounceDocument advertises that this peer hosts a replica of doc. The

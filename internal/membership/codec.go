@@ -11,22 +11,9 @@ import (
 // Gossip payloads use the shared binary wire format: version byte, kind
 // tag, varint-framed fields. Sync exchanges are the membership layer's hot
 // path — every round ships the full member list and catalog both ways — so
-// they get the same zero-copy treatment as the core protocol messages. A
-// first byte outside the reserved 0x01..0x07 range is a legacy gob payload
-// (gob type-descriptor lengths are always larger) and decodes through the
-// old path.
-// Version 0x03 appended the metric-summary piggyback section to sync
-// messages; version 0x04 appended the fragment-advertisement section to
-// catalog entries. Payloads from not-yet-upgraded peers (0x02: no
-// summaries; 0x03: no fragment ads) still decode, so a mixed-version
-// cluster keeps gossiping through a rolling upgrade — the older peers
-// simply contribute no summaries or fragment ads.
-const (
-	gossipVersionNoSummaries = 0x02
-	gossipVersionSummaries   = 0x03
-	gossipVersion            = 0x04
-	gossipVersionMax         = 0x07
-)
+// they get the same zero-copy treatment as the core protocol messages. One
+// version is spoken; a payload opening with any other byte is rejected.
+const gossipVersion = 0x04
 
 const (
 	gkSync byte = iota + 1
@@ -34,16 +21,9 @@ const (
 )
 
 func encode(v any) []byte {
-	return encodeVersion(v, gossipVersion)
-}
-
-// encodeVersion emits the wire format of an older protocol version —
-// exercised by the rolling-upgrade compat tests; production traffic always
-// encodes at gossipVersion.
-func encodeVersion(v any, version byte) []byte {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	w.Byte(version)
+	w.Byte(gossipVersion)
 	switch m := v.(type) {
 	case syncMsg:
 		w.Byte(gkSync)
@@ -57,16 +37,14 @@ func encodeVersion(v any, version byte) []byte {
 		}
 		w.Uvarint(uint64(len(m.Catalog)))
 		for i := range m.Catalog {
-			appendCatalogEntry(w, &m.Catalog[i], version)
+			appendCatalogEntry(w, &m.Catalog[i])
 		}
-		if version >= gossipVersionSummaries {
-			w.Uvarint(uint64(len(m.Summaries)))
-			for _, s := range m.Summaries {
-				w.String(string(s.Origin))
-				w.Uvarint(s.Version)
-				w.Varint(s.TakenUnixNano)
-				w.BytesPrefixed(s.Payload)
-			}
+		w.Uvarint(uint64(len(m.Summaries)))
+		for _, s := range m.Summaries {
+			w.String(string(s.Origin))
+			w.Uvarint(s.Version)
+			w.Varint(s.TakenUnixNano)
+			w.BytesPrefixed(s.Payload)
 		}
 	case pingReq:
 		w.Byte(gkPingReq)
@@ -78,17 +56,10 @@ func encodeVersion(v any, version byte) []byte {
 }
 
 func decode(b []byte, v any) error {
-	if len(b) > 0 && b[0] >= 0x01 && b[0] <= gossipVersionMax {
-		if b[0] != gossipVersion && b[0] != gossipVersionSummaries && b[0] != gossipVersionNoSummaries {
-			return fmt.Errorf("membership: unsupported gossip version %d", b[0])
-		}
-		return decodeBinary(b[0], b[1:], v)
-	}
-	return decodeGob(b, v)
-}
-
-func decodeBinary(version byte, b []byte, v any) error {
 	r := codec.NewReader(b)
+	if ver := r.Byte(); r.Err() == nil && ver != gossipVersion {
+		return fmt.Errorf("membership: unsupported gossip version %d (want %d)", ver, gossipVersion)
+	}
 	kind := r.Byte()
 	var want byte
 	switch m := v.(type) {
@@ -108,22 +79,20 @@ func decodeBinary(version byte, b []byte, v any) error {
 			n = r.Count(5)
 			for i := 0; i < n && r.Err() == nil; i++ {
 				var e CatalogEntry
-				readCatalogEntry(r, &e, version)
+				readCatalogEntry(r, &e)
 				m.Catalog = append(m.Catalog, e)
 			}
-			if version >= gossipVersionSummaries {
-				n = r.Count(4) // origin + version + taken + payload prefix
-				for i := 0; i < n && r.Err() == nil; i++ {
-					s := PeerSummary{
-						Origin:        p2p.PeerID(r.String()),
-						Version:       r.Uvarint(),
-						TakenUnixNano: r.Varint(),
-					}
-					if p := r.BytesPrefixed(); len(p) > 0 {
-						s.Payload = append([]byte(nil), p...)
-					}
-					m.Summaries = append(m.Summaries, s)
+			n = r.Count(4) // origin + version + taken + payload prefix
+			for i := 0; i < n && r.Err() == nil; i++ {
+				s := PeerSummary{
+					Origin:        p2p.PeerID(r.String()),
+					Version:       r.Uvarint(),
+					TakenUnixNano: r.Varint(),
 				}
+				if p := r.BytesPrefixed(); len(p) > 0 {
+					s.Payload = append([]byte(nil), p...)
+				}
+				m.Summaries = append(m.Summaries, s)
 			}
 		}
 	case *pingReq:
@@ -146,7 +115,7 @@ func decodeBinary(version byte, b []byte, v any) error {
 // appendCatalogEntry encodes one advertisement. Announced travels as
 // UnixNano behind a presence flag, so the zero time (no announcement yet)
 // round-trips as zero and IsZero keeps working on the receiving side.
-func appendCatalogEntry(w *codec.Writer, e *CatalogEntry, version byte) {
+func appendCatalogEntry(w *codec.Writer, e *CatalogEntry) {
 	w.String(string(e.Origin))
 	w.Uvarint(e.Version)
 	w.Strings(e.Docs)
@@ -165,19 +134,17 @@ func appendCatalogEntry(w *codec.Writer, e *CatalogEntry, version byte) {
 		w.Varint(ad.FetchedUnixNano)
 		w.Varint(ad.WindowNanos)
 	}
-	if version >= gossipVersion {
-		w.Uvarint(uint64(len(e.Frags)))
-		for _, ad := range e.Frags {
-			w.String(ad.ID)
-			w.String(ad.Doc)
-			w.Varint(int64(ad.Nodes))
-			w.Uvarint(ad.Version)
-			w.Bool(ad.Spine)
-		}
+	w.Uvarint(uint64(len(e.Frags)))
+	for _, ad := range e.Frags {
+		w.String(ad.ID)
+		w.String(ad.Doc)
+		w.Varint(int64(ad.Nodes))
+		w.Uvarint(ad.Version)
+		w.Bool(ad.Spine)
 	}
 }
 
-func readCatalogEntry(r *codec.Reader, e *CatalogEntry, version byte) {
+func readCatalogEntry(r *codec.Reader, e *CatalogEntry) {
 	e.Origin = p2p.PeerID(r.String())
 	e.Version = r.Uvarint()
 	e.Docs = r.Strings()
@@ -195,16 +162,14 @@ func readCatalogEntry(r *codec.Reader, e *CatalogEntry, version byte) {
 			WindowNanos:     r.Varint(),
 		})
 	}
-	if version >= gossipVersion {
-		n = r.Count(5) // minimal ad: 2 empty strings + 2 varints + flag
-		for i := 0; i < n && r.Err() == nil; i++ {
-			e.Frags = append(e.Frags, FragAd{
-				ID:      r.String(),
-				Doc:     r.String(),
-				Nodes:   int(r.Varint()),
-				Version: r.Uvarint(),
-				Spine:   r.Bool(),
-			})
-		}
+	n = r.Count(5) // minimal ad: 2 empty strings + 2 varints + flag
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e.Frags = append(e.Frags, FragAd{
+			ID:      r.String(),
+			Doc:     r.String(),
+			Nodes:   int(r.Varint()),
+			Version: r.Uvarint(),
+			Spine:   r.Bool(),
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -65,17 +66,6 @@ func TestSyncMsgBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSyncMsgGobCompat(t *testing.T) {
-	in := sampleSync()
-	var out syncMsg
-	if err := decode(encodeGob(in), &out); err != nil {
-		t.Fatalf("decode gob: %v", err)
-	}
-	if !syncEqual(&in, &out) {
-		t.Fatalf("gob compat mismatch:\n got %+v\nwant %+v", out, in)
-	}
-}
-
 func TestPingReqRoundTrip(t *testing.T) {
 	var out pingReq
 	if err := decode(encode(pingReq{Target: "AP7"}), &out); err != nil {
@@ -83,10 +73,6 @@ func TestPingReqRoundTrip(t *testing.T) {
 	}
 	if out.Target != "AP7" {
 		t.Fatalf("Target = %q", out.Target)
-	}
-	out = pingReq{}
-	if err := decode(encodeGob(pingReq{Target: "AP7"}), &out); err != nil || out.Target != "AP7" {
-		t.Fatalf("gob compat: %v %q", err, out.Target)
 	}
 }
 
@@ -107,8 +93,8 @@ func TestGossipTruncated(t *testing.T) {
 	}
 }
 
-// sampleSyncWithSummaries extends the sample with the v0x03 piggyback
-// section.
+// sampleSyncWithSummaries extends the sample with the metric-summary
+// piggyback section.
 func sampleSyncWithSummaries() syncMsg {
 	m := sampleSync()
 	m.Summaries = []PeerSummary{
@@ -152,49 +138,26 @@ func TestSyncMsgSummariesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSyncMsgLegacyVersionCompat pins rolling-upgrade behavior: 0x02
-// (pre-summaries) and 0x03 (pre-fragment-ads) payloads from
-// not-yet-upgraded peers still decode; the missing sections come back
-// empty.
-func TestSyncMsgLegacyVersionCompat(t *testing.T) {
-	in := sampleSyncWithSummaries()
-	if blob := encode(in); blob[0] != gossipVersion {
+// TestGossipUnknownVersion: only gossipVersion is spoken. The retired
+// 0x02/0x03 layouts and bytes that are no gossip payload at all are refused
+// by their first byte.
+func TestGossipUnknownVersion(t *testing.T) {
+	blob := encode(sampleSyncWithSummaries())
+	if blob[0] != gossipVersion {
 		t.Fatalf("encoder writes version 0x%02x, want 0x%02x", blob[0], gossipVersion)
 	}
-
-	v02 := encodeVersion(in, gossipVersionNoSummaries)
-	var out02 syncMsg
-	if err := decode(v02, &out02); err != nil {
-		t.Fatalf("decode 0x02: %v", err)
-	}
-	base := sampleSync()
-	if !syncEqual(&base, &out02) {
-		t.Fatalf("0x02 decode differs:\n in %+v\nout %+v", base, out02)
-	}
-	if len(out02.Summaries) != 0 {
-		t.Fatalf("0x02 decode produced %d summaries, want 0", len(out02.Summaries))
-	}
-
-	v03 := encodeVersion(in, gossipVersionSummaries)
-	var out03 syncMsg
-	if err := decode(v03, &out03); err != nil {
-		t.Fatalf("decode 0x03: %v", err)
-	}
-	if !syncEqual(&base, &out03) {
-		t.Fatalf("0x03 decode differs:\n in %+v\nout %+v", base, out03)
-	}
-	if len(out03.Summaries) != len(in.Summaries) {
-		t.Fatalf("0x03 decode produced %d summaries, want %d", len(out03.Summaries), len(in.Summaries))
-	}
-	for i := range out03.Catalog {
-		if len(out03.Catalog[i].Frags) != 0 {
-			t.Fatalf("0x03 decode produced fragment ads: %+v", out03.Catalog[i].Frags)
+	for _, first := range []byte{0x00, 0x02, 0x03, 0x05, 0x40, 0xff} {
+		blob[0] = first
+		var out syncMsg
+		err := decode(blob, &out)
+		if err == nil || !strings.Contains(err.Error(), "unsupported gossip version") {
+			t.Fatalf("first byte %#x: err = %v, want the version error", first, err)
 		}
 	}
 }
 
-// TestSyncMsgFragAdsRoundTrip covers the v0x04 fragment-advertisement
-// section of catalog entries.
+// TestSyncMsgFragAdsRoundTrip covers the fragment-advertisement section of
+// catalog entries.
 func TestSyncMsgFragAdsRoundTrip(t *testing.T) {
 	in := sampleSync()
 	in.Catalog[0].Frags = []FragAd{

@@ -10,7 +10,7 @@ import (
 // +Inf bucket (len(bounds)+1 entries, the obs.Series layout).
 //
 // The rank is the repo-wide nearest-rank definition (ceil(q*N), 1-based —
-// the same rank sim.Percentile selects on a sorted sample), located by a
+// the same rank des.Percentile selects on a sorted sample), located by a
 // cumulative walk over the buckets, then linearly interpolated inside the
 // containing bucket. Because the estimate lands in the same bucket as the
 // exact nearest-rank sample, its error is bounded by that bucket's width

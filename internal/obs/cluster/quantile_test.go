@@ -9,11 +9,11 @@ import (
 
 	"axmltx/internal/obs"
 	"axmltx/internal/obs/cluster"
-	"axmltx/internal/sim"
+	"axmltx/internal/sim/des"
 )
 
 // TestBucketQuantilePinnedToPercentile pins the bucket estimator against the
-// repo-wide exact nearest-rank percentile (sim.Percentile): for any sample
+// repo-wide exact nearest-rank percentile (des.Percentile): for any sample
 // set, the estimate must land within the width of the bucket containing the
 // exact value — the estimator's documented error bound. Three shapes of
 // latency distribution across several seeds.
@@ -45,7 +45,7 @@ func TestBucketQuantilePinnedToPercentile(t *testing.T) {
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 			bounds, buckets := h.Bounds(), h.BucketCounts()
 			for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
-				exact := sim.Percentile(samples, q).Seconds()
+				exact := des.Percentile(samples, q).Seconds()
 				est := cluster.BucketQuantile(bounds, buckets, q)
 				tol := cluster.BucketWidth(bounds, exact)
 				if math.IsInf(tol, 1) {

@@ -1,13 +1,17 @@
 package p2p
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"axmltx/internal/codec"
 )
 
 // wireFrame is the unit on a TCP connection: a message plus correlation
@@ -17,6 +21,115 @@ type wireFrame struct {
 	Response bool
 	OneWay   bool
 	Msg      Message
+}
+
+// A frame on the socket is
+//
+//	[u32 big-endian body length]
+//	[frameVersion][flags][uvarint ID]
+//	[From To Kind Txn Subject][Payload, length-prefixed][Err Code Span]
+//
+// with strings and the payload in internal/codec's varint framing. It is
+// the only format a connection speaks: a length above maxFrame, another
+// version byte, an unknown flag bit or bytes left over after Span close the
+// connection.
+const (
+	frameVersion = 0x01
+
+	flagResponse = 1 << 0
+	flagOneWay   = 1 << 1
+
+	frameHeaderLen = 4
+	// maxFrame bounds a frame body. It is checked before the body is
+	// allocated, so a corrupt length prefix cannot ask for gigabytes; the
+	// largest real message (a whole-document fragment ship) is far below it.
+	maxFrame = 64 << 20
+)
+
+var errFrame = errors.New("p2p: malformed frame")
+
+// appendFrame appends f, length header included, to w.
+func appendFrame(w *codec.Writer, f *wireFrame) error {
+	start := w.Len()
+	w.Raw(make([]byte, frameHeaderLen))
+	w.Byte(frameVersion)
+	var flags byte
+	if f.Response {
+		flags |= flagResponse
+	}
+	if f.OneWay {
+		flags |= flagOneWay
+	}
+	w.Byte(flags)
+	w.Uvarint(f.ID)
+	m := &f.Msg
+	w.String(string(m.From))
+	w.String(string(m.To))
+	w.String(m.Kind)
+	w.String(m.Txn)
+	w.String(m.Subject)
+	w.BytesPrefixed(m.Payload)
+	w.String(m.Err)
+	w.String(m.Code)
+	w.String(m.Span)
+	n := w.Len() - start - frameHeaderLen
+	if n > maxFrame {
+		return fmt.Errorf("p2p: %s frame of %d bytes exceeds the %d-byte limit", m.Kind, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(w.Bytes()[start:], uint32(n))
+	return nil
+}
+
+// decodeFrame parses a frame body. Strings and the payload of the returned
+// message alias body, which the caller allocates per frame and never reuses.
+func decodeFrame(body []byte) (*wireFrame, error) {
+	r := codec.NewReader(body)
+	if v := r.Byte(); r.Err() == nil && v != frameVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", errFrame, v, frameVersion)
+	}
+	flags := r.Byte()
+	if flags&^(flagResponse|flagOneWay) != 0 {
+		return nil, fmt.Errorf("%w: unknown flag bits %#x", errFrame, flags)
+	}
+	f := &wireFrame{
+		Response: flags&flagResponse != 0,
+		OneWay:   flags&flagOneWay != 0,
+		ID:       r.Uvarint(),
+	}
+	m := &f.Msg
+	m.From = PeerID(r.String())
+	m.To = PeerID(r.String())
+	m.Kind = r.String()
+	m.Txn = r.String()
+	m.Subject = r.String()
+	m.Payload = r.BytesPrefixed()
+	m.Err = r.String()
+	m.Code = r.String()
+	m.Span = r.String()
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %w", errFrame, err)
+	}
+	return f, nil
+}
+
+// readFrame reads one frame off a connection.
+func readFrame(br *bufio.Reader) (*wireFrame, error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrame {
+		return nil, fmt.Errorf("%w: length %d exceeds %d", errFrame, n, maxFrame)
+	}
+	if _, err := br.Discard(frameHeaderLen); err != nil {
+		return nil, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, err
+	}
+	return decodeFrame(body)
 }
 
 // TCPTransport is a Transport over real TCP connections, used by
@@ -326,20 +439,26 @@ func (t *TCPTransport) dispatch(c *tcpConn, f *wireFrame) {
 type tcpConn struct {
 	t    *TCPTransport
 	raw  net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 	wmu  sync.Mutex
 	once sync.Once
 }
 
 func newTCPConn(t *TCPTransport, raw net.Conn) *tcpConn {
-	return &tcpConn{t: t, raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
+	return &tcpConn{t: t, raw: raw}
 }
 
+// write encodes f outside the lock and sends it with one Write under it:
+// one syscall per frame, and frames of concurrent senders never interleave.
 func (c *tcpConn) write(f *wireFrame) error {
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	if err := appendFrame(w, f); err != nil {
+		return err
+	}
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(f); err != nil {
+	_, err := c.raw.Write(w.Bytes())
+	c.wmu.Unlock()
+	if err != nil {
 		c.close()
 		if errors.Is(err, net.ErrClosed) {
 			return ErrUnreachable
@@ -350,13 +469,14 @@ func (c *tcpConn) write(f *wireFrame) error {
 }
 
 func (c *tcpConn) readLoop() {
+	br := bufio.NewReader(c.raw)
 	for {
-		var f wireFrame
-		if err := c.dec.Decode(&f); err != nil {
+		f, err := readFrame(br)
+		if err != nil {
 			c.close()
 			return
 		}
-		c.t.dispatch(c, &f)
+		c.t.dispatch(c, f)
 	}
 }
 

@@ -45,7 +45,8 @@ const (
 )
 
 // Message is the unit of communication. Payload encoding is the caller's
-// concern (the core layer uses XML for actions and gob for control data).
+// concern: internal/core and internal/membership each put one versioned
+// binary format (internal/codec) in it, with XML fragments as strings inside.
 type Message struct {
 	From    PeerID
 	To      PeerID

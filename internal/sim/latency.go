@@ -7,18 +7,8 @@ import (
 	"axmltx/internal/core"
 	"axmltx/internal/p2p"
 	"axmltx/internal/services"
-	"axmltx/internal/sim/des"
 	"axmltx/internal/wal"
 )
-
-// Percentile is the repo's single percentile definition — nearest-rank,
-// 1-based rank ceil(p*N), over an ascending-sorted sample — shared with the
-// discrete-event harness so every experiment digests latency the same way.
-// (The perf suite previously used index floor(p*(N-1)), which reads the
-// 99th percentile of 100 samples from the 98th value.)
-func Percentile(sorted []time.Duration, p float64) time.Duration {
-	return des.Percentile(sorted, p)
-}
 
 // E8Row is one data point of experiment E8 (disconnection detection
 // latency): how quickly each detector of §3.3 notices a dead peer, on a

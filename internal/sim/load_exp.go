@@ -15,6 +15,7 @@ import (
 	"axmltx/internal/obs/cluster"
 	"axmltx/internal/p2p"
 	"axmltx/internal/services"
+	"axmltx/internal/sim/des"
 	"axmltx/internal/wal"
 )
 
@@ -260,8 +261,8 @@ func RunLoadExperiment(cfg LoadConfig) LoadResult {
 		SLO:            view.SLO,
 	}
 	sortDurations(sorted)
-	clientP50 := Percentile(sorted, 0.50)
-	clientP99 := Percentile(sorted, 0.99)
+	clientP50 := des.Percentile(sorted, 0.50)
+	clientP99 := des.Percentile(sorted, 0.99)
 	res.ClientP50Micros = float64(clientP50.Microseconds())
 	res.ClientP99Micros = float64(clientP99.Microseconds())
 	res.ToleranceP50Micros = tolMicros(clientP50)

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"axmltx/internal/sim/des"
 )
 
 // TestPercentileNearestRank pins the repo-wide percentile definition:
@@ -28,11 +30,11 @@ func TestPercentileNearestRank(t *testing.T) {
 		{1, 0.99, 1 * time.Microsecond},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs[:c.n], c.p); got != c.want {
+		if got := des.Percentile(xs[:c.n], c.p); got != c.want {
 			t.Errorf("Percentile(n=%d, p=%v) = %v, want %v", c.n, c.p, got, c.want)
 		}
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
+	if got := des.Percentile(nil, 0.5); got != 0 {
 		t.Errorf("empty sample = %v, want 0", got)
 	}
 }

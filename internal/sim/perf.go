@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/sim/des"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
@@ -239,7 +240,7 @@ func summarize(name string, ops int, elapsed time.Duration, lat []time.Duration,
 	// fragment fetch) must not truncate to zero, which would break the
 	// derived latency ratios.
 	pct := func(p float64) float64 {
-		return float64(Percentile(lat, p).Nanoseconds()) / 1e3
+		return float64(des.Percentile(lat, p).Nanoseconds()) / 1e3
 	}
 	return PerfResult{
 		Name:        name,

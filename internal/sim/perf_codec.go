@@ -41,54 +41,41 @@ func perfWireSamples() (*core.InvokeRequest, *core.InvokeResponse) {
 }
 
 // RunPerfWireCodec measures request/response round trips (encode + decode
-// of both messages) through the legacy gob codec and the binary wire
-// codec, reporting throughput and allocations per round trip. The derived
-// binary/gob ratio is the regression-gated wire_codec_speedup_x.
+// of both messages) through the wire codec, reporting throughput and
+// allocations per round trip.
 func RunPerfWireCodec(ops int) []PerfResult {
 	req, resp := perfWireSamples()
-
-	roundTrip := func(name string, enc func(any) []byte) PerfResult {
-		// Warm pools and the gob type registry so steady state is measured.
-		for i := 0; i < 16; i++ {
-			var rq core.InvokeRequest
-			var rs core.InvokeResponse
-			if err := core.DecodeWire(enc(req), &rq); err != nil {
-				panic(err)
-			}
-			if err := core.DecodeWire(enc(resp), &rs); err != nil {
-				panic(err)
-			}
+	roundTrip := func() {
+		var rq core.InvokeRequest
+		var rs core.InvokeResponse
+		if err := core.DecodeWire(core.EncodeWire(req), &rq); err != nil {
+			panic(err)
 		}
-		lat := make([]time.Duration, 0, ops)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			t0 := time.Now()
-			var rq core.InvokeRequest
-			var rs core.InvokeResponse
-			if err := core.DecodeWire(enc(req), &rq); err != nil {
-				panic(err)
-			}
-			if err := core.DecodeWire(enc(resp), &rs); err != nil {
-				panic(err)
-			}
-			lat = append(lat, time.Since(t0))
+		if err := core.DecodeWire(core.EncodeWire(resp), &rs); err != nil {
+			panic(err)
 		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		allocs := float64(after.Mallocs-before.Mallocs)/float64(ops) - 1 // the latency slice append
-		if allocs < 0 {
-			allocs = 0
-		}
-		return summarize(name, ops, elapsed, lat, allocs)
 	}
-
-	return []PerfResult{
-		roundTrip("wire_roundtrip_gob", core.EncodeWireLegacy),
-		roundTrip("wire_roundtrip_binary", core.EncodeWire),
+	// Warm the writer pool so steady state is measured.
+	for i := 0; i < 16; i++ {
+		roundTrip()
 	}
+	lat := make([]time.Duration, 0, ops)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		t0 := time.Now()
+		roundTrip()
+		lat = append(lat, time.Since(t0))
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs)/float64(ops) - 1 // the latency slice append
+	if allocs < 0 {
+		allocs = 0
+	}
+	return []PerfResult{summarize("wire_roundtrip_binary", ops, elapsed, lat, allocs)}
 }
 
 // perfFillSegmented appends history records (five-record committed

@@ -1,20 +1,14 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"axmltx/internal/codec"
 )
 
-// Record bodies inside CRC frames are versioned: the first byte of the blob
-// selects the codec. Version 2 is the hand-rolled binary encoding (varint
-// framing over internal/codec); version 3 is a checkpoint body (segmented
-// logs only). Anything else is treated as a legacy gob blob — gob streams of
-// Record always open with a multi-byte type-descriptor message whose length
-// prefix is far above 3, so the dispatch byte cannot collide — which keeps
-// WAL files written before the binary codec replayable.
+// Record bodies inside CRC frames open with a version byte: 2 is a record
+// (varint framing over internal/codec), 3 a checkpoint (segmented logs
+// only). Any other first byte is ErrCorrupt.
 const (
 	blobBinaryV2   = 0x02
 	blobCheckpoint = 0x03
@@ -56,41 +50,26 @@ func readRecordBinary(rd *codec.Reader) *Record {
 	return r
 }
 
-// DecodeRecord decodes one frame body: binary v2 blobs by version byte,
-// anything else as a legacy gob blob. The error wraps ErrCorrupt.
+// DecodeRecord decodes one record frame body. The error wraps ErrCorrupt.
 func DecodeRecord(blob []byte) (*Record, error) {
-	if len(blob) > 0 && blob[0] == blobBinaryV2 {
-		rd := codec.NewReader(blob[1:])
-		r := readRecordBinary(rd)
-		if err := rd.Finish(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		return r, nil
+	if len(blob) == 0 || blob[0] != blobBinaryV2 {
+		return nil, fmt.Errorf("%w: frame body is not a version-%d record", ErrCorrupt, blobBinaryV2)
 	}
-	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("%w: decode frame: %w", ErrCorrupt, err)
+	rd := codec.NewReader(blob[1:])
+	r := readRecordBinary(rd)
+	if err := rd.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return &r, nil
+	return r, nil
 }
 
-// EncodeRecord renders the binary v2 body of r (no CRC frame), exported for
-// the codec benchmarks and fuzz target.
+// EncodeRecord renders the body of r (no CRC frame), exported for the codec
+// benchmarks and fuzz target.
 func EncodeRecord(r *Record) []byte {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
 	appendRecordBinary(w, r)
 	return w.Finish()
-}
-
-// encodeRecordGob renders the legacy gob body, kept for the cross-version
-// compatibility test and the codec benchmarks.
-func encodeRecordGob(r *Record) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic(fmt.Sprintf("wal: gob encode: %v", err))
-	}
-	return buf.Bytes()
 }
 
 // checkpoint is the live-transaction snapshot written at the head of a

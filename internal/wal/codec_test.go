@@ -1,11 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -39,64 +35,6 @@ func TestRecordBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordGobCompat pins the cross-version contract: blobs produced by the
-// legacy gob encoder still decode, so WAL files written before the binary
-// codec replay unchanged.
-func TestRecordGobCompat(t *testing.T) {
-	want := sampleRecord()
-	got, err := DecodeRecord(encodeRecordGob(want))
-	if err != nil {
-		t.Fatalf("DecodeRecord(gob): %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestFileLogReadsLegacyGobFile writes a WAL file with legacy gob frames
-// byte-for-byte as the pre-binary FileLog did, then opens it with the
-// current implementation and appends more records.
-func TestFileLogReadsLegacyGobFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.wal")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lsn := uint64(1); lsn <= 3; lsn++ {
-		r := sampleRecord()
-		r.LSN = lsn
-		blob := encodeRecordGob(r)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(blob)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(blob))
-		if _, err := f.Write(hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatalf("OpenFile legacy: %v", err)
-	}
-	defer l.Close()
-	if got := len(l.Records()); got != 3 {
-		t.Fatalf("replayed %d records, want 3", got)
-	}
-	lsn, err := l.Append(&Record{Txn: "t-2", Type: TypeBegin})
-	if err != nil {
-		t.Fatalf("Append after legacy replay: %v", err)
-	}
-	if lsn != 4 {
-		t.Fatalf("Append assigned LSN %d, want 4", lsn)
-	}
-}
-
 func TestDecodeRecordTruncated(t *testing.T) {
 	blob := EncodeRecord(sampleRecord())
 	for cut := 1; cut < len(blob); cut++ {
@@ -126,6 +64,11 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := DecodeRecord([]byte{blobBinaryV2}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty binary blob: %v, want ErrCorrupt", err)
 	}
+	for _, blob := range [][]byte{nil, {0x01}, {blobCheckpoint}, append([]byte{0x40}, EncodeRecord(sampleRecord())[1:]...)} {
+		if _, err := DecodeRecord(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("body % x: %v, want ErrCorrupt", blob, err)
+		}
+	}
 	if _, err := decodeCheckpoint(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nil checkpoint: %v, want ErrCorrupt", err)
 	}
@@ -136,7 +79,6 @@ func TestTypedErrors(t *testing.T) {
 // nightly fuzz job.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add(EncodeRecord(sampleRecord()))
-	f.Add(encodeRecordGob(sampleRecord()))
 	w := codec.GetWriter()
 	appendCheckpoint(w, &checkpoint{LastLSN: 7, Live: []*Record{sampleRecord()}})
 	f.Add(w.Finish())
@@ -144,8 +86,8 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{blobBinaryV2})
 	f.Add([]byte{blobCheckpoint, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		if r, err := DecodeRecord(blob); err == nil && blob[0] == blobBinaryV2 {
-			// A successful binary decode must re-encode to the same bytes.
+		if r, err := DecodeRecord(blob); err == nil {
+			// A successful decode must re-encode to the same bytes.
 			if got := EncodeRecord(r); string(got) != string(blob) {
 				t.Fatalf("re-encode mismatch:\n got %x\nwant %x", got, blob)
 			}

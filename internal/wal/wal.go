@@ -251,9 +251,8 @@ type FileOptions struct {
 //
 // so the file survives process restarts (no cross-session encoder state)
 // and Open detects a torn or corrupted tail by length/CRC mismatch and
-// truncates it — the standard write-ahead-log recovery contract. New frames
-// carry binary v2 bodies; files written by earlier versions (gob bodies)
-// replay transparently (see DecodeRecord).
+// truncates it — the standard write-ahead-log recovery contract. A frame
+// whose body is not a version-2 record (see DecodeRecord) counts as corrupt.
 type FileLog struct {
 	mu    sync.Mutex
 	f     *os.File
