@@ -102,15 +102,11 @@ func (s *Store) applyInsert(txn string, doc *xmldom.Document, a *Action, mat Mat
 	// compensation preserves node identity.
 	if a.RestoreID != 0 {
 		if n := doc.ByID(a.RestoreID); n != nil && n.Parent() == nil && n != doc.Root() {
-			parent, pos, err := s.insertTarget(txn, doc, a, mat, mode, res)
+			parents, err := s.locateInsertParents(txn, doc, a, mat, mode, res)
 			if err != nil {
 				return err
 			}
-			if err := doc.InsertChild(parent, n, pos); err != nil {
-				return err
-			}
-			s.logInsert(txn, doc, n, res)
-			return nil
+			return s.insertNode(txn, doc, parents[0], n, childPos(parents[0], a.Pos), res)
 		}
 		// Fall through: subtree unavailable, insert from Data.
 	}
@@ -122,23 +118,36 @@ func (s *Store) applyInsert(txn string, doc *xmldom.Document, a *Action, mat Mat
 		if parent.Kind() != xmldom.ElementNode {
 			return ErrTargetNotElem
 		}
-		frags, err := parseFragments(doc, a.Data)
-		if err != nil {
+		if err := s.insertData(txn, doc, parent, a.Pos, a.Data, res); err != nil {
 			return err
-		}
-		pos := a.Pos
-		if pos < 0 || pos > parent.ChildCount() {
-			pos = parent.ChildCount()
-		}
-		for _, frag := range frags {
-			if err := doc.InsertChild(parent, frag, pos); err != nil {
-				return err
-			}
-			s.logInsert(txn, doc, frag, res)
-			pos++
 		}
 	}
 	return nil
+}
+
+// insertData parses data and inserts its fragments under parent from
+// position pos on.
+func (s *Store) insertData(txn string, doc *xmldom.Document, parent *xmldom.Node, pos int, data string, res *Result) error {
+	frags, err := parseFragments(doc, data)
+	if err != nil {
+		return err
+	}
+	pos = childPos(parent, pos)
+	for i, frag := range frags {
+		if err := s.insertNode(txn, doc, parent, frag, pos+i, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// childPos clamps an insert position to parent's children; -1 or any
+// out-of-range position appends.
+func childPos(parent *xmldom.Node, pos int) int {
+	if pos < 0 || pos > parent.ChildCount() {
+		return parent.ChildCount()
+	}
+	return pos
 }
 
 // parseFragments parses data as a sequence of sibling elements.
@@ -156,21 +165,6 @@ func parseFragments(doc *xmldom.Document, data string) ([]*xmldom.Node, error) {
 		out = append(out, doc.Adopt(c))
 	}
 	return out, nil
-}
-
-// insertTarget resolves the single insert parent/position for a restore
-// insert.
-func (s *Store) insertTarget(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) (*xmldom.Node, int, error) {
-	parents, err := s.locateInsertParents(txn, doc, a, mat, mode, res)
-	if err != nil {
-		return nil, 0, err
-	}
-	parent := parents[0]
-	pos := a.Pos
-	if pos < 0 || pos > parent.ChildCount() {
-		pos = parent.ChildCount()
-	}
-	return parent, pos, nil
 }
 
 func (s *Store) locateInsertParents(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {
@@ -235,23 +229,17 @@ func (s *Store) applyReplace(txn string, doc *xmldom.Document, a *Action, mat Ma
 		if err := s.deleteNode(txn, doc, n, res); err != nil {
 			return err
 		}
-		frags, err := parseFragments(doc, a.Data)
-		if err != nil {
+		if err := s.insertData(txn, doc, parent, pos, a.Data, res); err != nil {
 			return err
-		}
-		for _, frag := range frags {
-			if err := doc.InsertChild(parent, frag, pos); err != nil {
-				return err
-			}
-			s.logInsert(txn, doc, frag, res)
-			pos++
 		}
 	}
 	return nil
 }
 
 // deleteNode detaches n (keeping it indexed so compensation can restore it
-// by ID) and logs the deletion with its full before-image.
+// by ID) and logs the deletion with its full before-image. When the record
+// cannot be appended, n is re-attached: an unlogged effect could never be
+// compensated.
 func (s *Store) deleteNode(txn string, doc *xmldom.Document, n *xmldom.Node, res *Result) error {
 	parent, pos, err := doc.Detach(n)
 	if err != nil {
@@ -263,22 +251,30 @@ func (s *Store) deleteNode(txn string, doc *xmldom.Document, n *xmldom.Node, res
 		Doc:    doc.Name(),
 		NodeID: uint64(n.ID()),
 		Pos:    pos,
+		Nodes:  n.SubtreeSize(),
 		XML:    xmldom.MarshalString(n),
 	}
 	if parent != nil {
 		rec.ParentID = uint64(parent.ID())
 	}
-	lsn, lerr := s.log.Append(rec)
-	if lerr != nil {
-		return lerr
+	lsn, err := s.log.Append(rec)
+	if err != nil {
+		_ = doc.InsertChild(parent, n, pos) // back where Detach took it from
+		return err
 	}
 	res.noteLSN(lsn)
 	res.DeletedXML = append(res.DeletedXML, rec.XML)
-	res.AffectedNodes += n.SubtreeSize()
+	res.AffectedNodes += rec.Nodes
 	return nil
 }
 
-func (s *Store) logInsert(txn string, doc *xmldom.Document, n *xmldom.Node, res *Result) {
+// insertNode attaches n under parent at pos and logs the insertion. An
+// insert whose record never reached the log could not be compensated, so a
+// failed append detaches n again and becomes the operation's error.
+func (s *Store) insertNode(txn string, doc *xmldom.Document, parent, n *xmldom.Node, pos int, res *Result) error {
+	if err := doc.InsertChild(parent, n, pos); err != nil {
+		return err
+	}
 	rec := &wal.Record{
 		Txn:      txn,
 		Type:     wal.TypeInsert,
@@ -286,13 +282,18 @@ func (s *Store) logInsert(txn string, doc *xmldom.Document, n *xmldom.Node, res 
 		NodeID:   uint64(n.ID()),
 		ParentID: uint64(n.Parent().ID()),
 		Pos:      n.Index(),
+		Nodes:    n.SubtreeSize(),
 		XML:      xmldom.MarshalString(n),
 	}
-	if lsn, err := s.log.Append(rec); err == nil {
-		res.noteLSN(lsn)
+	lsn, err := s.log.Append(rec)
+	if err != nil {
+		_, _, _ = doc.Detach(n) // just attached, so it cannot fail
+		return err
 	}
+	res.noteLSN(lsn)
 	res.InsertedIDs = append(res.InsertedIDs, n.ID())
-	res.AffectedNodes += n.SubtreeSize()
+	res.AffectedNodes += rec.Nodes
+	return nil
 }
 
 func (r *Result) noteLSN(lsn uint64) {

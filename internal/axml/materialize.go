@@ -303,15 +303,17 @@ func (s *Store) materializeCall(txn string, doc *xmldom.Document, sc *ServiceCal
 // results, and insertion of the result fragments — the paper's run-time
 // facts that dynamic compensation is built from.
 func (s *Store) mergeResults(txn string, doc *xmldom.Document, sc *ServiceCall, fragments []string, res *Result) error {
-	if lsn, lerr := s.log.Append(&wal.Record{
+	lsn, err := s.log.Append(&wal.Record{
 		Txn:     txn,
 		Type:    wal.TypeMaterialize,
 		Doc:     doc.Name(),
 		NodeID:  uint64(sc.ID()),
 		Service: sc.Service(),
-	}); lerr == nil {
-		res.noteLSN(lsn)
+	})
+	if err != nil {
+		return err
 	}
+	res.noteLSN(lsn)
 	res.Materialized = append(res.Materialized, sc.Service())
 
 	if sc.Mode() == ModeReplace {
@@ -326,10 +328,9 @@ func (s *Store) mergeResults(txn string, doc *xmldom.Document, sc *ServiceCall, 
 		if err != nil {
 			return fmt.Errorf("axml: service %q returned malformed XML: %w", sc.Service(), err)
 		}
-		if err := doc.AppendChild(sc.Node(), n); err != nil {
+		if err := s.insertNode(txn, doc, sc.Node(), n, sc.Node().ChildCount(), res); err != nil {
 			return err
 		}
-		s.logInsert(txn, doc, n, res)
 	}
 	return nil
 }

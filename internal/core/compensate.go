@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"axmltx/internal/axml"
 	"axmltx/internal/codec"
@@ -29,8 +30,18 @@ import (
 // re-invoked during forward recovery after a local abort — and compensate
 // normally.
 func BuildCompensation(log wal.Log, txn string) []*axml.Action {
+	actions, _ := buildCompensation(log, txn)
+	return actions
+}
+
+// buildCompensation is BuildCompensation plus the affected-node estimate of
+// running the actions, summed from the records' logged subtree sizes: an
+// undo-insert restores the before-image's whole subtree, an undo-delete
+// counts one node.
+func buildCompensation(log wal.Log, txn string) ([]*axml.Action, int) {
 	recs := currentEpoch(log.TxnRecords(txn))
 	var out []*axml.Action
+	nodes := 0
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		switch r.Type {
@@ -41,6 +52,7 @@ func BuildCompensation(log wal.Log, txn string) []*axml.Action {
 				TargetID: xmldom.NodeID(r.NodeID),
 				Pos:      -1,
 			})
+			nodes++
 		case wal.TypeDelete:
 			out = append(out, &axml.Action{
 				Type:      axml.ActionInsert,
@@ -50,9 +62,10 @@ func BuildCompensation(log wal.Log, txn string) []*axml.Action {
 				Data:      r.XML,
 				RestoreID: xmldom.NodeID(r.NodeID),
 			})
+			nodes += r.Nodes
 		}
 	}
-	return out
+	return out, nodes
 }
 
 // currentEpoch returns the structural records of the newest compensation
@@ -126,28 +139,11 @@ func HasCommitted(log wal.Log, txn string) bool {
 }
 
 // Compensate rolls back txn's local effects on the store and returns the
-// number of XML nodes affected (the cost measure). It is idempotent.
+// number of XML nodes affected (the cost measure). It is the local case of
+// a compensating service: the definition is built and executed in place,
+// never serialized. It is idempotent.
 func Compensate(store *axml.Store, txn string) (int, error) {
-	log := store.Log()
-	if AlreadyCompensated(log, txn) {
-		return 0, nil
-	}
-	actions := BuildCompensation(log, txn)
-	if _, err := log.Append(&wal.Record{Txn: txn, Type: wal.TypeCompensateBegin}); err != nil {
-		return 0, err
-	}
-	affected := 0
-	for _, a := range actions {
-		res, err := store.Apply(txn, a, nil, axml.Lazy)
-		if err != nil {
-			return affected, fmt.Errorf("core: compensate %s: %w", txn, err)
-		}
-		affected += res.AffectedNodes
-	}
-	if _, err := log.Append(&wal.Record{Txn: txn, Type: wal.TypeCompensateEnd}); err != nil {
-		return affected, err
-	}
-	return affected, nil
+	return BuildCompensationDef(store, txn, "", "").Execute(store)
 }
 
 // CompensationDef is the definition of a compensating service: "a service
@@ -164,53 +160,38 @@ type CompensationDef struct {
 	Peer p2p.PeerID
 	// Service is the forward service this definition compensates.
 	Service string
-	// Actions are the compensating operations in execution order, as
-	// <action> XML (ID-addressed, ready to run on the original peer's
-	// store or on a document replica).
-	Actions []string
-	// Docs lists the documents the actions touch, so a recovering peer can
-	// route the definition to a replica holder when the original peer has
-	// disconnected.
-	Docs []string
+	// Actions are the compensating operations in execution order: ID-
+	// addressed inserts and deletes, ready to run on the original peer's
+	// store or on a document replica.
+	Actions []*axml.Action
 	// Nodes is the expected affected-node count, for cost accounting.
 	Nodes int
 }
 
-// BuildCompensationDef captures txn's current local effects as a shippable
-// compensating-service definition.
+// BuildCompensationDef captures txn's current local effects as a
+// compensating-service definition, to run locally or to ship.
 func BuildCompensationDef(store *axml.Store, txn string, self p2p.PeerID, service string) *CompensationDef {
-	actions := BuildCompensation(store.Log(), txn)
-	def := &CompensationDef{Txn: txn, Peer: self, Service: service}
-	seenDocs := make(map[string]bool)
-	for _, a := range actions {
-		def.Actions = append(def.Actions, a.XML())
-		if a.Type == axml.ActionInsert {
-			def.Nodes += countNodes(a.Data)
-		} else {
-			def.Nodes++
-		}
-		if a.Doc != "" && !seenDocs[a.Doc] {
-			seenDocs[a.Doc] = true
-			def.Docs = append(def.Docs, a.Doc)
-		}
-	}
-	return def
+	actions, nodes := buildCompensation(store.Log(), txn)
+	return &CompensationDef{Txn: txn, Peer: self, Service: service, Actions: actions, Nodes: nodes}
 }
 
-// countNodes estimates the node count of an XML fragment (1 on parse
-// failure, since the action still touches at least one node).
-func countNodes(fragment string) int {
-	doc, err := xmldom.ParseString("frag", fragment)
-	if err != nil {
-		return 1
+// Docs lists the documents the actions touch, in first-touch order, so a
+// recovering peer can route the definition to a replica holder when the
+// original peer has disconnected.
+func (d *CompensationDef) Docs() []string {
+	var docs []string
+	for _, a := range d.Actions {
+		if !slices.Contains(docs, a.Doc) {
+			docs = append(docs, a.Doc)
+		}
 	}
-	return doc.Root().SubtreeSize()
+	return docs
 }
 
-// Execute runs the definition against a store (normally the original
-// peer's). The actions run under the original transaction ID so the
-// CompensateBegin/End bracket makes local abort and shipped compensation
-// mutually idempotent.
+// Execute runs the definition against a store — the original peer's, or a
+// replica holder's — and returns the affected-node count. The actions run
+// under the original transaction ID inside one CompensateBegin/End bracket,
+// which makes local abort and shipped compensation mutually idempotent.
 func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
 	log := store.Log()
 	if AlreadyCompensated(log, d.Txn) {
@@ -220,14 +201,10 @@ func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
 		return 0, err
 	}
 	affected := 0
-	for _, src := range d.Actions {
-		a, err := axml.ParseAction(src)
-		if err != nil {
-			return affected, fmt.Errorf("core: compensation def for %s: %w", d.Txn, err)
-		}
+	for _, a := range d.Actions {
 		res, err := store.Apply(d.Txn, a, nil, axml.Lazy)
 		if err != nil {
-			return affected, fmt.Errorf("core: compensation def for %s: %w", d.Txn, err)
+			return affected, fmt.Errorf("core: compensate %s: %w", d.Txn, err)
 		}
 		affected += res.AffectedNodes
 	}
@@ -239,11 +216,12 @@ func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
 
 // compDefVersion opens every encoded CompensationDef. A definition travels
 // inside InvokeResponse.Comp and also as the whole payload of compensate and
-// compdef messages, so it carries a version byte of its own.
-const compDefVersion = 0x01
+// compdef messages, so it carries a version byte of its own. Version 1
+// shipped each action as <action> XML and is refused.
+const compDefVersion = 0x02
 
-// Encode serializes the definition for the wire: the version byte, then
-// the fields in declaration order.
+// Encode serializes the definition for the wire, each action field by
+// field. Compensating actions are ID-addressed: Location is not encoded.
 func (d *CompensationDef) Encode() []byte {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -251,14 +229,23 @@ func (d *CompensationDef) Encode() []byte {
 	w.String(d.Txn)
 	w.String(string(d.Peer))
 	w.String(d.Service)
-	w.Strings(d.Actions)
-	w.Strings(d.Docs)
+	w.Uvarint(uint64(len(d.Actions)))
+	for _, a := range d.Actions {
+		w.Byte(byte(a.Type))
+		w.String(a.Doc)
+		w.Uvarint(uint64(a.TargetID))
+		w.Uvarint(uint64(a.ParentID))
+		w.Varint(int64(a.Pos))
+		w.Uvarint(uint64(a.RestoreID))
+		w.String(a.Data)
+	}
 	w.Varint(int64(d.Nodes))
 	return w.Finish()
 }
 
 // DecodeCompensationDef parses a wire-encoded definition. Its strings alias
-// b, like every decoded wire payload.
+// b, like every decoded wire payload. Only insert and delete actions are
+// accepted: nothing else is ever built from the log.
 func DecodeCompensationDef(b []byte) (*CompensationDef, error) {
 	r := codec.NewReader(b)
 	if v := r.Byte(); r.Err() == nil && v != compDefVersion {
@@ -268,12 +255,27 @@ func DecodeCompensationDef(b []byte) (*CompensationDef, error) {
 		Txn:     r.String(),
 		Peer:    p2p.PeerID(r.String()),
 		Service: r.String(),
-		Actions: r.Strings(),
-		Docs:    r.Strings(),
-		Nodes:   int(r.Varint()),
 	}
+	n := r.Count(7) // an encoded action is ≥ 7 bytes
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.Actions = append(d.Actions, &axml.Action{
+			Type:      axml.ActionType(r.Byte()),
+			Doc:       r.String(),
+			TargetID:  xmldom.NodeID(r.Uvarint()),
+			ParentID:  xmldom.NodeID(r.Uvarint()),
+			Pos:       int(r.Varint()),
+			RestoreID: xmldom.NodeID(r.Uvarint()),
+			Data:      r.String(),
+		})
+	}
+	d.Nodes = int(r.Varint())
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("core: decode compensation def: %w", err)
+	}
+	for i, a := range d.Actions {
+		if a.Type != axml.ActionInsert && a.Type != axml.ActionDelete {
+			return nil, fmt.Errorf("core: decode compensation def: %w: action %d is a %s", codec.ErrMalformed, i, a.Type)
+		}
 	}
 	return d, nil
 }

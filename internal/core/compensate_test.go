@@ -3,11 +3,15 @@ package core
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"axmltx/internal/axml"
 	"axmltx/internal/codec"
+	"axmltx/internal/p2p"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
@@ -304,8 +308,11 @@ func TestCompensationDefCodec(t *testing.T) {
 		"zero": {},
 		"all fields": {
 			Txn: "txn-1", Peer: "AP2", Service: "svcB",
-			Actions: []string{`<action type="delete"/>`, `<action type="insert"><x/></action>`},
-			Docs:    []string{"D2.xml", "D3.xml"}, Nodes: 7,
+			Actions: []*axml.Action{
+				{Type: axml.ActionDelete, Doc: "D2.xml", TargetID: 41, Pos: -1},
+				{Type: axml.ActionInsert, Doc: "D3.xml", ParentID: 3, Pos: 2, RestoreID: 9, Data: "<x a=\"1\">t</x>"},
+			},
+			Nodes: 7,
 		},
 	}
 	for name, in := range defs {
@@ -317,9 +324,12 @@ func TestCompensationDefCodec(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", name, out, in)
 		}
 	}
+	if got := defs["all fields"].Docs(); !reflect.DeepEqual(got, []string{"D2.xml", "D3.xml"}) {
+		t.Fatalf("Docs() = %v", got)
+	}
 	blob := defs["all fields"].Encode()
-	if got := hex.EncodeToString(blob[:8]); got != "010574786e2d3103" {
-		t.Fatalf("encoding opens with %s, want version 01 then the txn", got)
+	if got := hex.EncodeToString(blob[:8]); got != "020574786e2d3103" {
+		t.Fatalf("encoding opens with %s, want version 02 then the txn", got)
 	}
 	for cut := 0; cut < len(blob); cut++ {
 		if _, err := DecodeCompensationDef(blob[:cut]); !errors.Is(err, codec.ErrMalformed) {
@@ -329,9 +339,263 @@ func TestCompensationDefCodec(t *testing.T) {
 	if _, err := DecodeCompensationDef(append(blob, 0)); !errors.Is(err, codec.ErrTrailing) {
 		t.Fatalf("trailing byte: err = %v, want codec.ErrTrailing", err)
 	}
-	blob[0] = 0x02
-	if _, err := DecodeCompensationDef(blob); !errors.Is(err, errWireVersion) {
-		t.Fatalf("unknown version: err = %v, want errWireVersion", err)
+	for _, v := range []byte{0x01, 0x03} {
+		blob[0] = v
+		if _, err := DecodeCompensationDef(blob); !errors.Is(err, errWireVersion) {
+			t.Fatalf("version %d: err = %v, want errWireVersion", v, err)
+		}
+	}
+	replace := &CompensationDef{Txn: "T", Actions: []*axml.Action{{Type: axml.ActionReplace, Doc: "D", TargetID: 1, Data: "<x/>"}}}
+	if _, err := DecodeCompensationDef(replace.Encode()); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("replace action: err = %v, want codec.ErrMalformed", err)
+	}
+}
+
+// FuzzCompensationDefDecode asserts the definition decoder never panics, that
+// whatever it accepts re-encodes to the same bytes, and that it accepts only
+// insert and delete actions. Wired into the CI and nightly fuzz jobs.
+func FuzzCompensationDefDecode(f *testing.F) {
+	def := &CompensationDef{
+		Txn: "T", Peer: "AP2", Service: "S",
+		Actions: []*axml.Action{
+			{Type: axml.ActionDelete, Doc: "D.xml", TargetID: 12, Pos: -1},
+			{Type: axml.ActionInsert, Doc: "D.xml", ParentID: 2, Pos: 0, RestoreID: 5, Data: "<a><b/></a>"},
+		},
+		Nodes: 3,
+	}
+	f.Add(def.Encode())
+	f.Add((&CompensationDef{}).Encode())
+	v1 := def.Encode()
+	v1[0] = 0x01
+	f.Add(v1)
+	def.Actions[0].Type = axml.ActionQuery
+	f.Add(def.Encode())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		d, err := DecodeCompensationDef(blob)
+		if err != nil {
+			return
+		}
+		if got := d.Encode(); string(got) != string(blob) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", got, blob)
+		}
+		for i, a := range d.Actions {
+			if a.Type != axml.ActionInsert && a.Type != axml.ActionDelete {
+				t.Fatalf("action %d decoded with type %s", i, a.Type)
+			}
+		}
+	})
+}
+
+// randomTxn applies a random insert/delete/replace/lazy-query sequence under
+// txn T; the same rng seed yields the same sequence and effects on any
+// store holding the same initial document.
+func randomTxn(t *testing.T, s *axml.Store, rng *rand.Rand) {
+	t.Helper()
+	players := []string{"Federer", "Nadal"}
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		who := players[rng.Intn(len(players))]
+		var (
+			src string
+			a   = &axml.Action{Pos: -1}
+			mat axml.Materializer
+		)
+		switch rng.Intn(5) {
+		case 0:
+			src = `Select p from p in ATPList//player where p/name/lastname = ` + who
+			a.Type, a.Data = axml.ActionInsert, fmt.Sprintf(`<note n="%d"><v>%d</v></note>`, i, rng.Intn(100))
+		case 1:
+			src = `Select p/note from p in ATPList//player where p/name/lastname = ` + who
+			a.Type = axml.ActionDelete
+		case 2:
+			src = `Select p/citizenship from p in ATPList//player where p/name/lastname = ` + who
+			a.Type, a.Data = axml.ActionReplace, fmt.Sprintf(`<citizenship>C%d</citizenship>`, rng.Intn(100))
+		case 3:
+			src = `Select p/citizenship from p in ATPList//player where p/name/lastname = ` + who
+			a.Type = axml.ActionDelete
+		default:
+			src = `Select p/points, p/grandslamswon from p in ATPList//player where p/name/lastname = Federer`
+			a.Type = axml.ActionQuery
+			mat = &tableMat{results: map[string][]string{
+				"getPoints":              {fmt.Sprintf(`<points>%d</points>`, rng.Intn(1000))},
+				"getGrandSlamsWonbyYear": {fmt.Sprintf(`<grandslamswon year="%d">W</grandslamswon>`, 2005+i)},
+			}}
+		}
+		loc, err := axml.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Location = loc
+		// Operations whose location matches nothing fail identically on
+		// every twin; the sequence simply moves on.
+		_, _ = s.Apply("T", a, mat, axml.Lazy)
+	}
+}
+
+// TestCompensationShippedEqualsLocal is the one-executor property: on twin
+// stores running the same random transaction, local Compensate and the
+// shipped path (build, encode, decode, execute) leave byte-identical
+// documents — the pre-transaction one — and report the same affected count.
+func TestCompensationShippedEqualsLocal(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		local, doc := newCompStore(t)
+		shipped, _ := newCompStore(t)
+		before := xmldom.MarshalString(doc.Root())
+		randomTxn(t, local, rand.New(rand.NewSource(seed)))
+		randomTxn(t, shipped, rand.New(rand.NewSource(seed)))
+
+		nLocal, err := Compensate(local, "T")
+		if err != nil {
+			t.Fatalf("seed %d: local: %v", seed, err)
+		}
+		def, err := DecodeCompensationDef(BuildCompensationDef(shipped, "T", "AP2", "S").Encode())
+		if err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		nShipped, err := def.Execute(shipped)
+		if err != nil {
+			t.Fatalf("seed %d: shipped: %v", seed, err)
+		}
+		a, _ := local.Get("ATPList.xml")
+		b, _ := shipped.Get("ATPList.xml")
+		got, want := xmldom.MarshalString(b.Root()), xmldom.MarshalString(a.Root())
+		if got != want || nShipped != nLocal {
+			t.Fatalf("seed %d: shipped (%d nodes) != local (%d nodes):\n got %s\nwant %s", seed, nShipped, nLocal, got, want)
+		}
+		if want != before {
+			t.Fatalf("seed %d: compensation did not restore the document:\n got %s\nwant %s", seed, want, before)
+		}
+	}
+}
+
+var errInjected = errors.New("injected log failure")
+
+// faultyLog fails its failAt-th Append (1-based; 0 never) and, when
+// failSync is set, every Sync.
+type faultyLog struct {
+	wal.Log
+	failAt   int64
+	appends  atomic.Int64
+	failSync bool
+}
+
+func (l *faultyLog) Append(r *wal.Record) (uint64, error) {
+	if l.appends.Add(1) == l.failAt {
+		return 0, errInjected
+	}
+	return l.Log.Append(r)
+}
+
+func (l *faultyLog) Sync() error {
+	if l.failSync {
+		return errInjected
+	}
+	return l.Log.Sync()
+}
+
+// TestApplyFailedAppendIsCompensable fails each append of a transaction in
+// turn: the operation that hit it errors, and compensation of what did
+// reach the log restores the pre-transaction document byte for byte — no
+// effect is left behind without its record.
+func TestApplyFailedAppendIsCompensable(t *testing.T) {
+	ops := []struct {
+		src string
+		a   axml.Action
+		mat axml.Materializer
+	}{
+		{`Select p from p in ATPList//player where p/name/lastname = Nadal`,
+			axml.Action{Type: axml.ActionInsert, Data: `<coach>Toni</coach><team>ESP</team>`, Pos: -1}, nil},
+		{`Select p/citizenship from p in ATPList//player where p/name/lastname = Nadal`,
+			axml.Action{Type: axml.ActionReplace, Data: `<citizenship>USA</citizenship>`, Pos: -1}, nil},
+		{`Select p/citizenship, p/points from p in ATPList//player where p/name/lastname = Federer`,
+			axml.Action{Type: axml.ActionQuery, Pos: -1},
+			&tableMat{results: map[string][]string{"getPoints": {`<points>890</points>`}}}},
+		{`Select p/grandslamswon from p in ATPList//player where p/name/lastname = Federer`,
+			axml.Action{Type: axml.ActionQuery, Pos: -1},
+			&tableMat{results: map[string][]string{"getGrandSlamsWonbyYear": {`<grandslamswon year="2005">A, F</grandslamswon>`}}}},
+	}
+	for failAt := int64(1); ; failAt++ {
+		log := &faultyLog{Log: wal.NewMemory(), failAt: failAt}
+		s := axml.NewStore(log)
+		doc, err := s.AddParsed("ATPList.xml", atpXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := xmldom.MarshalString(doc.Root())
+		var applyErr error
+		for _, op := range ops {
+			a := op.a
+			if a.Location, err = axml.ParseQuery(op.src); err != nil {
+				t.Fatal(err)
+			}
+			if _, applyErr = s.Apply("T", &a, op.mat, axml.Lazy); applyErr != nil {
+				break
+			}
+		}
+		if applyErr == nil {
+			if failAt < 4 {
+				t.Fatalf("only %d appends: the script exercises too little", failAt-1)
+			}
+			return // every append of the script has been failed once
+		}
+		if !errors.Is(applyErr, errInjected) {
+			t.Fatalf("append %d: Apply err = %v, want the injected failure", failAt, applyErr)
+		}
+		if _, err := Compensate(s, "T"); err != nil {
+			t.Fatalf("append %d: compensate: %v", failAt, err)
+		}
+		live, _ := s.Get("ATPList.xml")
+		if got := xmldom.MarshalString(live.Root()); got != before {
+			t.Fatalf("append %d failed: abort left\n%s\nwant\n%s", failAt, got, before)
+		}
+	}
+}
+
+// TestAbortReportsFailedSync: an abort whose decision record could not be
+// made durable returns an error wrapping the sync failure and counts it.
+func TestAbortReportsFailedSync(t *testing.T) {
+	net := p2p.NewNetwork(0)
+	log := &faultyLog{Log: wal.NewMemory(), failSync: true}
+	ap1 := NewPeer(net.Join("AP1"), log, Options{})
+	hostEntryService(t, ap1, "S1", "D1.xml")
+	txc := ap1.Begin()
+	if _, err := ap1.Call(bg, txc, "AP1", "S1", nil); err != nil {
+		t.Fatal(err)
+	}
+	err := ap1.Abort(bg, txc)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("Abort err = %v, want the injected sync failure", err)
+	}
+	if n := ap1.Metrics().AbortErrors.Load(); n != 1 {
+		t.Fatalf("AbortErrors = %d, want 1", n)
+	}
+	if entryCount(t, ap1, "D1.xml") != 0 {
+		t.Fatal("compensation did not run after the failed sync")
+	}
+}
+
+// TestRejectedCompDefCounted: a definition in the retired version-1 format
+// is dropped where it arrives — in a reply or shipped directly — and each
+// drop is counted, so a participant lost to peer-independent recovery shows.
+func TestRejectedCompDefCounted(t *testing.T) {
+	c := newCluster(t)
+	ap1 := c.add("AP1", Options{})
+	txc := ap1.Begin()
+	v1 := (&CompensationDef{Txn: txc.ID, Peer: "AP2", Service: "S2"}).Encode()
+	v1[0] = 0x01
+	ap1.handleResult(&p2p.Message{Kind: p2p.KindResult, Txn: txc.ID, From: "AP2",
+		Payload: encode(&InvokeResponse{Service: "S2", Comp: v1})})
+	if n := ap1.Metrics().CompDefsRejected.Load(); n != 1 {
+		t.Fatalf("after reply: CompDefsRejected = %d, want 1", n)
+	}
+	if kids := txc.Children(); len(kids) != 1 || kids[0].Comp != nil {
+		t.Fatalf("children = %+v, want AP2 recorded without a definition", kids)
+	}
+	ap1.handleCompDef(&p2p.Message{Kind: p2p.KindCompDef, Txn: txc.ID, Payload: v1})
+	if n := ap1.Metrics().CompDefsRejected.Load(); n != 2 {
+		t.Fatalf("after compdef: CompDefsRejected = %d, want 2", n)
+	}
+	if len(txc.CompDefs()) != 0 {
+		t.Fatal("a rejected definition was stored")
 	}
 }
 

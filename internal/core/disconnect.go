@@ -94,10 +94,8 @@ func (p *Peer) handleRedirect(msg *p2p.Message) (*p2p.Message, error) {
 		// The redirected fragments substitute for the dead subtree's
 		// service when we (or an alternative peer we engage) re-invoke.
 		txc.storeReused(map[string][]string{rr.Service: rr.Response.Fragments})
-		if len(rr.Response.Comp) > 0 {
-			if def, err := DecodeCompensationDef(rr.Response.Comp); err == nil {
-				txc.AddChild(Invocation{Peer: p2p.PeerID(msg.From), Service: rr.Service, Comp: def})
-			}
+		if inv := p.childInvocation(msg.From, rr.Service, rr.Response.Comp); inv.Comp != nil {
+			txc.AddChild(inv)
 		}
 	}
 	p.noteDisconnection(rr.Txn, rr.Dead, p.id)
@@ -268,13 +266,7 @@ func (p *Peer) recoverDeadChild(txc *Context, chain *Chain, dead p2p.PeerID) {
 				if resp.Chain != nil && !p.opts.DisableChaining {
 					txc.SetChain(resp.Chain)
 				}
-				inv := Invocation{Peer: alt, Service: service}
-				if len(resp.Comp) > 0 {
-					if def, derr := DecodeCompensationDef(resp.Comp); derr == nil {
-						inv.Comp = def
-					}
-				}
-				txc.AddChild(inv)
+				txc.AddChild(p.childInvocation(alt, service, resp.Comp))
 				p.metrics.ForwardRecoveries.Add(1)
 				rsp.SetChain(chainStr(txc))
 				rsp.End("", nil)

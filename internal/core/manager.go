@@ -215,12 +215,6 @@ func (c *Context) Status() Status {
 	return c.status
 }
 
-func (c *Context) setStatus(s Status) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.status = s
-}
-
 // transition moves Active→to and reports whether this call made the
 // transition (false if already in a terminal state).
 func (c *Context) transition(to Status) bool {

@@ -55,6 +55,12 @@ type Metrics struct {
 	// shipped definitions.
 	CompServicesBuilt atomic.Int64
 	CompServicesRun   atomic.Int64
+	// CompDefsRejected counts shipped definitions that did not decode; the
+	// participant is then out of reach of peer-independent recovery.
+	CompDefsRejected atomic.Int64
+	// AbortErrors counts aborts whose decision record, log sync or
+	// compensation failed.
+	AbortErrors atomic.Int64
 
 	// Materialization call-cache events. CacheHits counts results served
 	// from the local cache within their freshness window; CacheMisses
@@ -109,6 +115,8 @@ func (m *Metrics) Register(reg *obs.Registry, peer string) {
 		{"axml_nodes_lost", &m.NodesLost},
 		{"axml_comp_services_built", &m.CompServicesBuilt},
 		{"axml_comp_services_run", &m.CompServicesRun},
+		{"axml_comp_defs_rejected", &m.CompDefsRejected},
+		{"axml_abort_errors", &m.AbortErrors},
 		{"axml_cache_hits", &m.CacheHits},
 		{"axml_cache_misses", &m.CacheMisses},
 		{"axml_cache_waits", &m.CacheWaits},
@@ -133,6 +141,7 @@ type MetricsSnapshot struct {
 	DisconnectsDetected, Redirects, WorkReused int64
 	NodesLost                                  int64
 	CompServicesBuilt, CompServicesRun         int64
+	CompDefsRejected, AbortErrors              int64
 	CacheHits, CacheMisses, CacheWaits         int64
 	CacheFetches, CacheInvalidations           int64
 	FragFetches, FragMigrations                int64
@@ -160,6 +169,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		NodesLost:           m.NodesLost.Load(),
 		CompServicesBuilt:   m.CompServicesBuilt.Load(),
 		CompServicesRun:     m.CompServicesRun.Load(),
+		CompDefsRejected:    m.CompDefsRejected.Load(),
+		AbortErrors:         m.AbortErrors.Load(),
 		CacheHits:           m.CacheHits.Load(),
 		CacheMisses:         m.CacheMisses.Load(),
 		CacheWaits:          m.CacheWaits.Load(),
@@ -191,6 +202,8 @@ func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
 	s.NodesLost += o.NodesLost
 	s.CompServicesBuilt += o.CompServicesBuilt
 	s.CompServicesRun += o.CompServicesRun
+	s.CompDefsRejected += o.CompDefsRejected
+	s.AbortErrors += o.AbortErrors
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheWaits += o.CacheWaits

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -307,20 +308,6 @@ func (p *Peer) invalidateDocCache(docs ...string) {
 	}
 }
 
-// txnDocs collects the distinct documents a transaction's WAL records
-// touched, for cache invalidation after compensation restored them.
-func txnDocs(log wal.Log, txn string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, rec := range log.TxnRecords(txn) {
-		if rec.Doc != "" && !seen[rec.Doc] {
-			seen[rec.Doc] = true
-			out = append(out, rec.Doc)
-		}
-	}
-	return out
-}
-
 // ResultName implements axml.Materializer via the local registry.
 func (p *Peer) ResultName(service string) string { return p.registry.ResultName(service) }
 
@@ -535,14 +522,24 @@ func (p *Peer) finishRemoteReply(txc *Context, target p2p.PeerID, service string
 	if resp.Chain != nil && !p.opts.DisableChaining {
 		txc.MergeChain(resp.Chain)
 	}
-	inv := Invocation{Peer: target, Service: service}
-	if len(resp.Comp) > 0 {
-		if def, err := DecodeCompensationDef(resp.Comp); err == nil {
-			inv.Comp = def
-		}
-	}
-	txc.AddChild(inv)
+	txc.AddChild(p.childInvocation(target, service, resp.Comp))
 	return &resp, nil
+}
+
+// childInvocation records a completed invocation of service at peer with
+// the compensating-service definition its reply carried, if any. A
+// definition that does not decode is counted in CompDefsRejected and
+// dropped: that participant can then be reached only by abort messages.
+func (p *Peer) childInvocation(peer p2p.PeerID, service string, comp []byte) Invocation {
+	inv := Invocation{Peer: peer, Service: service}
+	if len(comp) > 0 {
+		def, err := DecodeCompensationDef(comp)
+		if err != nil {
+			p.metrics.CompDefsRejected.Add(1)
+		}
+		inv.Comp = def
+	}
+	return inv
 }
 
 // InvokesLocally implements axml.LocalityHinter: calls that resolve to this
@@ -787,6 +784,14 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 	}
 	sp.SetChain(chainStr(txc))
 	sp.End("", nil)
+	resp := p.serveResponse(txc, &req, frags, logBefore)
+	return &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn, Payload: encode(resp)}, nil
+}
+
+// serveResponse builds a served invocation's reply: results, chain, the
+// value of the work logged since logBefore and, in peer-independent mode,
+// the compensating-service definition, also sent to the origin.
+func (p *Peer) serveResponse(txc *Context, req *InvokeRequest, frags []string, logBefore int) *InvokeResponse {
 	resp := &InvokeResponse{
 		Service:   req.Service,
 		Fragments: frags,
@@ -794,12 +799,11 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 		Nodes:     workNodesSince(p.store.Log(), req.Txn, logBefore),
 	}
 	if p.opts.PeerIndependent {
-		def := BuildCompensationDef(p.store, req.Txn, p.id, req.Service)
+		resp.Comp = BuildCompensationDef(p.store, req.Txn, p.id, req.Service).Encode()
 		p.metrics.CompServicesBuilt.Add(1)
-		resp.Comp = def.Encode()
-		p.sendCompDefToOrigin(&req, resp.Comp)
+		p.sendCompDefToOrigin(req, resp.Comp)
 	}
-	return &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn, Payload: encode(resp)}, nil
+	return resp
 }
 
 // sendCompDefToOrigin also ships the compensating-service definition to
@@ -820,6 +824,7 @@ func (p *Peer) sendCompDefToOrigin(req *InvokeRequest, payload []byte) {
 func (p *Peer) handleCompDef(msg *p2p.Message) {
 	def, err := DecodeCompensationDef(msg.Payload)
 	if err != nil {
+		p.metrics.CompDefsRejected.Add(1)
 		return
 	}
 	if txc, ok := p.mgr.Get(msg.Txn); ok {
@@ -840,17 +845,7 @@ func (p *Peer) runAsync(txc *Context, req *InvokeRequest, sp *obs.ActiveSpan) {
 		_ = p.abortContext(txc, "", true)
 		return
 	}
-	resp := &InvokeResponse{
-		Service:   req.Service,
-		Fragments: frags,
-		Chain:     txc.Chain(),
-		Nodes:     workNodesSince(p.store.Log(), req.Txn, logBefore),
-	}
-	if p.opts.PeerIndependent {
-		resp.Comp = BuildCompensationDef(p.store, req.Txn, p.id, req.Service).Encode()
-		p.metrics.CompServicesBuilt.Add(1)
-		p.sendCompDefToOrigin(req, resp.Comp)
-	}
+	resp := p.serveResponse(txc, req, frags, logBefore)
 	msg := &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn, Subject: req.Service, Payload: encode(resp)}
 	if err := p.transport.Send(context.Background(), req.Caller, msg); err == nil {
 		return
@@ -870,13 +865,7 @@ func (p *Peer) handleResult(msg *p2p.Message) {
 		if resp.Chain != nil && !p.opts.DisableChaining {
 			txc.SetChain(txc.Chain().Merge(resp.Chain))
 		}
-		inv := Invocation{Peer: msg.From, Service: resp.Service}
-		if len(resp.Comp) > 0 {
-			if def, err := DecodeCompensationDef(resp.Comp); err == nil {
-				inv.Comp = def
-			}
-		}
-		txc.AddChild(inv)
+		txc.AddChild(p.childInvocation(msg.From, resp.Service, resp.Comp))
 	}
 	p.mu.Lock()
 	cb := p.onResult
@@ -890,7 +879,9 @@ func (p *Peer) handleResult(msg *p2p.Message) {
 // to every completed child invocation, and — when notifyParent — to the
 // invoking peer. skip names a peer that must not be re-notified (the one
 // the abort came from). Peer-independent mode sends participants their own
-// compensating-service definitions instead of abort messages.
+// compensating-service definitions instead of abort messages. The error
+// joins the failures of the decision record, its sync and compensation:
+// an abort whose decision never reached disk is never silent.
 func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) error {
 	if !txc.transition(StatusAborted) {
 		return nil // already terminal; idempotent
@@ -899,77 +890,41 @@ func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) er
 		p.metrics.TxnsAborted.Add(1)
 	}
 	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindAbort, txc.Service)
-	_, _ = p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeAbort})
+	_, decisionErr := p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeAbort})
 	// The abort decision must be durable before compensation starts: a crash
 	// mid-compensation must replay as an abort, not an in-flight transaction.
-	_ = p.syncLog()
+	syncErr := p.syncLog()
 
-	csp := p.tracer.Start(txc.ID, sp.ID(), obs.KindCompensate, "")
-	compStart := time.Now()
-	affected, err := Compensate(p.store, txc.ID)
-	p.histCompensate.Observe(time.Since(compStart))
-	csp.SetAttr("nodes", strconv.Itoa(affected))
-	csp.End(ErrCode(err), err)
+	def := BuildCompensationDef(p.store, txc.ID, p.id, "")
+	affected, compErr := p.execCompensation(def, sp.ID())
 	txc.markCompensated()
 	p.metrics.Compensations.Add(1)
 	p.metrics.NodesUndone.Add(int64(affected))
 	txc.AddUndoNodes(affected)
 	p.locks.ReleaseAll(txc.ID)
-	if p.cache != nil {
-		// Compensation just rewrote these documents; drop entries recorded
-		// against them and withdraw their advertisements.
-		p.invalidateDocCache(txnDocs(p.store.Log(), txc.ID)...)
-	}
+	// Compensation just rewrote these documents; drop entries recorded
+	// against them and withdraw their advertisements.
+	p.invalidateDocCache(def.Docs()...)
 
 	bg := context.Background()
-	// Definitions shipped directly by transitive participants let the
-	// origin compensate peers whose invocation path has broken; a peer
-	// already covered as a direct child is handled there.
-	extraDefs := make(map[p2p.PeerID]*CompensationDef)
-	for _, def := range txc.CompDefs() {
-		extraDefs[def.Peer] = def
-	}
-	for _, child := range txc.Children() {
-		delete(extraDefs, child.Peer)
-		if child.Peer == skip {
+	for _, inv := range abortTargets(txc) {
+		if inv.Peer == skip || inv.Peer == p.id {
 			continue
 		}
-		if child.Comp != nil {
-			// Peer-independent recovery: drive the participant's
-			// compensation directly; it "does not even need to be aware"
-			// this is compensation.
-			p.metrics.CompServicesRun.Add(1)
-			payload := child.Comp.Encode()
-			err := p.transport.Send(bg, child.Peer, &p2p.Message{
-				Kind: p2p.KindCompensate, Txn: txc.ID, Payload: payload, Span: sp.ID(),
-			})
-			if err != nil {
-				// The original peer disconnected: run the definition on a
-				// replica of the affected document instead — the payoff of
-				// peer independence under churn (§3.3).
-				p.metrics.DisconnectsDetected.Add(1)
-				p.sendCompToReplica(txc.ID, child, payload)
-			}
+		if inv.Comp == nil {
+			p.metrics.AbortsSent.Add(1)
+			_ = p.transport.Send(bg, inv.Peer, &p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID})
 			continue
 		}
-		p.metrics.AbortsSent.Add(1)
-		_ = p.transport.Send(bg, child.Peer, &p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID})
-	}
-	for peer, def := range extraDefs {
-		if peer == skip || peer == p.id {
-			continue
-		}
-		p.metrics.CompServicesRun.Add(1)
-		payload := def.Encode()
-		if err := p.transport.Send(bg, peer, &p2p.Message{
-			Kind: p2p.KindCompensate, Txn: txc.ID, Payload: payload, Span: sp.ID(),
-		}); err != nil {
-			p.sendCompToReplica(txc.ID, Invocation{Peer: peer, Comp: def}, payload)
-		}
+		p.routeCompensation(txc.ID, sp.ID(), inv)
 	}
 	if notifyParent && txc.Parent != "" && txc.Parent != skip {
 		p.metrics.AbortsSent.Add(1)
 		_ = p.transport.Send(bg, txc.Parent, &p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID})
+	}
+	err := errors.Join(decisionErr, syncErr, compErr)
+	if err != nil {
+		p.metrics.AbortErrors.Add(1)
 	}
 	sp.SetChain(chainStr(txc))
 	sp.End(ErrCode(err), err)
@@ -984,28 +939,49 @@ func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) er
 	return err
 }
 
-// sendCompToReplica routes a compensating-service definition to a live
-// holder of a replica of the affected document(s) when the original peer is
-// unreachable.
-func (p *Peer) sendCompToReplica(txn string, child Invocation, payload []byte) {
+// abortTargets lists the peers an abort of txc must reach: every completed
+// child invocation in order, then each participant whose definition was
+// shipped directly (§3.2) and that is not already a child — the origin can
+// thus compensate peers whose invocation path has broken.
+func abortTargets(txc *Context) []Invocation {
+	targets := txc.Children()
+	for _, def := range txc.CompDefs() {
+		if !slices.ContainsFunc(targets, func(c Invocation) bool { return c.Peer == def.Peer }) {
+			targets = append(targets, Invocation{Peer: def.Peer, Service: def.Service, Comp: def})
+		}
+	}
+	return targets
+}
+
+// routeCompensation drives one participant's shipped definition: at the
+// original peer; if it has disconnected, at a live replica holder of an
+// affected document (§3.3); if none is reachable, its nodes are lost (the
+// Spheres of Atomicity caveat).
+func (p *Peer) routeCompensation(txn, span string, inv Invocation) {
+	p.metrics.CompServicesRun.Add(1)
 	bg := context.Background()
-	tried := map[p2p.PeerID]bool{child.Peer: true, p.id: true}
-	for _, doc := range child.Comp.Docs {
+	payload := inv.Comp.Encode()
+	if p.transport.Send(bg, inv.Peer, &p2p.Message{
+		Kind: p2p.KindCompensate, Txn: txn, Payload: payload, Span: span,
+	}) == nil {
+		return
+	}
+	p.metrics.DisconnectsDetected.Add(1)
+	tried := map[p2p.PeerID]bool{inv.Peer: true, p.id: true}
+	for _, doc := range inv.Comp.Docs() {
 		for _, holder := range p.replicas.DocumentReplicas(doc) {
 			if tried[holder] {
 				continue
 			}
 			tried[holder] = true
-			if err := p.transport.Send(bg, holder, &p2p.Message{
+			if p.transport.Send(bg, holder, &p2p.Message{
 				Kind: p2p.KindCompensate, Txn: txn, Payload: payload,
-			}); err == nil {
+			}) == nil {
 				return
 			}
 		}
 	}
-	// No reachable replica: atomicity cannot be guaranteed for this
-	// participant (the Spheres of Atomicity caveat).
-	p.metrics.NodesLost.Add(int64(child.Comp.Nodes))
+	p.metrics.NodesLost.Add(int64(inv.Comp.Nodes))
 }
 
 // handleAbort processes an incoming "Abort TA".
@@ -1019,14 +995,16 @@ func (p *Peer) handleAbort(msg *p2p.Message) {
 		if HasCommitted(p.store.Log(), msg.Txn) {
 			return
 		}
-		affected, _ := Compensate(p.store, msg.Txn)
+		def := BuildCompensationDef(p.store, msg.Txn, p.id, "")
+		affected, err := def.Execute(p.store)
+		if err != nil {
+			p.metrics.AbortErrors.Add(1)
+		}
 		if affected > 0 {
 			p.metrics.Compensations.Add(1)
 			p.metrics.NodesUndone.Add(int64(affected))
 		}
-		if p.cache != nil {
-			p.invalidateDocCache(txnDocs(p.store.Log(), msg.Txn)...)
-		}
+		p.invalidateDocCache(def.Docs()...)
 		return
 	}
 	// Continue propagation away from the sender: to children, and upward
@@ -1070,23 +1048,30 @@ func (p *Peer) handleCompensate(msg *p2p.Message) (*p2p.Message, error) {
 	if txc, ok := p.mgr.Get(def.Txn); ok && parent == "" {
 		parent = txc.SpanID()
 	}
-	sp := p.tracer.Start(def.Txn, parent, obs.KindCompensate, def.Service)
-	start := time.Now()
-	affected, err := def.Execute(p.store)
-	p.histCompensate.Observe(time.Since(start))
-	sp.SetAttr("nodes", strconv.Itoa(affected))
-	sp.End(ErrCode(err), err)
+	affected, err := p.execCompensation(def, parent)
 	if err != nil {
 		return nil, err
 	}
 	p.metrics.Compensations.Add(1)
 	p.metrics.NodesUndone.Add(int64(affected))
 	p.locks.ReleaseAll(def.Txn)
-	p.invalidateDocCache(def.Docs...)
+	p.invalidateDocCache(def.Docs()...)
 	if txc, ok := p.mgr.Get(def.Txn); ok {
 		txc.transition(StatusAborted)
 	}
 	return &p2p.Message{Kind: "compensate-ack"}, nil
+}
+
+// execCompensation executes def on this peer's store under a compensate
+// span parented on parentSpan, timing it into the compensation histogram.
+func (p *Peer) execCompensation(def *CompensationDef, parentSpan string) (int, error) {
+	sp := p.tracer.Start(def.Txn, parentSpan, obs.KindCompensate, def.Service)
+	start := time.Now()
+	affected, err := def.Execute(p.store)
+	p.histCompensate.Observe(time.Since(start))
+	sp.SetAttr("nodes", strconv.Itoa(affected))
+	sp.End(ErrCode(err), err)
+	return affected, err
 }
 
 // setServeLSNRange brackets the WAL records a served invocation appended
@@ -1109,7 +1094,7 @@ func workNodesSince(log wal.Log, txn string, from int) int {
 	for i := from; i < len(recs); i++ {
 		switch recs[i].Type {
 		case wal.TypeInsert, wal.TypeDelete:
-			total += countNodes(recs[i].XML)
+			total += recs[i].Nodes
 		}
 	}
 	return total

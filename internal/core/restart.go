@@ -19,22 +19,23 @@ import (
 func RecoverPending(store *axml.Store) ([]string, error) {
 	log := store.Log()
 	type state struct {
-		effects   bool
+		effects   bool // structural effects since the last completed compensation
 		committed bool
-		order     int
 	}
 	txns := make(map[string]*state)
 	var order []string
 	for _, r := range log.Records() {
 		st, ok := txns[r.Txn]
 		if !ok {
-			st = &state{order: len(order)}
+			st = &state{}
 			txns[r.Txn] = st
 			order = append(order, r.Txn)
 		}
 		switch r.Type {
 		case wal.TypeInsert, wal.TypeDelete:
 			st.effects = true
+		case wal.TypeCompensateEnd:
+			st.effects = false
 		case wal.TypeCommit:
 			st.committed = true
 		}
@@ -43,9 +44,6 @@ func RecoverPending(store *axml.Store) ([]string, error) {
 	for _, txn := range order {
 		st := txns[txn]
 		if st.committed || !st.effects {
-			continue
-		}
-		if AlreadyCompensated(log, txn) {
 			continue
 		}
 		if _, err := Compensate(store, txn); err != nil {

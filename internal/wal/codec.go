@@ -6,17 +6,18 @@ import (
 	"axmltx/internal/codec"
 )
 
-// Record bodies inside CRC frames open with a version byte: 2 is a record
+// Record bodies inside CRC frames open with a version byte: 4 is a record
 // (varint framing over internal/codec), 3 a checkpoint (segmented logs
-// only). Any other first byte is ErrCorrupt.
+// only). Any other first byte — including the retired record version 2,
+// which lacked Nodes — is ErrCorrupt.
 const (
-	blobBinaryV2   = 0x02
 	blobCheckpoint = 0x03
+	blobRecord     = 0x04
 )
 
-// appendRecordBinary appends the version-2 binary encoding of r to w.
+// appendRecordBinary appends the version-4 binary encoding of r to w.
 func appendRecordBinary(w *codec.Writer, r *Record) {
-	w.Byte(blobBinaryV2)
+	w.Byte(blobRecord)
 	w.Uvarint(r.LSN)
 	w.String(r.Txn)
 	w.Byte(byte(r.Type))
@@ -24,6 +25,7 @@ func appendRecordBinary(w *codec.Writer, r *Record) {
 	w.Uvarint(r.NodeID)
 	w.Uvarint(r.ParentID)
 	w.Varint(int64(r.Pos))
+	w.Varint(int64(r.Nodes))
 	w.String(r.XML)
 	w.String(r.OldText)
 	w.String(r.NewText)
@@ -43,6 +45,7 @@ func readRecordBinary(rd *codec.Reader) *Record {
 	r.NodeID = rd.Uvarint()
 	r.ParentID = rd.Uvarint()
 	r.Pos = int(rd.Varint())
+	r.Nodes = int(rd.Varint())
 	r.XML = rd.String()
 	r.OldText = rd.String()
 	r.NewText = rd.String()
@@ -52,8 +55,8 @@ func readRecordBinary(rd *codec.Reader) *Record {
 
 // DecodeRecord decodes one record frame body. The error wraps ErrCorrupt.
 func DecodeRecord(blob []byte) (*Record, error) {
-	if len(blob) == 0 || blob[0] != blobBinaryV2 {
-		return nil, fmt.Errorf("%w: frame body is not a version-%d record", ErrCorrupt, blobBinaryV2)
+	if len(blob) == 0 || blob[0] != blobRecord {
+		return nil, fmt.Errorf("%w: frame body is not a version-%d record", ErrCorrupt, blobRecord)
 	}
 	rd := codec.NewReader(blob[1:])
 	r := readRecordBinary(rd)
@@ -98,9 +101,9 @@ func decodeCheckpoint(blob []byte) (*checkpoint, error) {
 	}
 	rd := codec.NewReader(blob[1:])
 	ck := &checkpoint{LastLSN: rd.Uvarint()}
-	n := rd.Count(12) // a binary record body is ≥ 12 bytes
+	n := rd.Count(13) // a binary record body is ≥ 13 bytes
 	for i := 0; i < n; i++ {
-		if v := rd.Byte(); v != blobBinaryV2 {
+		if v := rd.Byte(); v != blobRecord {
 			return nil, fmt.Errorf("%w: checkpoint record %d has version %d", ErrCorrupt, i, v)
 		}
 		ck.Live = append(ck.Live, readRecordBinary(rd))

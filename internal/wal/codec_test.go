@@ -17,6 +17,7 @@ func sampleRecord() *Record {
 		NodeID:   7,
 		ParentID: 3,
 		Pos:      -1,
+		Nodes:    4,
 		XML:      "<item id=\"7\"><qty>2</qty></item>",
 		OldText:  "old",
 		NewText:  "new",
@@ -60,8 +61,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRetiredRecordVersionRefused pins the replace-don't-fork rule: a
+// version-2 body (the layout before Nodes) is corrupt, as a frame and inside
+// a checkpoint.
+func TestRetiredRecordVersionRefused(t *testing.T) {
+	v2 := EncodeRecord(sampleRecord())
+	v2[0] = 0x02
+	if _, err := DecodeRecord(v2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-2 record: %v, want ErrCorrupt", err)
+	}
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	appendCheckpoint(w, &checkpoint{LastLSN: 9, Live: []*Record{sampleRecord()}})
+	ck := w.Finish()
+	ck[2] = 0x02 // [checkpoint version][LastLSN=9][record version]...
+	if _, err := decodeCheckpoint(ck); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-2 record in checkpoint: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestTypedErrors(t *testing.T) {
-	if _, err := DecodeRecord([]byte{blobBinaryV2}); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeRecord([]byte{blobRecord}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty binary blob: %v, want ErrCorrupt", err)
 	}
 	for _, blob := range [][]byte{nil, {0x01}, {blobCheckpoint}, append([]byte{0x40}, EncodeRecord(sampleRecord())[1:]...)} {
@@ -83,7 +103,7 @@ func FuzzRecordDecode(f *testing.F) {
 	appendCheckpoint(w, &checkpoint{LastLSN: 7, Live: []*Record{sampleRecord()}})
 	f.Add(w.Finish())
 	codec.PutWriter(w)
-	f.Add([]byte{blobBinaryV2})
+	f.Add([]byte{blobRecord})
 	f.Add([]byte{blobCheckpoint, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if r, err := DecodeRecord(blob); err == nil {

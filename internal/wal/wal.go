@@ -90,6 +90,7 @@ type Record struct {
 	NodeID   uint64 // subject node (inserted root, deleted root, text node)
 	ParentID uint64 // parent at time of operation (insert/delete)
 	Pos      int    // child position at time of operation (insert/delete)
+	Nodes    int    // size of the inserted or deleted subtree (insert/delete)
 
 	XML     string // inserted subtree (insert) or before-image (delete)
 	OldText string // previous value (settext)
@@ -252,7 +253,7 @@ type FileOptions struct {
 // so the file survives process restarts (no cross-session encoder state)
 // and Open detects a torn or corrupted tail by length/CRC mismatch and
 // truncates it — the standard write-ahead-log recovery contract. A frame
-// whose body is not a version-2 record (see DecodeRecord) counts as corrupt.
+// whose body is not a version-4 record (see DecodeRecord) counts as corrupt.
 type FileLog struct {
 	mu    sync.Mutex
 	f     *os.File
