@@ -161,13 +161,15 @@ const (
 // EvalMode selects lazy or eager materialization (Lazy / Eager).
 type EvalMode = axml.EvalMode
 
-// WAL durability modes for file-backed operation logs (WithWALSync).
+// WAL durability modes for file-backed operation logs (WithWALSync). In
+// every mode commit, abort and compensate-end records are durable when
+// their append returns, and a served invocation's reply waits for the log.
 const (
-	// SyncNone flushes lazily; only commit/abort barriers force an fsync.
+	// SyncNone buffers other records; each of those waits runs its own fsync.
 	SyncNone = wal.SyncNone
-	// SyncEach fsyncs every log append (full per-record durability).
+	// SyncEach also fsyncs every other log append (per-record durability).
 	SyncEach = wal.SyncEach
-	// SyncGroup batches concurrent appenders behind shared fsyncs.
+	// SyncGroup buffers other records and lets concurrent waits share fsyncs.
 	SyncGroup = wal.SyncGroup
 )
 

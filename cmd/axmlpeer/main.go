@@ -52,7 +52,7 @@ func main() {
 	walDir := flag.String("waldir", "", "durable segmented operation-log directory with rotation, checkpoints and compaction (takes precedence over -wal)")
 	walSeg := flag.Int64("walseg", 0, "segment rotation threshold in bytes for -waldir (0: 4 MiB default)")
 	walCheckpoint := flag.Int("walcheckpoint", 0, "checkpoint the -waldir log automatically every N appends, compacting covered segments in the background (0 disables)")
-	walSync := flag.String("walsync", "each", "log durability: each (fsync per append), group (group commit), none (commit/abort barriers only)")
+	walSync := flag.String("walsync", "each", "log durability; in every mode commit, abort and compensate-end records and each served reply wait for the disk: each (also fsync every other record), group (those waits share fsyncs: group commit), none (each wait runs its own fsync)")
 	docsDir := flag.String("docs", "", "document checkpoint directory (loaded at startup, saved at shutdown)")
 	httpAddr := flag.String("http", "", `observability HTTP listen address, e.g. 127.0.0.1:9100 or :9100, serving /metrics (Prometheus text format), /trace/{txn} (span tree as JSON), /traces, /healthz and /debug/pprof/ (default: disabled)`)
 	sample := flag.Float64("sample", 0, "adaptive trace sampling keep-rate for fast clean commits, 0 < rate < 1 (0 disables sampling: every span is kept; errors/aborts/faults/slow transactions are always kept when sampling)")

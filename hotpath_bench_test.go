@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/sim"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
@@ -66,10 +67,11 @@ func BenchmarkParallelMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkWALGroupCommit compares concurrent append throughput of a
-// file-backed log with per-append fsync vs group commit. RunParallel spreads
-// appenders over GOMAXPROCS goroutines, the multi-writer shape group commit
-// amortizes.
+// BenchmarkWALGroupCommit compares concurrent transaction throughput of a
+// file-backed log with per-append fsync vs group commit. One op is one
+// durable transaction (sim.AppendDurableTxn: four effect records and a
+// commit). RunParallel spreads writers over GOMAXPROCS goroutines, the
+// multi-writer shape group commit amortizes.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -84,11 +86,8 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 			b.ReportAllocs()
 			var txn atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
-				id := fmt.Sprintf("T%d", txn.Add(1))
 				for pb.Next() {
-					if _, err := log.Append(&wal.Record{
-						Txn: id, Type: wal.TypeInsert, Doc: "D.xml", XML: "<row>payload</row>",
-					}); err != nil {
+					if err := sim.AppendDurableTxn(log, fmt.Sprintf("T%d", txn.Add(1))); err != nil {
 						b.Fatal(err)
 					}
 				}

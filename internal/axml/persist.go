@@ -12,7 +12,7 @@ import (
 
 // Document persistence: AXML peers keep their repository as XML files on
 // disk. SaveAll/LoadAll implement the peer's checkpoint: together with the
-// durable operation log (wal.FileLog) and restart recovery
+// durable operation log (wal.SegmentedLog) and restart recovery
 // (core.RecoverPending), a peer that crashes mid-transaction comes back
 // with in-flight effects compensated.
 //
@@ -28,13 +28,20 @@ import (
 const idAttr = "axml:nodeid"
 
 // SaveAll checkpoints every document to dir as <name>.xml files with node
-// IDs embedded.
+// IDs embedded. It obeys the write-ahead rule: the log is synced before any
+// document is written, so a checkpoint never holds an effect whose record
+// could still be lost; a failed sync writes nothing.
 func (s *Store) SaveAll(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("axml: save: %w", err)
 	}
+	// Effects and their records are applied under s.mu, so a sync under it
+	// covers every effect the documents show.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("axml: save: %w", err)
+	}
 	for name, doc := range s.docs {
 		if err := saveDoc(dir, name, doc); err != nil {
 			return err

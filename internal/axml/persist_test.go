@@ -1,6 +1,7 @@
 package axml
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,5 +203,42 @@ func TestSaveAllCreatesDir(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), idAttr) {
 		t.Fatal("checkpoint lacks node IDs")
+	}
+}
+
+// syncFailLog is a log whose durability barrier always fails.
+type syncFailLog struct{ wal.Log }
+
+var errSyncFailed = errors.New("injected sync failure")
+
+func (syncFailLog) Sync() error { return errSyncFailed }
+
+// TestSaveAllSyncsLogFirst: a checkpoint may not hold effects whose records
+// are still buffered, so SaveAll syncs the log before writing any document
+// and, when the sync fails, returns its error and writes nothing.
+func TestSaveAllSyncsLogFirst(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore(syncFailLog{wal.NewMemory()})
+	for _, name := range []string{"D.xml", "E.xml"} {
+		if _, err := s.AddParsed(name, `<D><log/></D>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc, err := ParseQuery(`Select d/log from d in D`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply("T", NewInsert(loc, `<entry/>`), nil, Lazy); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveAll(dir); !errors.Is(err, errSyncFailed) {
+		t.Fatalf("SaveAll = %v, want the sync failure", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Fatalf("SaveAll wrote %v despite the failed sync", files)
 	}
 }

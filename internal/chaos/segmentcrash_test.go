@@ -55,8 +55,9 @@ func segWorkload(t *testing.T, log wal.Log) *xmldom.Document {
 			t.Fatal(err)
 		}
 	}
-	// The kill instant: everything appended so far is durable (the engine's
-	// commit path runs the same explicit barrier), then the process dies.
+	// The kill instant: everything appended so far is durable (the engine
+	// runs the same barrier before a served invocation's reply), then the
+	// process dies.
 	if err := log.Sync(); err != nil {
 		t.Fatal(err)
 	}

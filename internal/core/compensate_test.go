@@ -470,7 +470,8 @@ func TestCompensationShippedEqualsLocal(t *testing.T) {
 var errInjected = errors.New("injected log failure")
 
 // faultyLog fails its failAt-th Append (1-based; 0 never) and, when
-// failSync is set, every Sync.
+// failSync is set, every durability wait: each Sync, and each decision
+// Append after its record is stored, as a durable log whose fsync failed.
 type faultyLog struct {
 	wal.Log
 	failAt   int64
@@ -482,7 +483,14 @@ func (l *faultyLog) Append(r *wal.Record) (uint64, error) {
 	if l.appends.Add(1) == l.failAt {
 		return 0, errInjected
 	}
-	return l.Log.Append(r)
+	lsn, err := l.Log.Append(r)
+	switch r.Type {
+	case wal.TypeCommit, wal.TypeAbort, wal.TypeCompensateEnd:
+		if err == nil && l.failSync {
+			return 0, errInjected
+		}
+	}
+	return lsn, err
 }
 
 func (l *faultyLog) Sync() error {
@@ -551,7 +559,8 @@ func TestApplyFailedAppendIsCompensable(t *testing.T) {
 }
 
 // TestAbortReportsFailedSync: an abort whose decision record could not be
-// made durable returns an error wrapping the sync failure and counts it.
+// made durable returns an error wrapping the sync failure, which the
+// record's own Append reports, and counts it.
 func TestAbortReportsFailedSync(t *testing.T) {
 	net := p2p.NewNetwork(0)
 	log := &faultyLog{Log: wal.NewMemory(), failSync: true}

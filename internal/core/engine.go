@@ -239,6 +239,9 @@ func (p *Peer) RegisterObservability(reg *obs.Registry) {
 func (p *Peer) Tracer() *obs.Tracer { return p.tracer }
 
 // syncLog runs the WAL durability barrier and feeds its latency histogram.
+// The engine calls it once per served invocation, before anything derived
+// from the serve's records leaves the peer; decision records need no call,
+// because their Append already waits for the disk.
 func (p *Peer) syncLog() error {
 	start := time.Now()
 	err := p.store.Log().Sync()
@@ -519,13 +522,9 @@ func (p *Peer) Commit(ctx context.Context, txc *Context) error {
 		return fmt.Errorf("core: commit of %s transaction %s", txc.Status(), txc.ID)
 	}
 	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCommit, "")
+	// A decision record: Append returns once it, and every effect record
+	// before it, is on disk, so commit notifications never run ahead of it.
 	_, err := p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeCommit})
-	if err == nil {
-		// Explicit durability barrier: under relaxed per-record syncing the
-		// commit record — the decision — must still hit disk before commit
-		// notifications fan out.
-		err = p.syncLog()
-	}
 	p.locks.ReleaseAll(txc.ID)
 	if txc.Self == txc.Origin {
 		p.metrics.TxnsCommitted.Add(1)

@@ -25,6 +25,10 @@ type cluster struct {
 	net   *p2p.Network
 	peers map[p2p.PeerID]*Peer
 	sink  obs.Sink
+	// setup, when set before peers are added, gives each peer its
+	// transport (wrapping the network's) and log, and may adjust its
+	// options; without it a peer gets the bare transport and a MemoryLog.
+	setup func(id p2p.PeerID, tr p2p.Transport, opts *Options) (p2p.Transport, wal.Log)
 }
 
 func newCluster(t *testing.T) *cluster {
@@ -35,7 +39,11 @@ func (c *cluster) add(id p2p.PeerID, opts Options) *Peer {
 	if opts.TraceSink == nil {
 		opts.TraceSink = c.sink
 	}
-	p := NewPeer(c.net.Join(id), wal.NewMemory(), opts)
+	tr, log := c.net.Join(id), wal.Log(wal.NewMemory())
+	if c.setup != nil {
+		tr, log = c.setup(id, tr, &opts)
+	}
+	p := NewPeer(tr, log, opts)
 	c.peers[id] = p
 	return p
 }

@@ -11,7 +11,7 @@ import (
 // guarantees of §3.1–§3.3 as machine-checkable predicates:
 //
 //   - CheckReplayConsistency: the log itself is replayable — LSNs are
-//     strictly increasing and contiguous, so a reopened log (FileLog with
+//     strictly increasing and contiguous, so a reopened log (SegmentedLog with
 //     torn-tail truncation) yields exactly the prefix that was durable.
 //   - CheckCompensationComplete: a transaction that did not commit locally
 //     has no surviving effects; one that committed was never compensated.

@@ -58,9 +58,12 @@ type Metrics struct {
 	// CompDefsRejected counts shipped definitions that did not decode; the
 	// participant is then out of reach of peer-independent recovery.
 	CompDefsRejected atomic.Int64
-	// AbortErrors counts aborts whose decision record, log sync or
+	// AbortErrors counts aborts whose decision record (or its sync) or
 	// compensation failed.
 	AbortErrors atomic.Int64
+	// CommitErrors counts participant commits whose decision record could
+	// not be made durable.
+	CommitErrors atomic.Int64
 
 	// Materialization call-cache events. CacheHits counts results served
 	// from the local cache within their freshness window; CacheMisses
@@ -117,6 +120,7 @@ func (m *Metrics) Register(reg *obs.Registry, peer string) {
 		{"axml_comp_services_run", &m.CompServicesRun},
 		{"axml_comp_defs_rejected", &m.CompDefsRejected},
 		{"axml_abort_errors", &m.AbortErrors},
+		{"axml_commit_errors", &m.CommitErrors},
 		{"axml_cache_hits", &m.CacheHits},
 		{"axml_cache_misses", &m.CacheMisses},
 		{"axml_cache_waits", &m.CacheWaits},
@@ -142,6 +146,7 @@ type MetricsSnapshot struct {
 	NodesLost                                  int64
 	CompServicesBuilt, CompServicesRun         int64
 	CompDefsRejected, AbortErrors              int64
+	CommitErrors                               int64
 	CacheHits, CacheMisses, CacheWaits         int64
 	CacheFetches, CacheInvalidations           int64
 	FragFetches, FragMigrations                int64
@@ -171,6 +176,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CompServicesRun:     m.CompServicesRun.Load(),
 		CompDefsRejected:    m.CompDefsRejected.Load(),
 		AbortErrors:         m.AbortErrors.Load(),
+		CommitErrors:        m.CommitErrors.Load(),
 		CacheHits:           m.CacheHits.Load(),
 		CacheMisses:         m.CacheMisses.Load(),
 		CacheWaits:          m.CacheWaits.Load(),
@@ -204,6 +210,7 @@ func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
 	s.CompServicesRun += o.CompServicesRun
 	s.CompDefsRejected += o.CompDefsRejected
 	s.AbortErrors += o.AbortErrors
+	s.CommitErrors += o.CommitErrors
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheWaits += o.CacheWaits

@@ -770,12 +770,13 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 	}
 
 	logBefore := len(p.store.Log().TxnRecords(req.Txn))
-	frags, err := p.executeLocalService(txc, req.Service, req.Params)
+	frags, err := p.serveLocal(txc, &req)
 	setServeLSNRange(sp, p.store.Log(), req.Txn, logBefore)
 	if err != nil {
 		// The paper's step 1 at a failed peer: abort the local context,
 		// notify the peers whose services we invoked; the error reply
-		// carries the abort to the invoker.
+		// carries the abort to the invoker. The abort record is a decision,
+		// durable with every serve record before it when its Append returns.
 		sp.SetChain(chainStr(txc))
 		sp.End(ErrCode(err), err)
 		_ = p.abortContext(txc, req.Caller, false)
@@ -786,6 +787,21 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 	sp.End("", nil)
 	resp := p.serveResponse(txc, &req, frags, logBefore)
 	return &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn, Payload: encode(resp)}, nil
+}
+
+// serveLocal runs a served invocation's service, then the write-ahead
+// barrier: its reply, async push and shipped definition are all derived from
+// the records it just appended, so none of them may leave before those
+// records are durable. A failed barrier fails the invocation.
+func (p *Peer) serveLocal(txc *Context, req *InvokeRequest) ([]string, error) {
+	frags, err := p.executeLocalService(txc, req.Service, req.Params)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.syncLog(); err != nil {
+		return nil, err
+	}
+	return frags, nil
 }
 
 // serveResponse builds a served invocation's reply: results, chain, the
@@ -837,7 +853,7 @@ func (p *Peer) handleCompDef(msg *p2p.Message) {
 // case b).
 func (p *Peer) runAsync(txc *Context, req *InvokeRequest, sp *obs.ActiveSpan) {
 	logBefore := len(p.store.Log().TxnRecords(req.Txn))
-	frags, err := p.executeLocalService(txc, req.Service, req.Params)
+	frags, err := p.serveLocal(txc, req)
 	setServeLSNRange(sp, p.store.Log(), req.Txn, logBefore)
 	sp.SetChain(chainStr(txc))
 	sp.End(ErrCode(err), err)
@@ -880,8 +896,8 @@ func (p *Peer) handleResult(msg *p2p.Message) {
 // invoking peer. skip names a peer that must not be re-notified (the one
 // the abort came from). Peer-independent mode sends participants their own
 // compensating-service definitions instead of abort messages. The error
-// joins the failures of the decision record, its sync and compensation:
-// an abort whose decision never reached disk is never silent.
+// joins the failures of the decision record and of compensation: an abort
+// whose decision never reached disk is never silent.
 func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) error {
 	if !txc.transition(StatusAborted) {
 		return nil // already terminal; idempotent
@@ -890,10 +906,11 @@ func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) er
 		p.metrics.TxnsAborted.Add(1)
 	}
 	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindAbort, txc.Service)
-	_, decisionErr := p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeAbort})
 	// The abort decision must be durable before compensation starts: a crash
 	// mid-compensation must replay as an abort, not an in-flight transaction.
-	syncErr := p.syncLog()
+	// Append of a decision record returns only once it is on disk, so its
+	// error carries a failed sync too.
+	_, decisionErr := p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeAbort})
 
 	def := BuildCompensationDef(p.store, txc.ID, p.id, "")
 	affected, compErr := p.execCompensation(def, sp.ID())
@@ -922,7 +939,7 @@ func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) er
 		p.metrics.AbortsSent.Add(1)
 		_ = p.transport.Send(bg, txc.Parent, &p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID})
 	}
-	err := errors.Join(decisionErr, syncErr, compErr)
+	err := errors.Join(decisionErr, compErr)
 	if err != nil {
 		p.metrics.AbortErrors.Add(1)
 	}
@@ -1022,11 +1039,14 @@ func (p *Peer) handleCommit(msg *p2p.Message) {
 		return
 	}
 	sp := p.tracer.Start(msg.Txn, txc.SpanID(), obs.KindCommit, txc.Service)
-	defer func() { sp.End("", nil) }()
-	_, _ = p.store.Log().Append(&wal.Record{Txn: msg.Txn, Type: wal.TypeCommit})
-	// Same durability barrier as the origin's Commit: the decision record
-	// must be on disk before this participant cascades it.
-	_ = p.syncLog()
+	// As at the origin's Commit, the decision record is on disk when Append
+	// returns, before this participant cascades it. A failure is counted
+	// and ends the span; the cascade still runs, since the origin decided.
+	_, err := p.store.Log().Append(&wal.Record{Txn: msg.Txn, Type: wal.TypeCommit})
+	if err != nil {
+		p.metrics.CommitErrors.Add(1)
+	}
+	defer sp.End(ErrCode(err), err)
 	p.locks.ReleaseAll(msg.Txn)
 	for _, child := range txc.Children() {
 		if child.Peer == msg.From {

@@ -91,9 +91,27 @@ func RunPerfMaterialize(calls, maxCalls, trials int, delay time.Duration) PerfRe
 	return summarize(name, trials, time.Since(start), lat, 0)
 }
 
-// RunPerfWAL measures multi-writer append throughput of a file-backed log
-// under the given sync mode: writers goroutines each append perWriter
-// records concurrently.
+// AppendDurableTxn logs one durable transaction: four effect records,
+// which a durable log buffers, then the commit record, whose Append returns
+// only once all five are on disk. It is the unit of the WAL
+// throughput rows: timing bare effect appends would compare fsync against
+// no fsync once effect records stop waiting.
+func AppendDurableTxn(log wal.Log, txn string) error {
+	for i := 0; i < 4; i++ {
+		if _, err := log.Append(&wal.Record{
+			Txn: txn, Type: wal.TypeInsert, Doc: "D.xml", XML: "<row>payload</row>",
+		}); err != nil {
+			return err
+		}
+	}
+	_, err := log.Append(&wal.Record{Txn: txn, Type: wal.TypeCommit})
+	return err
+}
+
+// RunPerfWAL measures multi-writer transaction throughput of a file-backed
+// log under the given sync mode: writers goroutines each log perWriter
+// durable transactions (AppendDurableTxn) concurrently; one op is one
+// transaction.
 func RunPerfWAL(mode wal.SyncMode, writers, perWriter int) PerfResult {
 	dir, err := os.MkdirTemp("", "axmlperf")
 	if err != nil {
@@ -116,14 +134,8 @@ func RunPerfWAL(mode wal.SyncMode, writers, perWriter int) PerfResult {
 			defer wg.Done()
 			mine := make([]time.Duration, 0, perWriter)
 			for i := 0; i < perWriter; i++ {
-				rec := &wal.Record{
-					Txn:  fmt.Sprintf("T%d", w),
-					Type: wal.TypeInsert,
-					Doc:  "D.xml",
-					XML:  "<row>payload</row>",
-				}
 				t0 := time.Now()
-				if _, err := log.Append(rec); err != nil {
+				if err := AppendDurableTxn(log, fmt.Sprintf("T%d-%d", w, i)); err != nil {
 					panic(err)
 				}
 				mine = append(mine, time.Since(t0))

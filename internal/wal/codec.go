@@ -7,8 +7,8 @@ import (
 )
 
 // Record bodies inside CRC frames open with a version byte: 4 is a record
-// (varint framing over internal/codec), 3 a checkpoint (segmented logs
-// only). Any other first byte — including the retired record version 2,
+// (varint framing over internal/codec), 3 a checkpoint (only as the first
+// frame of a segment). Any other first byte — including the retired record version 2,
 // which lacked Nodes — is ErrCorrupt.
 const (
 	blobCheckpoint = 0x03

@@ -147,3 +147,33 @@ func TestFileLogTxnRecords(t *testing.T) {
 		t.Fatalf("txn a records = %d", got)
 	}
 }
+
+// TestFileLogNeverRotatesOrCheckpoints: a single-file log keeps every frame
+// in its one file however many records it holds, refuses Checkpoint, and
+// leaves no segment files beside it.
+func TestFileLogNeverRotatesOrCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "one.wal")
+	l, err := OpenFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := l.Append(&Record{Txn: "t", Type: TypeInsert, XML: "<node/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint on a single-file log succeeded")
+	}
+	if n, err := l.Compact(); n != 0 || err != nil {
+		t.Fatalf("Compact = %d, %v; want 0, nil", n, err)
+	}
+	if got := l.Segments(); got != 1 {
+		t.Fatalf("Segments = %d, want 1", got)
+	}
+	if files := segFiles(t, dir); len(files) != 0 {
+		t.Fatalf("segment files beside a single-file log: %v", files)
+	}
+}

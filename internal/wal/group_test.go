@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestGroupCommitDurable verifies that under SyncGroup every Append that
-// returned is on disk: concurrent writers append, the log is closed, and a
+// TestGroupCommitDurable verifies that under SyncGroup every decision
+// Append that returned is on disk: concurrent writers append commit
+// records, each waiting on the shared fsync, the log is closed, and a
 // reopen must see every record with intact framing.
 func TestGroupCommitDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "group.wal")
@@ -24,7 +26,7 @@ func TestGroupCommitDurable(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				r := &Record{Txn: fmt.Sprintf("T%d", w), Type: TypeInsert, Doc: "D", NodeID: uint64(i)}
+				r := &Record{Txn: fmt.Sprintf("T%d", w), Type: TypeCommit, Doc: "D", NodeID: uint64(i)}
 				if _, err := l.Append(r); err != nil {
 					t.Errorf("append: %v", err)
 					return
@@ -52,8 +54,8 @@ func TestGroupCommitDurable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindow exercises the batching window: appends still return
-// durable, just after at most one window's delay.
+// TestGroupCommitWindow exercises the batching window: decision appends
+// still return durable, just after at most one window's delay.
 func TestGroupCommitWindow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "window.wal")
 	l, err := OpenFileWith(path, FileOptions{Sync: SyncGroup, GroupCommitWindow: time.Millisecond})
@@ -61,7 +63,7 @@ func TestGroupCommitWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append(&Record{Txn: "T", Type: TypeInsert}); err != nil {
+		if _, err := l.Append(&Record{Txn: "T", Type: TypeCommit}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,8 +112,9 @@ func TestSyncBarrier(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCloseUnderLoad closes the log while appenders are active;
-// nothing may hang, and records that reported success must survive.
+// TestGroupCommitCloseUnderLoad closes the log while decision appenders
+// wait on group commit; nothing may hang, and records that reported
+// success must survive.
 func TestGroupCommitCloseUnderLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closing.wal")
 	l, err := OpenFileWith(path, FileOptions{Sync: SyncGroup})
@@ -125,7 +128,7 @@ func TestGroupCommitCloseUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				lsn, err := l.Append(&Record{Txn: fmt.Sprintf("T%d", w), Type: TypeInsert})
+				lsn, err := l.Append(&Record{Txn: fmt.Sprintf("T%d", w), Type: TypeCommit})
 				if err != nil {
 					return
 				}
@@ -153,4 +156,96 @@ func TestGroupCommitCloseUnderLoad(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestGroupCommitBarrierCoversBufferedAppends hammers the buffered-append
+// contract under SyncGroup: 8 writers append effect records, which do not
+// wait, and decision records, which do, while Sync callers run beside
+// them, with segments of 16 records so rotation races every barrier. Each
+// returned decision acknowledges its own LSN; each returned Sync
+// acknowledges every LSN returned before it was called. After Close and
+// reopen, every LSN at or below the highest acknowledged one is present.
+func TestGroupCommitBarrierCoversBufferedAppends(t *testing.T) {
+	dir := t.TempDir()
+	opts := SegmentOptions{FileOptions: FileOptions{Sync: SyncGroup}, MaxSegmentRecords: 16}
+	l, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended, acked atomic.Uint64
+	raise := func(v *atomic.Uint64, lsn uint64) {
+		for {
+			cur := v.Load()
+			if lsn <= cur || v.CompareAndSwap(cur, lsn) {
+				return
+			}
+		}
+	}
+	const writers, each, syncers = 8, 60, 2
+	stop := make(chan struct{})
+	var sw sync.WaitGroup
+	for s := 0; s < syncers; s++ {
+		sw.Add(1)
+		go func() {
+			defer sw.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				covered := appended.Load()
+				if err := l.Sync(); err != nil {
+					t.Errorf("sync: %v", err)
+					return
+				}
+				raise(&acked, covered)
+			}
+		}()
+	}
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			for i := 0; i < each; i++ {
+				typ := TypeInsert
+				if i%5 == 4 {
+					typ = []Type{TypeCommit, TypeAbort, TypeCompensateEnd}[i%3]
+				}
+				lsn, err := l.Append(&Record{Txn: fmt.Sprintf("T%d-%d", w, i/5), Type: typ})
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				raise(&appended, lsn)
+				if typ.decision() {
+					raise(&acked, lsn)
+				}
+			}
+		}(w)
+	}
+	ww.Wait()
+	close(stop)
+	sw.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if acked.Load() == 0 {
+		t.Fatal("no barrier or decision was acknowledged")
+	}
+	re, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	seen := make(map[uint64]bool)
+	for _, r := range re.Records() {
+		seen[r.LSN] = true
+	}
+	for lsn := uint64(1); lsn <= acked.Load(); lsn++ {
+		if !seen[lsn] {
+			t.Fatalf("LSN %d at or below acknowledged LSN %d missing after reopen", lsn, acked.Load())
+		}
+	}
 }

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,8 +47,17 @@ func parseSegmentName(name string) (uint64, bool) {
 	return n, true
 }
 
-// SegmentedLog is a durable Log over a directory of segment files, each a
-// sequence of CRC frames exactly as FileLog writes them. It adds:
+// SegmentedLog is the durable Log. Its records are CRC frames
+//
+//	uint32 length | uint32 crc32(blob) | blob
+//
+// each blob encoded on its own (see DecodeRecord), so a file survives
+// process restarts (no cross-session encoder state) and a torn or corrupted
+// tail is detected by length/CRC mismatch and truncated away — the standard
+// write-ahead-log recovery contract.
+//
+// OpenFile keeps the frames in one file that is never rotated and never
+// checkpointed. OpenDir keeps them in a directory of segment files and adds:
 //
 //   - rotation: the active segment is closed and a new one started when it
 //     exceeds MaxSegmentBytes or MaxSegmentRecords;
@@ -57,13 +68,20 @@ func parseSegmentName(name string) (uint64, bool) {
 //   - compaction: deleting every segment older than the latest durable
 //     checkpoint, whose state the checkpoint wholly covers.
 //
+// Append writes the frame and returns without waiting for the disk, with
+// two exceptions: under SyncEach every record is fsynced, and in every mode
+// a decision record (TypeCommit, TypeAbort, TypeCompensateEnd) returns only
+// once it and every earlier record are durable. Sync is the explicit
+// barrier. A Log decorator therefore sees a decision durable when its
+// Append returns.
+//
 // Only the last segment can have a torn tail: rotation fsyncs a segment
 // before opening its successor, so every non-last segment is fully durable.
 // A transaction is live until its log shows TypeCommit or TypeCompensateEnd
 // — exactly the transactions core.RecoverPending would still act on.
 type SegmentedLog struct {
 	mu       sync.Mutex
-	dir      string
+	dir      string // segment directory; "" for a single-file log (OpenFile)
 	opts     SegmentOptions
 	f        *os.File // active segment
 	segnum   uint64   // active segment number
@@ -80,20 +98,53 @@ type SegmentedLog struct {
 	closed   bool
 	onComp   func(removed, remaining int)
 
-	// Group commit (SyncGroup), the FileLog leader/follower protocol plus a
-	// rotation generation: a leader snapshots the active file and gen under
-	// gmu; if rotation bumped gen while its fsync was in flight, the outcome
-	// is discarded (rotation's own fsync already covered the old segment,
-	// and an fsync error on the just-closed handle is expected noise).
+	// Group commit (SyncGroup), leader/follower: the first waiter to find
+	// no fsync in flight becomes the leader and syncs on behalf of everyone
+	// whose frame is already in the file; waiters arriving meanwhile wait on
+	// gcond and are either covered by that fsync or elect the next leader.
+	// No dedicated goroutine, no handoff latency. A leader snapshots the
+	// active file and the rotation generation gen under gmu; if rotation
+	// bumped gen while its fsync was in flight, the outcome is discarded
+	// (rotation's own fsync already covered the old segment, and an fsync
+	// error on the just-closed handle is expected noise).
 	gmu     sync.Mutex
 	gcond   *sync.Cond
 	gf      *os.File // active file as seen by group commit
 	gen     uint64   // bumped by every rotation
-	written uint64
-	synced  uint64
-	gerr    error
-	syncing bool
-	gclosed bool
+	written uint64   // highest LSN a waiter asked to make durable
+	synced  uint64   // highest LSN known durable
+	gerr    error    // sticky fsync failure; durability past it is unknown
+	syncing bool     // a leader's fsync is in flight
+	gclosed bool     // Close started; no further fsyncs
+}
+
+// OpenFile opens (creating if needed) a single-file log. With sync true,
+// every append is fsynced before returning (SyncEach); with sync false only
+// decision records and Sync wait for the disk (SyncNone).
+func OpenFile(path string, sync bool) (*SegmentedLog, error) {
+	mode := SyncNone
+	if sync {
+		mode = SyncEach
+	}
+	return OpenFileWith(path, FileOptions{Sync: mode})
+}
+
+// OpenFileWith opens (creating if needed) a single-file log with explicit
+// durability options: a SegmentedLog whose one segment is path, never
+// rotated and never checkpointed.
+func OpenFileWith(path string, opts FileOptions) (*SegmentedLog, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	l := newSegmentedLog(SegmentOptions{FileOptions: opts, MaxSegmentBytes: math.MaxInt64})
+	if err := l.replay(f, 1, true); err != nil {
+		f.Close()
+		return nil, err
+	}
+	l.f, l.segnum, l.nsegs, l.minSeg = f, 1, 1, 1
+	l.startGroup()
+	return l, nil
 }
 
 // OpenDir opens (creating if needed) a segmented log in dir. Existing
@@ -119,12 +170,28 @@ func OpenDir(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
-	l := &SegmentedLog{dir: dir, opts: opts, mem: NewMemory()}
-	l.ckDone = sync.NewCond(&l.mu)
+	l := newSegmentedLog(opts)
+	l.dir = dir
 	for i, n := range segs {
-		if err := l.replaySegment(n, i == len(segs)-1); err != nil {
+		// The last segment stays open as the active one.
+		last := i == len(segs)-1
+		flag := os.O_RDONLY
+		if last {
+			flag = os.O_RDWR
+		}
+		f, err := os.OpenFile(filepath.Join(dir, segmentName(n)), flag, 0)
+		if err != nil {
+			return nil, fmt.Errorf("wal: open segment: %w", err)
+		}
+		if err := l.replay(f, n, last); err != nil {
+			f.Close()
 			return nil, err
 		}
+		if !last {
+			f.Close()
+			continue
+		}
+		l.f, l.segnum = f, n
 	}
 	l.nsegs = len(segs)
 	if len(segs) == 0 {
@@ -135,37 +202,32 @@ func OpenDir(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 		l.minSeg = 1
 	} else {
 		l.minSeg = segs[0]
-		// Reopen the last segment for appending at its valid end.
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segmentName(last)), os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: open segment: %w", err)
-		}
-		if _, err := f.Seek(l.segBytes, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: seek: %w", err)
-		}
-		l.f, l.segnum = f, last
 	}
-	if opts.Sync == SyncGroup {
-		l.gcond = sync.NewCond(&l.gmu)
-		l.gf = l.f
-		l.written, l.synced = l.next, l.next
-	}
+	l.startGroup()
 	return l, nil
 }
 
-// replaySegment reads segment n into the in-memory index. A checkpoint
-// frame at the head of a segment resets the index to the snapshot. last
-// marks the final segment, the only one allowed a torn tail; when the tail
-// is torn, the file is truncated to the valid prefix and segBytes/segRecs
-// describe it.
-func (l *SegmentedLog) replaySegment(n uint64, last bool) error {
-	path := filepath.Join(l.dir, segmentName(n))
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: open segment: %w", err)
-	}
+func newSegmentedLog(opts SegmentOptions) *SegmentedLog {
+	l := &SegmentedLog{opts: opts, mem: NewMemory()}
+	l.ckDone = sync.NewCond(&l.mu)
+	l.gcond = sync.NewCond(&l.gmu)
+	return l
+}
+
+// startGroup hands the replayed state to group commit: everything replay
+// read is on disk, and the active file is the one to fsync.
+func (l *SegmentedLog) startGroup() {
+	l.gf = l.f
+	l.written, l.synced = l.next, l.next
+}
+
+// replay reads segment file f (number n) into the in-memory index. A
+// checkpoint frame at the head of a segment resets the index to the
+// snapshot. last marks the final segment, the only one allowed a torn tail;
+// when the tail is torn, the file is truncated to the valid prefix. For the
+// last segment, segBytes/segRecs describe the valid prefix afterwards and f
+// is positioned at its end, ready for appends.
+func (l *SegmentedLog) replay(f *os.File, n uint64, last bool) error {
 	br := bufio.NewReader(f)
 	var validEnd int64
 	recs := 0
@@ -186,7 +248,6 @@ func (l *SegmentedLog) replaySegment(n uint64, last bool) error {
 			nm := NewMemory()
 			for _, r := range ck.Live {
 				if err := nm.appendExisting(r); err != nil {
-					f.Close()
 					return err
 				}
 			}
@@ -203,7 +264,6 @@ func (l *SegmentedLog) replaySegment(n uint64, last bool) error {
 				break
 			}
 			if err := l.mem.appendExisting(r); err != nil {
-				f.Close()
 				return err
 			}
 			if r.LSN > l.next {
@@ -214,17 +274,19 @@ func (l *SegmentedLog) replaySegment(n uint64, last bool) error {
 		validEnd += int64(nb)
 		recs++
 	}
-	f.Close()
-	if ferr != nil && ferr != io.EOF {
+	if ferr != io.EOF {
 		if !last {
 			return fmt.Errorf("wal: segment %s: %w", segmentName(n), ferr)
 		}
 		// Torn or corrupt tail of the final segment: keep the clean prefix.
-		if terr := os.Truncate(path, validEnd); terr != nil {
-			return fmt.Errorf("wal: truncate torn tail: %w", terr)
+		if err := f.Truncate(validEnd); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
 	}
 	if last {
+		if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
+			return fmt.Errorf("wal: seek: %w", err)
+		}
 		l.segBytes, l.segRecs = validEnd, recs
 	}
 	return nil
@@ -263,14 +325,11 @@ func (l *SegmentedLog) rotateLocked() error {
 		l.failGroupLocked(fmt.Errorf("%w: rotate: %w", ErrSync, err))
 		return fmt.Errorf("%w: rotate: %w", ErrSync, err)
 	}
-	group := l.opts.Sync == SyncGroup
-	if group {
-		// Hold gmu across close+reopen: a group-commit leader must never be
-		// able to snapshot the just-closed handle paired with a generation
-		// that is still current, or its doomed fsync would poison the group.
-		l.gmu.Lock()
-		defer l.gmu.Unlock()
-	}
+	// Hold gmu across close+reopen: a group-commit leader must never be
+	// able to snapshot the just-closed handle paired with a generation that
+	// is still current, or its doomed fsync would poison the group.
+	l.gmu.Lock()
+	defer l.gmu.Unlock()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("%w: rotate: %w", ErrClose, err)
 	}
@@ -278,23 +337,18 @@ func (l *SegmentedLog) rotateLocked() error {
 		return err
 	}
 	l.nsegs++
-	if group {
-		l.gen++
-		l.gf = l.f
-		if lastLSN > l.synced {
-			l.synced = lastLSN
-		}
-		l.gcond.Broadcast()
+	l.gen++
+	l.gf = l.f
+	if lastLSN > l.synced {
+		l.synced = lastLSN
 	}
+	l.gcond.Broadcast()
 	return nil
 }
 
 // failGroupLocked poisons group commit after a rotation fsync failure so
 // waiters do not report durability that was never established.
 func (l *SegmentedLog) failGroupLocked(err error) {
-	if l.opts.Sync != SyncGroup {
-		return
-	}
 	l.gmu.Lock()
 	if l.gerr == nil {
 		l.gerr = err
@@ -303,7 +357,9 @@ func (l *SegmentedLog) failGroupLocked(err error) {
 	l.gmu.Unlock()
 }
 
-// Append implements Log.
+// Append implements Log. The frame is written under l.mu, in LSN order, so
+// a durable record implies every earlier one is durable too. Only decision
+// records (and, under SyncEach, every record) wait for the disk.
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -329,7 +385,8 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	}
 	l.segBytes += int64(len(frame))
 	l.segRecs++
-	if l.opts.Sync == SyncEach {
+	mode, decision := l.opts.Sync, r.Type.decision()
+	if mode == SyncEach || (mode == SyncNone && decision) {
 		if err := l.f.Sync(); err != nil {
 			l.mu.Unlock()
 			return 0, fmt.Errorf("%w: %w", ErrSync, err)
@@ -350,7 +407,7 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	if kick {
 		go l.backgroundCheckpoint()
 	}
-	if l.opts.Sync == SyncGroup {
+	if mode == SyncGroup && decision {
 		if err := l.waitDurable(lsn); err != nil {
 			return 0, err
 		}
@@ -373,8 +430,8 @@ func (l *SegmentedLog) backgroundCheckpoint() {
 	_, _ = l.Compact()
 }
 
-// waitDurable is FileLog's group-commit protocol plus the rotation
-// generation check (see the SegmentedLog field comments).
+// waitDurable blocks until an fsync covering lsn completed (group commit;
+// see the SegmentedLog field comments).
 func (l *SegmentedLog) waitDurable(lsn uint64) error {
 	l.gmu.Lock()
 	defer l.gmu.Unlock()
@@ -450,7 +507,7 @@ func (l *SegmentedLog) liveRecordsLocked() []*Record {
 // once Checkpoint succeeds, every older segment is redundant and Compact
 // may delete it. Replay after a checkpoint is O(live transactions), not
 // O(history); the in-memory index is trimmed to the same view so memory is
-// bounded too.
+// bounded too. A single-file log (OpenFile) refuses it.
 func (l *SegmentedLog) Checkpoint() error {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -459,6 +516,9 @@ func (l *SegmentedLog) Checkpoint() error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.dir == "" {
+		return errors.New("wal: a single-file log is never checkpointed")
 	}
 	live := l.liveRecordsLocked()
 	if err := l.rotateLocked(); err != nil {
@@ -568,7 +628,8 @@ func (l *SegmentedLog) memSnapshot() *MemoryLog {
 	return l.mem
 }
 
-// Sync implements Log: the explicit durability barrier, as FileLog.
+// Sync implements Log: the explicit durability barrier over every record
+// appended before the call. Under SyncGroup it shares the group fsync.
 func (l *SegmentedLog) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -605,15 +666,15 @@ func (l *SegmentedLog) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	if l.opts.Sync == SyncGroup {
-		l.gmu.Lock()
-		l.gclosed = true
-		l.gcond.Broadcast()
-		for l.syncing {
-			l.gcond.Wait()
-		}
-		l.gmu.Unlock()
+	// Stop group commit: fail waiters not covered by the in-flight fsync,
+	// and wait that fsync out before closing the file under it.
+	l.gmu.Lock()
+	l.gclosed = true
+	l.gcond.Broadcast()
+	for l.syncing {
+		l.gcond.Wait()
 	}
+	l.gmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.f.Close(); err != nil {

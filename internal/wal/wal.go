@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -79,6 +78,13 @@ func (t Type) String() string {
 	}
 }
 
+// decision reports whether t records a decision: a commit, an abort or a
+// completed compensation. A durable log returns from Append of a decision
+// only once the record, and every record before it, is on disk.
+func (t Type) decision() bool {
+	return t == TypeCommit || t == TypeAbort || t == TypeCompensateEnd
+}
+
 // Record is one log entry. Field use depends on Type; unused fields are
 // zero.
 type Record struct {
@@ -114,8 +120,8 @@ type Log interface {
 	// TxnRecords returns the records of one transaction in LSN order.
 	TxnRecords(txn string) []*Record
 	// Sync blocks until every record appended so far is durable. It is the
-	// explicit durability barrier the engine places at TypeCommit/TypeAbort
-	// records; in-memory logs treat it as a no-op.
+	// explicit durability barrier the engine places before a served
+	// invocation's reply leaves the peer; in-memory logs treat it as a no-op.
 	Sync() error
 	// Close releases resources; Append after Close errors.
 	Close() error
@@ -126,8 +132,9 @@ type Log interface {
 var (
 	// ErrClosed is returned by Append on a closed log.
 	ErrClosed = errors.New("wal: log is closed")
-	// ErrSync classes every fsync failure (Append under SyncEach, the group
-	// commit leader, the explicit Sync barrier, rotation). Durability past a
+	// ErrSync classes every fsync failure (a decision Append, any Append
+	// under SyncEach, the group commit leader, the explicit Sync barrier,
+	// rotation). Durability past a
 	// failed fsync is unknown, so these are sticky where it matters.
 	ErrSync = errors.New("wal: sync failed")
 	// ErrCorrupt classes every framing or decode failure: torn tails, CRC
@@ -216,25 +223,30 @@ func (l *MemoryLog) Len() int {
 	return len(l.records)
 }
 
-// SyncMode selects a FileLog's durability strategy.
+// SyncMode selects a durable log's fsync strategy. In every mode a
+// decision record (TypeCommit, TypeAbort, TypeCompensateEnd) is durable,
+// with every record before it, when its Append returns, and Sync is a
+// barrier over everything appended before the call. The modes differ in
+// what the other records cost and in how fsyncs are shared.
 type SyncMode uint8
 
 const (
-	// SyncNone leaves flushing to the OS; the explicit Sync() barrier at
-	// commit records is the only forced flush (relaxed durability:
-	// mid-transaction records may be lost in a crash, commits are not).
+	// SyncNone buffers other records: Append writes the frame and returns,
+	// and the next decision record or Sync makes it durable. Each decision
+	// record and each Sync runs an fsync of its own.
 	SyncNone SyncMode = iota
-	// SyncEach fsyncs every append before returning — full per-record
+	// SyncEach fsyncs every record before Append returns: per-record
 	// durability at the cost of one fsync per record.
 	SyncEach
-	// SyncGroup batches concurrent appenders behind one fsync (group
-	// commit): every Append still returns only after its record is durable,
-	// but appenders arriving while an fsync is in flight share the next one,
-	// so N concurrent writers amortize the fsync cost.
+	// SyncGroup buffers other records as SyncNone does, and batches the
+	// waits (group commit): decision records and Sync calls arriving while
+	// an fsync is in flight share the next one, so concurrent writers
+	// amortize the fsync cost.
 	SyncGroup
 )
 
-// FileOptions configure OpenFileWith.
+// FileOptions configure a durable log: OpenFileWith takes them directly,
+// OpenDir inside SegmentOptions.
 type FileOptions struct {
 	// Sync selects the durability strategy; the zero value is SyncNone.
 	Sync SyncMode
@@ -243,92 +255,6 @@ type FileOptions struct {
 	// immediately — batching then arises naturally from appenders queueing
 	// behind an in-flight fsync.
 	GroupCommitWindow time.Duration
-}
-
-// FileLog is a durable Log backed by a file of framed records. Each record
-// is an independently encoded blob framed as
-//
-//	uint32 length | uint32 crc32(blob) | blob
-//
-// so the file survives process restarts (no cross-session encoder state)
-// and Open detects a torn or corrupted tail by length/CRC mismatch and
-// truncates it — the standard write-ahead-log recovery contract. A frame
-// whose body is not a version-4 record (see DecodeRecord) counts as corrupt.
-type FileLog struct {
-	mu    sync.Mutex
-	f     *os.File
-	opts  FileOptions
-	next  uint64
-	mem   *MemoryLog // index over already-read + appended records
-	close bool
-
-	// Group-commit state (SyncGroup), leader/follower: the first appender to
-	// find no fsync in flight becomes the leader and syncs on behalf of
-	// everyone whose frame is already in the file; appenders arriving while
-	// the leader syncs wait on gcond and are either covered by that fsync or
-	// elect the next leader. No dedicated goroutine, no handoff latency.
-	gmu     sync.Mutex
-	gcond   *sync.Cond
-	written uint64 // highest LSN whose frame is in the file
-	synced  uint64 // highest LSN known durable
-	gerr    error  // sticky fsync failure; durability state unknown past it
-	syncing bool   // a leader's fsync is in flight
-	gclosed bool   // Close started; no further fsyncs
-}
-
-// OpenFile opens (creating if needed) a file-backed log. With sync true,
-// every append is fsynced before returning — full durability at the cost of
-// latency, matching the D in ACID; with sync false the OS flushes lazily.
-func OpenFile(path string, sync bool) (*FileLog, error) {
-	mode := SyncNone
-	if sync {
-		mode = SyncEach
-	}
-	return OpenFileWith(path, FileOptions{Sync: mode})
-}
-
-// OpenFileWith opens (creating if needed) a file-backed log with explicit
-// durability options.
-func OpenFileWith(path string, opts FileOptions) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	l := &FileLog{f: f, opts: opts, mem: NewMemory()}
-	br := bufio.NewReader(f)
-	var validEnd int64
-	for {
-		blob, n, err := readFrame(br)
-		var r *Record
-		if err == nil {
-			r, err = DecodeRecord(blob)
-		}
-		if err != nil {
-			if err != io.EOF {
-				// Torn or corrupt tail: keep the clean prefix.
-				if terr := f.Truncate(validEnd); terr != nil {
-					f.Close()
-					return nil, fmt.Errorf("wal: truncate torn tail: %w", terr)
-				}
-			}
-			break
-		}
-		if err := l.mem.appendExisting(r); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.next = r.LSN
-		validEnd += int64(n)
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
-	}
-	if opts.Sync == SyncGroup {
-		l.written, l.synced = l.next, l.next
-		l.gcond = sync.NewCond(&l.gmu)
-	}
-	return l, nil
 }
 
 // readFrame reads one framed blob and returns it with the number of bytes
@@ -370,153 +296,4 @@ func appendFrame(w *codec.Writer, body func(*codec.Writer)) []byte {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
 	return frame
-}
-
-// Append implements Log.
-func (l *FileLog) Append(r *Record) (uint64, error) {
-	w := codec.GetWriter()
-	defer codec.PutWriter(w)
-
-	l.mu.Lock()
-	if l.close {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	l.next++
-	r.LSN = l.next
-	frame := appendFrame(w, func(w *codec.Writer) { appendRecordBinary(w, r) })
-	if _, err := l.f.Write(frame); err != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: write frame: %w", err)
-	}
-	if l.opts.Sync == SyncEach {
-		if err := l.f.Sync(); err != nil {
-			l.mu.Unlock()
-			return 0, fmt.Errorf("%w: %w", ErrSync, err)
-		}
-	}
-	// Mirror into the in-memory index with the LSN just assigned.
-	if err := l.mem.appendExisting(r); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	lsn := r.LSN
-	l.mu.Unlock()
-
-	if l.opts.Sync == SyncGroup {
-		// The frame is written in LSN order under l.mu, so it — and every
-		// earlier frame — is in the file; wait for a covering fsync.
-		if err := l.waitDurable(lsn); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
-}
-
-// waitDurable blocks until an fsync covering lsn completed (group commit).
-// The first caller to find no fsync in flight becomes the leader: it syncs
-// once for every frame already in the file, then wakes the rest; followers
-// re-check and either return (covered) or elect the next leader.
-func (l *FileLog) waitDurable(lsn uint64) error {
-	l.gmu.Lock()
-	defer l.gmu.Unlock()
-	if lsn > l.written {
-		l.written = lsn
-	}
-	for {
-		if l.gerr != nil {
-			// A failed fsync leaves durability unknown; fail everything from
-			// here on rather than pretend.
-			return l.gerr
-		}
-		if l.synced >= lsn {
-			return nil
-		}
-		if l.gclosed {
-			return ErrClosed
-		}
-		if !l.syncing {
-			l.syncing = true
-			if w := l.opts.GroupCommitWindow; w > 0 {
-				// Accumulate a batch before snapshotting the target.
-				l.gmu.Unlock()
-				time.Sleep(w)
-				l.gmu.Lock()
-			}
-			target := l.written
-			l.gmu.Unlock()
-			err := l.f.Sync()
-			l.gmu.Lock()
-			l.syncing = false
-			if err != nil {
-				l.gerr = fmt.Errorf("%w: %w", ErrSync, err)
-			} else if target > l.synced {
-				l.synced = target
-			}
-			l.gcond.Broadcast()
-			continue
-		}
-		l.gcond.Wait()
-	}
-}
-
-// Sync implements Log: an explicit durability barrier over everything
-// appended so far. Under SyncEach every record is already durable; under
-// SyncGroup it shares the group fsync; under SyncNone it is the one forced
-// flush — the engine calls it at TypeCommit/TypeAbort records so commit
-// durability is identical across modes.
-func (l *FileLog) Sync() error {
-	l.mu.Lock()
-	if l.close {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	last := l.next
-	if l.opts.Sync != SyncGroup {
-		err := l.f.Sync()
-		l.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrSync, err)
-		}
-		return nil
-	}
-	l.mu.Unlock()
-	if last == 0 {
-		return nil
-	}
-	return l.waitDurable(last)
-}
-
-// Records implements Log.
-func (l *FileLog) Records() []*Record { return l.mem.Records() }
-
-// TxnRecords implements Log.
-func (l *FileLog) TxnRecords(txn string) []*Record { return l.mem.TxnRecords(txn) }
-
-// Close implements Log.
-func (l *FileLog) Close() error {
-	l.mu.Lock()
-	if l.close {
-		l.mu.Unlock()
-		return nil
-	}
-	l.close = true
-	l.mu.Unlock()
-	if l.opts.Sync == SyncGroup {
-		// Stop group commit: fail waiters not covered by the in-flight
-		// fsync, and wait that fsync out before closing the file under it.
-		l.gmu.Lock()
-		l.gclosed = true
-		l.gcond.Broadcast()
-		for l.syncing {
-			l.gcond.Wait()
-		}
-		l.gmu.Unlock()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("%w: %w", ErrClose, err)
-	}
-	return nil
 }
