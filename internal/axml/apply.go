@@ -23,33 +23,33 @@ var (
 // may be nil, in which case queries evaluate without materialization (pure
 // XML mode); mode selects lazy or eager materialization.
 //
-// Apply holds the store mutex for the whole operation, so an action is
-// atomic with respect to other actions on this store.
+// Apply holds the document's latch for the whole operation, released only
+// around service invocations, so an action is atomic with respect to other
+// actions on the same document; actions on other documents run alongside.
 func (s *Store) Apply(txn string, a *Action, mat Materializer, mode EvalMode) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if obs := s.applyObserver; obs != nil {
-		start := time.Now()
-		defer func() { obs(time.Since(start)) }()
-	}
-	doc, ok := s.lookup(a.DocName())
+	e, ok := s.latch(a.DocName())
 	if !ok {
 		return nil, opError("apply", a, fmt.Errorf("%w: %q", ErrNoSuchDocument, a.DocName()))
+	}
+	defer e.latch.Unlock()
+	if obs := s.applyObserver.Load(); obs != nil {
+		start := time.Now()
+		defer func() { (*obs)(time.Since(start)) }()
 	}
 	res := &Result{}
 	var err error
 	switch a.Type {
 	case ActionQuery:
-		err = s.applyQuery(txn, doc, a, mat, mode, res)
+		err = s.applyQuery(txn, e, a, mat, mode, res)
 	case ActionInsert:
-		err = s.applyInsert(txn, doc, a, mat, mode, res)
+		err = s.applyInsert(txn, e, a, mat, mode, res)
 	case ActionDelete:
-		err = s.applyDelete(txn, doc, a, mat, mode, res)
+		err = s.applyDelete(txn, e, a, mat, mode, res)
 	case ActionReplace:
-		err = s.applyReplace(txn, doc, a, mat, mode, res)
+		err = s.applyReplace(txn, e, a, mat, mode, res)
 	}
 	if err != nil {
 		return nil, opError("apply", a, err)
@@ -61,7 +61,8 @@ func (s *Store) Apply(txn string, a *Action, mat Materializer, mode EvalMode) (*
 // nodes, or the directly addressed node. Location evaluation may itself
 // materialize service calls (the paper: "The <location> query evaluation
 // may involve service call materializations").
-func (s *Store) locate(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {
+func (s *Store) locate(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {
+	doc := e.doc
 	if a.TargetID != 0 {
 		n := doc.ByID(a.TargetID)
 		if n == nil {
@@ -74,7 +75,7 @@ func (s *Store) locate(txn string, doc *xmldom.Document, a *Action, mat Material
 		}
 		return []*xmldom.Node{n}, nil
 	}
-	if err := s.materializeForQuery(txn, doc, a.Location, mat, mode, res); err != nil {
+	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return nil, err
 	}
 	qres, err := s.eval.Eval(doc, a.Location)
@@ -84,11 +85,11 @@ func (s *Store) locate(txn string, doc *xmldom.Document, a *Action, mat Material
 	return qres.Nodes(), nil
 }
 
-func (s *Store) applyQuery(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) error {
-	if err := s.materializeForQuery(txn, doc, a.Location, mat, mode, res); err != nil {
+func (s *Store) applyQuery(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) error {
+	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return err
 	}
-	qres, err := s.eval.Eval(doc, a.Location)
+	qres, err := s.eval.Eval(e.doc, a.Location)
 	if err != nil {
 		return err
 	}
@@ -97,12 +98,13 @@ func (s *Store) applyQuery(txn string, doc *xmldom.Document, a *Action, mat Mate
 	return nil
 }
 
-func (s *Store) applyInsert(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) error {
+func (s *Store) applyInsert(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) error {
+	doc := e.doc
 	// Restoration path: re-attach the original detached subtree by ID so
 	// compensation preserves node identity.
 	if a.RestoreID != 0 {
 		if n := doc.ByID(a.RestoreID); n != nil && n.Parent() == nil && n != doc.Root() {
-			parents, err := s.locateInsertParents(txn, doc, a, mat, mode, res)
+			parents, err := s.locateInsertParents(txn, e, a, mat, mode, res)
 			if err != nil {
 				return err
 			}
@@ -110,7 +112,7 @@ func (s *Store) applyInsert(txn string, doc *xmldom.Document, a *Action, mat Mat
 		}
 		// Fall through: subtree unavailable, insert from Data.
 	}
-	targets, err := s.locateInsertParents(txn, doc, a, mat, mode, res)
+	targets, err := s.locateInsertParents(txn, e, a, mat, mode, res)
 	if err != nil {
 		return err
 	}
@@ -167,18 +169,18 @@ func parseFragments(doc *xmldom.Document, data string) ([]*xmldom.Node, error) {
 	return out, nil
 }
 
-func (s *Store) locateInsertParents(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {
+func (s *Store) locateInsertParents(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {
 	if a.ParentID != 0 {
-		n := doc.ByID(a.ParentID)
+		n := e.doc.ByID(a.ParentID)
 		if n == nil {
 			return nil, fmt.Errorf("%w: parent %d", ErrNoSuchNode, a.ParentID)
 		}
 		return []*xmldom.Node{n}, nil
 	}
-	if err := s.materializeForQuery(txn, doc, a.Location, mat, mode, res); err != nil {
+	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return nil, err
 	}
-	qres, err := s.eval.Eval(doc, a.Location)
+	qres, err := s.eval.Eval(e.doc, a.Location)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +191,9 @@ func (s *Store) locateInsertParents(txn string, doc *xmldom.Document, a *Action,
 	return nodes, nil
 }
 
-func (s *Store) applyDelete(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) error {
-	targets, err := s.locate(txn, doc, a, mat, mode, res)
+func (s *Store) applyDelete(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) error {
+	doc := e.doc
+	targets, err := s.locate(txn, e, a, mat, mode, res)
 	if err != nil {
 		return err
 	}
@@ -208,8 +211,9 @@ func (s *Store) applyDelete(txn string, doc *xmldom.Document, a *Action, mat Mat
 	return nil
 }
 
-func (s *Store) applyReplace(txn string, doc *xmldom.Document, a *Action, mat Materializer, mode EvalMode, res *Result) error {
-	targets, err := s.locate(txn, doc, a, mat, mode, res)
+func (s *Store) applyReplace(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) error {
+	doc := e.doc
+	targets, err := s.locate(txn, e, a, mat, mode, res)
 	if err != nil {
 		return err
 	}

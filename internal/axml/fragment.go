@@ -297,18 +297,20 @@ func (s *Store) Manifest(name string) ([]FragmentID, bool) {
 // fragments, replacing the whole document with its sharded form: the spine
 // is recorded, the fragments enter the local fragment table, and the whole
 // document is dropped from the docs map. It returns the fragments for the
-// caller to announce/place.
+// caller to announce/place. The split runs under the document's latch.
 func (s *Store) ShardDocument(name string, threshold int) (string, []*Fragment, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	doc, ok := s.lookup(name)
+	e, ok := s.latch(name)
 	if !ok {
 		return "", nil, fmt.Errorf("axml: shard: unknown document %q", name)
 	}
+	defer e.latch.Unlock()
+	doc := e.doc
 	spine, frags, err := SplitDocument(doc, threshold)
 	if err != nil {
 		return "", nil, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.frags == nil {
 		s.frags = make(map[FragmentID]*Fragment)
 	}

@@ -70,7 +70,7 @@ const maxMaterializeRounds = 8
 // invoked; under Eager, every top-level call is. The set of calls actually
 // materialized is determined at run time — which is precisely why the
 // paper's compensation must be constructed dynamically.
-func (s *Store) materializeForQuery(txn string, doc *xmldom.Document, q *query.Query, mat Materializer, mode EvalMode, res *Result) error {
+func (s *Store) materializeForQuery(txn string, e *docEntry, q *query.Query, mat Materializer, mode EvalMode, res *Result) error {
 	needed := make(map[string]bool)
 	for _, n := range q.Names() {
 		needed[n] = true
@@ -78,7 +78,7 @@ func (s *Store) materializeForQuery(txn string, doc *xmldom.Document, q *query.Q
 	visited := make(map[xmldom.NodeID]bool)
 	for round := 0; round < maxMaterializeRounds; round++ {
 		var due []*ServiceCall
-		for _, sc := range TopLevelServiceCalls(doc) {
+		for _, sc := range TopLevelServiceCalls(e.doc) {
 			if visited[sc.ID()] {
 				continue
 			}
@@ -95,7 +95,7 @@ func (s *Store) materializeForQuery(txn string, doc *xmldom.Document, q *query.Q
 		for _, sc := range due {
 			visited[sc.ID()] = true
 		}
-		if err := s.materializeRound(txn, doc, due, mat, res); err != nil {
+		if err := s.materializeRound(txn, e, due, mat, res); err != nil {
 			return err
 		}
 	}
@@ -108,8 +108,9 @@ func (s *Store) materializeForQuery(txn string, doc *xmldom.Document, q *query.Q
 // order — prefetched results are merged, the rest take the sequential path —
 // so the WAL record sequence and therefore compensation are identical to
 // fully sequential execution.
-func (s *Store) materializeRound(txn string, doc *xmldom.Document, due []*ServiceCall, mat Materializer, res *Result) error {
-	pre := s.prefetchInvocations(txn, doc, due, mat)
+func (s *Store) materializeRound(txn string, e *docEntry, due []*ServiceCall, mat Materializer, res *Result) error {
+	doc := e.doc
+	pre := s.prefetchInvocations(txn, e, due, mat)
 	for i, sc := range due {
 		if r, ok := pre[i]; ok {
 			if r.err != nil {
@@ -130,7 +131,7 @@ func (s *Store) materializeRound(txn string, doc *xmldom.Document, due []*Servic
 		if !attached(doc, sc.Node()) {
 			continue
 		}
-		if err := s.materializeCall(txn, doc, sc, mat, res); err != nil {
+		if err := s.materializeCall(txn, e, sc, mat, res); err != nil {
 			return err
 		}
 	}
@@ -145,9 +146,9 @@ type prefetched struct {
 
 // prefetchInvocations overlaps the Invoke network waits of the round's
 // independent calls through a bounded worker pool and returns their results
-// keyed by position in due. Called (and returning) with s.mu held; the lock
-// is released only while the pool runs, exactly like the sequential path
-// releases it around each single Invoke.
+// keyed by position in due. Called (and returning) with e's latch held; the
+// latch is released only while the pool runs, exactly like the sequential
+// path releases it around each single Invoke.
 //
 // A call stays off the pool (sequential fallback) when any of:
 //   - it has nested service-call parameters — resolving those logs WAL
@@ -157,7 +158,7 @@ type prefetched struct {
 //   - an earlier replace-mode due call's existing results contain it — that
 //     call's merge would detach it, and sequential execution would
 //     therefore never invoke it.
-func (s *Store) prefetchInvocations(txn string, doc *xmldom.Document, due []*ServiceCall, mat Materializer) map[int]*prefetched {
+func (s *Store) prefetchInvocations(txn string, e *docEntry, due []*ServiceCall, mat Materializer) map[int]*prefetched {
 	if mat == nil || len(due) < 2 {
 		return nil
 	}
@@ -210,9 +211,9 @@ func (s *Store) prefetchInvocations(txn string, doc *xmldom.Document, due []*Ser
 		for k, j := range jobs {
 			calls[k], params[k] = j.sc, j.params
 		}
-		s.mu.Unlock()
+		e.latch.Unlock()
 		outcomes := bi.InvokeBatch(txn, calls, params, limit)
-		s.mu.Lock()
+		e.latch.Lock()
 		for k := range jobs {
 			if k < len(outcomes) {
 				out[jobs[k].i] = &prefetched{fragments: outcomes[k].Fragments, err: outcomes[k].Err}
@@ -223,7 +224,7 @@ func (s *Store) prefetchInvocations(txn string, doc *xmldom.Document, due []*Ser
 	var omu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, limit)
-	s.mu.Unlock()
+	e.latch.Unlock()
 	for _, j := range jobs {
 		sem <- struct{}{}
 		wg.Add(1)
@@ -237,7 +238,7 @@ func (s *Store) prefetchInvocations(txn string, doc *xmldom.Document, due []*Ser
 		}(j)
 	}
 	wg.Wait()
-	s.mu.Lock()
+	e.latch.Lock()
 	return out
 }
 
@@ -270,36 +271,36 @@ func (s *Store) callMayProduce(sc *ServiceCall, needed map[string]bool, mat Mate
 // document according to the call's mode, logging every structural effect
 // under txn. Parameters that are themselves service calls are materialized
 // first (nested local invocation).
-func (s *Store) materializeCall(txn string, doc *xmldom.Document, sc *ServiceCall, mat Materializer, res *Result) error {
+func (s *Store) materializeCall(txn string, e *docEntry, sc *ServiceCall, mat Materializer, res *Result) error {
 	if mat == nil {
 		return fmt.Errorf("%w (service %q)", ErrNoMaterializer, sc.Service())
 	}
-	params, err := s.resolveParams(txn, doc, sc, mat, res)
+	params, err := s.resolveParams(txn, e, sc, mat, res)
 	if err != nil {
 		return err
 	}
-	// Release the store lock for the invocation: the service may be local
-	// to this very peer, in which case its execution re-enters Apply (a
-	// peer's composition document routinely calls the peer's own update
+	// Release the document's latch for the invocation: the service may be
+	// local to this very peer, in which case its execution re-enters Apply
+	// (a peer's composition document routinely calls the peer's own update
 	// services). Transaction-level isolation is the lock table's job, not
-	// this mutex's.
-	s.mu.Unlock()
+	// the latch's.
+	e.latch.Unlock()
 	fragments, err := mat.Invoke(txn, sc, params)
-	s.mu.Lock()
+	e.latch.Lock()
 	if err != nil {
 		return fmt.Errorf("axml: materialize %s: %w", sc.Describe(), err)
 	}
-	if !attached(doc, sc.Node()) {
-		// The call was detached while the lock was released (e.g. a nested
+	if !attached(e.doc, sc.Node()) {
+		// The call was detached while the latch was released (e.g. a nested
 		// materialization in replace mode discarded it); its results have
 		// nowhere to go.
 		return nil
 	}
-	return s.mergeResults(txn, doc, sc, fragments, res)
+	return s.mergeResults(txn, e.doc, sc, fragments, res)
 }
 
-// mergeResults applies one successful invocation to the document under the
-// store lock: the materialize record, replace-mode discard of previous
+// mergeResults applies one successful invocation to the document under its
+// latch: the materialize record, replace-mode discard of previous
 // results, and insertion of the result fragments — the paper's run-time
 // facts that dynamic compensation is built from.
 func (s *Store) mergeResults(txn string, doc *xmldom.Document, sc *ServiceCall, fragments []string, res *Result) error {
@@ -347,13 +348,13 @@ func attached(doc *xmldom.Document, n *xmldom.Node) bool {
 
 // resolveParams materializes nested service-call parameters and returns the
 // flat parameter list the service is invoked with.
-func (s *Store) resolveParams(txn string, doc *xmldom.Document, sc *ServiceCall, mat Materializer, res *Result) ([]Param, error) {
+func (s *Store) resolveParams(txn string, e *docEntry, sc *ServiceCall, mat Materializer, res *Result) ([]Param, error) {
 	params := sc.Params()
 	for i, p := range params {
 		if p.Nested == nil {
 			continue
 		}
-		if err := s.materializeCall(txn, doc, p.Nested, mat, res); err != nil {
+		if err := s.materializeCall(txn, e, p.Nested, mat, res); err != nil {
 			return nil, fmt.Errorf("axml: parameter %q of %s: %w", p.Name, sc.Describe(), err)
 		}
 		var text string
@@ -366,15 +367,14 @@ func (s *Store) resolveParams(txn string, doc *xmldom.Document, sc *ServiceCall,
 }
 
 // MaterializeCall invokes one service call outside query evaluation (e.g.
-// the periodic "frequency" trigger), under the store lock.
+// the periodic "frequency" trigger), under the document's latch.
 func (s *Store) MaterializeCall(txn string, docName string, scID xmldom.NodeID, mat Materializer) (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	doc, ok := s.lookup(docName)
+	e, ok := s.latch(docName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchDocument, docName)
 	}
-	n := doc.ByID(scID)
+	defer e.latch.Unlock()
+	n := e.doc.ByID(scID)
 	if n == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchNode, scID)
 	}
@@ -383,7 +383,7 @@ func (s *Store) MaterializeCall(txn string, docName string, scID xmldom.NodeID, 
 		return nil, fmt.Errorf("axml: node %d is not a service call", scID)
 	}
 	res := &Result{}
-	if err := s.materializeCall(txn, doc, sc, mat, res); err != nil {
+	if err := s.materializeCall(txn, e, sc, mat, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -393,12 +393,12 @@ func (s *Store) MaterializeCall(txn string, docName string, scID xmldom.NodeID, 
 // named document, returning the combined result. It is the engine behind
 // Eager evaluation benchmarks and document warm-up.
 func (s *Store) MaterializeAll(txn string, docName string, mat Materializer) (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	doc, ok := s.lookup(docName)
+	e, ok := s.latch(docName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchDocument, docName)
 	}
+	defer e.latch.Unlock()
+	doc := e.doc
 	res := &Result{}
 	visited := make(map[xmldom.NodeID]bool)
 	for round := 0; round < maxMaterializeRounds; round++ {
@@ -413,7 +413,7 @@ func (s *Store) MaterializeAll(txn string, docName string, mat Materializer) (*R
 		if len(due) == 0 {
 			break
 		}
-		if err := s.materializeRound(txn, doc, due, mat, res); err != nil {
+		if err := s.materializeRound(txn, e, due, mat, res); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -35,15 +36,35 @@ func (s *Store) SaveAll(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("axml: save: %w", err)
 	}
-	// Effects and their records are applied under s.mu, so a sync under it
-	// covers every effect the documents show.
+	// Effects and their records are applied under their document's latch,
+	// so a sync under every latch covers every effect the documents show.
+	// The latches are taken in name order, which keeps concurrent SaveAlls
+	// from deadlocking; no other holder waits for a second latch.
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	held := make([]*docEntry, 0, len(s.docs))
+	for _, e := range s.docs {
+		held = append(held, e)
+	}
+	s.mu.Unlock()
+	sort.Slice(held, func(i, j int) bool { return held[i].doc.Name() < held[j].doc.Name() })
+	for _, e := range held {
+		e.latch.Lock()
+	}
+	defer func() {
+		for _, e := range held {
+			e.latch.Unlock()
+		}
+	}()
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("axml: save: %w", err)
 	}
-	for name, doc := range s.docs {
-		if err := saveDoc(dir, name, doc); err != nil {
+	for _, e := range held {
+		// A document replaced or dropped while the latches were taken is
+		// not part of the store any more.
+		if !s.current(e) {
+			continue
+		}
+		if err := saveDoc(dir, e.doc.Name(), e.doc); err != nil {
 			return err
 		}
 	}

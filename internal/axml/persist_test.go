@@ -2,9 +2,13 @@ package axml
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"axmltx/internal/wal"
@@ -213,32 +217,133 @@ var errSyncFailed = errors.New("injected sync failure")
 
 func (syncFailLog) Sync() error { return errSyncFailed }
 
+// watermarkLog records at each Sync the highest LSN appended before it: the
+// durable watermark a disk log would guarantee at that barrier.
+type watermarkLog struct {
+	wal.Log
+	mu       sync.Mutex
+	appended uint64
+	durable  uint64
+}
+
+func (l *watermarkLog) Append(r *wal.Record) (uint64, error) {
+	lsn, err := l.Log.Append(r)
+	if err == nil {
+		l.mu.Lock()
+		l.appended = max(l.appended, lsn)
+		l.mu.Unlock()
+	}
+	return lsn, err
+}
+
+func (l *watermarkLog) Sync() error {
+	l.mu.Lock()
+	l.durable = l.appended
+	l.mu.Unlock()
+	return l.Log.Sync()
+}
+
+func (l *watermarkLog) watermark() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable
+}
+
 // TestSaveAllSyncsLogFirst: a checkpoint may not hold effects whose records
 // are still buffered, so SaveAll syncs the log before writing any document
 // and, when the sync fails, returns its error and writes nothing.
 func TestSaveAllSyncsLogFirst(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore(syncFailLog{wal.NewMemory()})
-	for _, name := range []string{"D.xml", "E.xml"} {
-		if _, err := s.AddParsed(name, `<D><log/></D>`); err != nil {
+	t.Run("failed sync writes nothing", func(t *testing.T) {
+		dir := t.TempDir()
+		s := NewStore(syncFailLog{wal.NewMemory()})
+		for _, name := range []string{"D.xml", "E.xml"} {
+			if _, err := s.AddParsed(name, `<D><log/></D>`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loc, err := ParseQuery(`Select d/log from d in D`)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	loc, err := ParseQuery(`Select d/log from d in D`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply("T", NewInsert(loc, `<entry/>`), nil, Lazy); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveAll(dir); !errors.Is(err, errSyncFailed) {
-		t.Fatalf("SaveAll = %v, want the sync failure", err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("SaveAll wrote %v despite the failed sync", files)
-	}
+		if _, err := s.Apply("T", NewInsert(loc, `<entry/>`), nil, Lazy); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveAll(dir); !errors.Is(err, errSyncFailed) {
+			t.Fatalf("SaveAll = %v, want the sync failure", err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.xml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 0 {
+			t.Fatalf("SaveAll wrote %v despite the failed sync", files)
+		}
+	})
+	// Checkpoints taken while a writer inserts into both documents: every
+	// entry a checkpoint shows was logged at or below the watermark of that
+	// checkpoint's own sync.
+	t.Run("concurrent writer", func(t *testing.T) {
+		log := &watermarkLog{Log: wal.NewMemory()}
+		s := NewStore(log)
+		for _, name := range []string{"D.xml", "E.xml"} {
+			if _, err := s.AddParsed(name, `<D><log/></D>`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var lsns []uint64 // lsns[n] logged entry n
+		var writeErr error
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				loc, err := ParseQuery(`Select d/log from d in ` + []string{"D", "E"}[n%2])
+				if err != nil {
+					writeErr = err
+					return
+				}
+				res, err := s.Apply("T", NewInsert(loc, fmt.Sprintf(`<entry n="%d"/>`, n)), nil, Lazy)
+				if err != nil {
+					writeErr = err
+					return
+				}
+				lsns = append(lsns, res.LastLSN)
+			}
+		}()
+		dirs := make([]string, 8)
+		watermarks := make([]uint64, len(dirs))
+		for i := range dirs {
+			dirs[i] = t.TempDir()
+			if err := s.SaveAll(dirs[i]); err != nil {
+				t.Fatal(err)
+			}
+			watermarks[i] = log.watermark()
+		}
+		close(stop)
+		wg.Wait()
+		if writeErr != nil {
+			t.Fatal(writeErr)
+		}
+		entry := regexp.MustCompile(`<entry n="(\d+)"`)
+		for i, dir := range dirs {
+			for _, name := range []string{"D.xml", "E.xml"} {
+				raw, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range entry.FindAllStringSubmatch(string(raw), -1) {
+					n, _ := strconv.Atoi(m[1])
+					if lsns[n] > watermarks[i] {
+						t.Fatalf("checkpoint %d shows entry %d (LSN %d) above its durable watermark %d", i, n, lsns[n], watermarks[i])
+					}
+				}
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"axmltx/internal/query"
@@ -12,12 +13,27 @@ import (
 )
 
 // Store is a peer's document repository: a set of AXML documents plus the
-// operation log through which every mutation flows. The store serializes
-// all operations behind one mutex; concurrency control between transactions
-// (latching, waiting) is layered above in the transaction manager.
+// operation log through which every mutation flows.
+//
+// Each document has its own latch, kept beside it in one docEntry. Apply,
+// MaterializeCall, MaterializeAll, Snapshot and ShardDocument each hold the
+// latch of the one document they work on, so an operation is atomic with
+// respect to other operations on the same document while operations on
+// different documents run in parallel. The latch is released around every
+// Materializer invocation: the service may be local and re-enter the store.
+// s.mu guards only the maps (docs, frags, spines, manifests); the settings
+// are atomics. Transaction-level isolation (waiting, holding until commit)
+// is the lock table's job in the transaction manager, not the latch's.
+//
+// Lock order:
+//   - a latch holder may take s.mu briefly;
+//   - nobody waits for a latch while holding s.mu;
+//   - no latch is held while another is acquired, with one exception:
+//     SaveAll takes every latch in name order, syncs the log, writes the
+//     files and releases them.
 type Store struct {
 	mu   sync.Mutex
-	docs map[string]*xmldom.Document
+	docs map[string]*docEntry
 	// frags and spines hold the fragment-addressed form of sharded
 	// documents (fragment.go): a sharded document exists as a spine plus
 	// the subset of its fragments this peer currently owns, and is
@@ -33,10 +49,19 @@ type Store struct {
 	// maxCalls caps how many of a materialization round's due service calls
 	// may have their Invoke network waits in flight at once; 0 means
 	// DefaultMaxConcurrentCalls, 1 disables the overlap entirely.
-	maxCalls int
+	maxCalls atomic.Int32
 	// applyObserver, when set, receives the wall-clock duration of every
 	// Apply (action evaluation including its materialization rounds).
-	applyObserver func(time.Duration)
+	applyObserver atomic.Pointer[func(time.Duration)]
+}
+
+// docEntry is one document and the latch that serializes the operations on
+// it. An entry is never reused: Add installs a fresh one, so an operation
+// that finds its entry gone from the map after taking the latch knows the
+// document was replaced or dropped meanwhile.
+type docEntry struct {
+	latch sync.Mutex
+	doc   *xmldom.Document
 }
 
 // DefaultMaxConcurrentCalls is the default cap on overlapping service
@@ -47,7 +72,7 @@ const DefaultMaxConcurrentCalls = 8
 // NewStore returns a store writing to log.
 func NewStore(log wal.Log) *Store {
 	return &Store{
-		docs: make(map[string]*xmldom.Document),
+		docs: make(map[string]*docEntry),
 		log:  log,
 		eval: &query.Evaluator{
 			Transparent: map[string]bool{ElemSC: true},
@@ -63,18 +88,15 @@ func (s *Store) Log() wal.Log { return s.log }
 // 0 restores the default (min(DefaultMaxConcurrentCalls, len(due))), 1
 // forces strictly sequential materialization.
 func (s *Store) SetMaxConcurrentCalls(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n < 0 {
 		n = 0
 	}
-	s.maxCalls = n
+	s.maxCalls.Store(int32(n))
 }
 
-// concurrencyFor resolves the worker-pool size for a round of n due calls;
-// called with s.mu held.
+// concurrencyFor resolves the worker-pool size for a round of n due calls.
 func (s *Store) concurrencyFor(n int) int {
-	limit := s.maxCalls
+	limit := int(s.maxCalls.Load())
 	if limit == 0 {
 		limit = DefaultMaxConcurrentCalls
 	}
@@ -88,9 +110,11 @@ func (s *Store) concurrencyFor(n int) int {
 // the operation's duration (materialization included). Install before the
 // store is shared; a nil fn disables observation.
 func (s *Store) SetApplyObserver(fn func(time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.applyObserver = fn
+	if fn == nil {
+		s.applyObserver.Store(nil)
+		return
+	}
+	s.applyObserver.Store(&fn)
 }
 
 // Evaluator returns the AXML-configured query evaluator.
@@ -101,7 +125,7 @@ func (s *Store) Evaluator() *query.Evaluator { return s.eval }
 func (s *Store) Add(doc *xmldom.Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.docs[doc.Name()] = doc
+	s.docs[doc.Name()] = &docEntry{doc: doc}
 }
 
 // AddParsed parses src and registers the result.
@@ -119,22 +143,52 @@ func (s *Store) AddParsed(name, src string) (*xmldom.Document, error) {
 func (s *Store) Get(name string) (*xmldom.Document, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lookup(name)
+	if e, ok := s.lookup(name); ok {
+		return e.doc, true
+	}
+	return nil, false
 }
 
-func (s *Store) lookup(name string) (*xmldom.Document, bool) {
-	if d, ok := s.docs[name]; ok {
-		return d, true
+// lookup resolves a document name to its entry; called with s.mu held.
+func (s *Store) lookup(name string) (*docEntry, bool) {
+	if e, ok := s.docs[name]; ok {
+		return e, true
 	}
-	if d, ok := s.docs[name+".xml"]; ok {
-		return d, true
+	if e, ok := s.docs[name+".xml"]; ok {
+		return e, true
 	}
-	for _, d := range s.docs {
-		if d.Root() != nil && d.Root().Name() == name {
-			return d, true
+	for _, e := range s.docs {
+		if e.doc.Root() != nil && e.doc.Root().Name() == name {
+			return e, true
 		}
 	}
 	return nil, false
+}
+
+// latch returns the named document's entry with its latch held; the caller
+// unlocks it. When the entry was replaced or dropped while the caller
+// waited for its latch, the name is looked up again.
+func (s *Store) latch(name string) (*docEntry, bool) {
+	for {
+		s.mu.Lock()
+		e, ok := s.lookup(name)
+		s.mu.Unlock()
+		if !ok {
+			return nil, false
+		}
+		e.latch.Lock()
+		if s.current(e) {
+			return e, true
+		}
+		e.latch.Unlock()
+	}
+}
+
+// current reports whether e is still the store's entry for its document.
+func (s *Store) current(e *docEntry) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.docs[e.doc.Name()] == e
 }
 
 // Names returns the registered document names, sorted.
@@ -163,13 +217,12 @@ func (s *Store) Remove(name string) bool {
 // Snapshot returns an ID-preserving deep copy of the named document, for
 // test assertions and for shipping fragments between peers.
 func (s *Store) Snapshot(name string) (*xmldom.Document, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.lookup(name)
+	e, ok := s.latch(name)
 	if !ok {
 		return nil, false
 	}
-	return d.Clone(), true
+	defer e.latch.Unlock()
+	return e.doc.Clone(), true
 }
 
 // EvalMode selects between the two AXML query evaluation modes (§3.1).

@@ -474,13 +474,16 @@ var errInjected = errors.New("injected log failure")
 // Append after its record is stored, as a durable log whose fsync failed.
 type faultyLog struct {
 	wal.Log
-	failAt   int64
+	failAt   atomic.Int64
 	appends  atomic.Int64
 	failSync bool
 }
 
+// failNext arms the log to fail the n-th append from now (1-based).
+func (l *faultyLog) failNext(n int64) { l.failAt.Store(l.appends.Load() + n) }
+
 func (l *faultyLog) Append(r *wal.Record) (uint64, error) {
-	if l.appends.Add(1) == l.failAt {
+	if l.appends.Add(1) == l.failAt.Load() {
 		return 0, errInjected
 	}
 	lsn, err := l.Log.Append(r)
@@ -522,7 +525,8 @@ func TestApplyFailedAppendIsCompensable(t *testing.T) {
 			&tableMat{results: map[string][]string{"getGrandSlamsWonbyYear": {`<grandslamswon year="2005">A, F</grandslamswon>`}}}},
 	}
 	for failAt := int64(1); ; failAt++ {
-		log := &faultyLog{Log: wal.NewMemory(), failAt: failAt}
+		log := &faultyLog{Log: wal.NewMemory()}
+		log.failAt.Store(failAt)
 		s := axml.NewStore(log)
 		doc, err := s.AddParsed("ATPList.xml", atpXML)
 		if err != nil {

@@ -72,7 +72,7 @@ func hostEntryService(t *testing.T, p *Peer, service, doc string) {
 }
 
 // entryCount counts <entry/> nodes in a peer's document. It reads a
-// snapshot taken under the store lock, since scenario tests count entries
+// snapshot taken under the document's latch, since scenario tests count entries
 // while asynchronous invocations may still be mutating the document.
 func entryCount(t *testing.T, p *Peer, doc string) int {
 	t.Helper()

@@ -53,12 +53,15 @@ func NewLockTable(timeout time.Duration) *LockTable {
 // timeout. Re-acquiring an already-held lock succeeds immediately; holding
 // shared and requesting exclusive upgrades when no other holder exists.
 func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
-	deadline := time.Now().Add(lt.timeout)
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
+	if lt.grant(txn, doc, mode) {
+		return nil
+	}
 
-	// The condition-variable wait cannot time out by itself; a waker
-	// goroutine broadcasts at the deadline so waiters can re-check.
+	// Contended. The condition-variable wait cannot time out by itself; a
+	// waker goroutine broadcasts at the deadline so waiters can re-check.
+	deadline := time.Now().Add(lt.timeout)
 	timerFired := false
 	timer := time.AfterFunc(lt.timeout, func() {
 		lt.mu.Lock()
@@ -67,24 +70,32 @@ func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
 		lt.cond.Broadcast()
 	})
 	defer timer.Stop()
-
 	for {
-		dl, ok := lt.locks[doc]
-		if !ok {
-			dl = &docLock{holders: make(map[string]LockMode)}
-			lt.locks[doc] = dl
-		}
-		if lt.grantable(dl, txn, mode) {
-			if cur, held := dl.holders[txn]; !held || mode > cur {
-				dl.holders[txn] = mode
-			}
-			return nil
-		}
 		if timerFired || time.Now().After(deadline) {
 			return fmt.Errorf("%w: txn %s on %q", ErrLockTimeout, txn, doc)
 		}
 		lt.cond.Wait()
+		if lt.grant(txn, doc, mode) {
+			return nil
+		}
 	}
+}
+
+// grant records txn as a holder of doc in mode when the compatibility
+// matrix allows it; the caller holds lt.mu.
+func (lt *LockTable) grant(txn, doc string, mode LockMode) bool {
+	dl, ok := lt.locks[doc]
+	if !ok {
+		dl = &docLock{holders: make(map[string]LockMode)}
+		lt.locks[doc] = dl
+	}
+	if !lt.grantable(dl, txn, mode) {
+		return false
+	}
+	if cur, held := dl.holders[txn]; !held || mode > cur {
+		dl.holders[txn] = mode
+	}
+	return true
 }
 
 // grantable implements the compatibility matrix with upgrade support; the

@@ -125,3 +125,39 @@ func TestLockManyConcurrentTxns(t *testing.T) {
 		t.Fatalf("counter = %d (lost updates => broken exclusion)", counter)
 	}
 }
+
+// TestLockContendedTimesOutAtDeadline: a waiter on a held lock gets
+// ErrLockTimeout once the table timeout has passed, not before and not long
+// after.
+func TestLockContendedTimesOutAtDeadline(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	lt := NewLockTable(timeout)
+	if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err := lt.Acquire("t2", "d", LockExclusive)
+	waited := time.Since(start)
+	if !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("contended acquire: %v, want ErrLockTimeout", err)
+	}
+	if waited < timeout || waited > timeout+time.Second {
+		t.Fatalf("contended acquire returned after %v, want about %v", waited, timeout)
+	}
+}
+
+// TestLockUncontendedAllocs: granting a free lock arms no timeout timer, so
+// an acquire/release pair allocates only the lock's entry and its holder
+// map (3 objects; 6 when every acquire armed a timer).
+func TestLockUncontendedAllocs(t *testing.T) {
+	lt := NewLockTable(time.Second)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		lt.ReleaseAll("t1")
+	})
+	if allocs > 3 {
+		t.Fatalf("uncontended acquire/release allocates %v objects, want at most 3 (no timer)", allocs)
+	}
+}

@@ -59,7 +59,8 @@ type Metrics struct {
 	// participant is then out of reach of peer-independent recovery.
 	CompDefsRejected atomic.Int64
 	// AbortErrors counts aborts whose decision record (or its sync) or
-	// compensation failed.
+	// compensation failed, and fragment-shadow promotions whose
+	// compensation records failed to append.
 	AbortErrors atomic.Int64
 	// CommitErrors counts participant commits whose decision record could
 	// not be made durable.

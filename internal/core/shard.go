@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -277,13 +278,19 @@ func (p *Peer) MigrateFragment(ctx context.Context, id axml.FragmentID, to p2p.P
 
 	ship := f.Clone()
 	ship.Version++
+	log := p.store.Log()
 	// Begin record carries the full before-image: crash recovery replays it
-	// to learn which fragment was in flight and at what version.
-	_, _ = p.store.Log().Append(&wal.Record{
+	// to learn which fragment was in flight and at what version. Without it
+	// a crash mid-handoff could not be recovered, so no handoff is sent.
+	if _, err := log.Append(&wal.Record{
 		Txn: txn, Type: wal.TypeBegin, Doc: f.Doc,
 		NodeID: uint64(f.Root), ParentID: uint64(f.Parent), Pos: f.Pos,
 		XML: f.XML,
-	})
+	}); err != nil {
+		err = fmt.Errorf("core: migrate %s: begin record: %w", id, err)
+		sp.End(ErrCode(err), err)
+		return err
+	}
 	reply, err := p.transport.Request(ctx, to, &p2p.Message{
 		Kind:    p2p.KindFragMigrate,
 		Subject: string(id),
@@ -304,7 +311,9 @@ func (p *Peer) MigrateFragment(ctx context.Context, id axml.FragmentID, to p2p.P
 		// Backward recovery: the handoff never took effect anywhere, so the
 		// abort record alone restores the invariant (we still hold and still
 		// advertise the fragment).
-		_, _ = p.store.Log().Append(&wal.Record{Txn: txn, Type: wal.TypeAbort, Doc: f.Doc})
+		if _, aerr := log.Append(&wal.Record{Txn: txn, Type: wal.TypeAbort, Doc: f.Doc}); aerr != nil {
+			err = errors.Join(err, fmt.Errorf("core: migrate %s: abort record: %w", id, aerr))
+		}
 		sp.End(ErrCode(err), err)
 		return err
 	}
@@ -320,7 +329,11 @@ func (p *Peer) MigrateFragment(ctx context.Context, id axml.FragmentID, to p2p.P
 		m.WithdrawFragment(string(id))
 	}
 	p.frag.heat.Forget(string(id))
-	_, _ = p.store.Log().Append(&wal.Record{Txn: txn, Type: wal.TypeCommit, Doc: f.Doc})
+	if _, err := log.Append(&wal.Record{Txn: txn, Type: wal.TypeCommit, Doc: f.Doc}); err != nil {
+		err = fmt.Errorf("core: migrate %s: commit record: %w", id, err)
+		sp.End(ErrCode(err), err)
+		return err
+	}
 	p.metrics.FragMigrations.Add(1)
 	sp.End("", nil)
 	return nil
@@ -388,12 +401,16 @@ func (p *Peer) ReconcileFragments() {
 		// Compensation: the destination is gone and nobody else advertises
 		// the fragment — promote the shadow copy back to ownership, one
 		// version past the shipped copy so a revenant destination can never
-		// outrank it.
+		// outrank it. A promotion whose begin record failed stays shadowed
+		// for the next pass: unlogged, it could not be recovered.
 		txn := p.frag.nextMigTxn(p.id)
-		_, _ = p.store.Log().Append(&wal.Record{
+		if _, err := p.store.Log().Append(&wal.Record{
 			Txn: txn, Type: wal.TypeCompensateBegin, Doc: f.Doc,
 			NodeID: uint64(f.Root), XML: f.XML,
-		})
+		}); err != nil {
+			p.metrics.AbortErrors.Add(1)
+			continue
+		}
 		promoted := f.Clone()
 		promoted.Version++
 		p.store.PutFragment(promoted)
@@ -404,7 +421,9 @@ func (p *Peer) ReconcileFragments() {
 		p.frag.mu.Lock()
 		delete(p.frag.shadow, id)
 		p.frag.mu.Unlock()
-		_, _ = p.store.Log().Append(&wal.Record{Txn: txn, Type: wal.TypeCompensateEnd, Doc: f.Doc})
+		if _, err := p.store.Log().Append(&wal.Record{Txn: txn, Type: wal.TypeCompensateEnd, Doc: f.Doc}); err != nil {
+			p.metrics.AbortErrors.Add(1)
+		}
 		p.metrics.FragPromotions.Add(1)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,6 +24,12 @@ const shardTestDoc = `<league>
 // first, and gossips until every peer sees every fragment advertisement.
 func shardCluster(t *testing.T, n int) (*p2p.Network, []*Peer, []*membership.Gossip) {
 	t.Helper()
+	return shardClusterWithLog(t, n, wal.NewMemory())
+}
+
+// shardClusterWithLog is shardCluster with log as the sharding peer's log.
+func shardClusterWithLog(t *testing.T, n int, log wal.Log) (*p2p.Network, []*Peer, []*membership.Gossip) {
+	t.Helper()
 	net := p2p.NewNetwork(0)
 	ids := make([]p2p.PeerID, n)
 	for i := range ids {
@@ -34,7 +41,11 @@ func shardCluster(t *testing.T, n int) (*p2p.Network, []*Peer, []*membership.Gos
 		tr := net.Join(id)
 		g := membership.New(tr, membership.Config{Seeds: []p2p.PeerID{ids[(i+1)%n]}, Fanout: 2})
 		gossips[i] = g
-		peers[i] = NewPeer(tr, wal.NewMemory(), Options{Membership: g})
+		var l wal.Log = wal.NewMemory()
+		if i == 0 {
+			l = log
+		}
+		peers[i] = NewPeer(tr, l, Options{Membership: g})
 	}
 	if err := peers[0].HostDocument("league", shardTestDoc); err != nil {
 		t.Fatal(err)
@@ -233,4 +244,76 @@ func TestShardPlacementFollowsHeat(t *testing.T) {
 		owners := peers[1].opts.Membership.FragmentOwners(string(id))
 		return len(owners) == 1 && owners[0] == c.ID()
 	})
+}
+
+// TestShardMigrationLogFailures: a migration never acts past a log append
+// that failed. Without its begin record no handoff is sent; a failed abort
+// or commit record is returned to the caller.
+func TestShardMigrationLogFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failNext int64 // which append of the migration fails
+		destDown bool  // the destination is unreachable, so the handoff aborts
+		shipped  bool  // the destination ends up holding the fragment
+	}{
+		{"begin", 1, false, false},
+		{"abort", 2, true, false},
+		{"commit", 2, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &faultyLog{Log: wal.NewMemory()}
+			net, peers, _ := shardClusterWithLog(t, 2, log)
+			a, b := peers[0], peers[1]
+			id := a.Store().Fragments()[0].ID
+			if tc.destDown {
+				net.Disconnect(b.ID())
+			}
+			log.failNext(tc.failNext)
+			if err := a.MigrateFragment(bg, id, b.ID()); !errors.Is(err, errInjected) {
+				t.Fatalf("MigrateFragment = %v, want the injected append failure", err)
+			}
+			if _, held := b.Store().GetFragment(id); held != tc.shipped {
+				t.Fatalf("destination holds the fragment: %v, want %v", held, tc.shipped)
+			}
+			if _, held := a.Store().GetFragment(id); held == tc.shipped {
+				t.Fatalf("source holds the fragment: %v, want %v", held, !tc.shipped)
+			}
+			if n := a.Metrics().FragMigrations.Load(); n != 0 {
+				t.Fatalf("FragMigrations = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestShardPromotionNeedsItsBeginRecord: reconcile does not promote a
+// shadow whose compensate-begin record failed to append, and counts the
+// failure; the next reconcile promotes it.
+func TestShardPromotionNeedsItsBeginRecord(t *testing.T) {
+	log := &faultyLog{Log: wal.NewMemory()}
+	net, peers, gossips := shardClusterWithLog(t, 3, log)
+	a, b, c := peers[0], peers[1], peers[2]
+	id := a.Store().Fragments()[0].ID
+	if err := a.MigrateFragment(bg, id, b.ID()); err != nil {
+		t.Fatal(err)
+	}
+	// The destination dies; the reconcile that OnDown runs at the source
+	// hits the failing append.
+	log.failNext(1)
+	net.Disconnect(b.ID())
+	converge(t, []*Peer{a, c}, []*membership.Gossip{gossips[0], gossips[2]}, func() bool {
+		return a.Metrics().AbortErrors.Load() > 0
+	})
+	if _, held := a.Store().GetFragment(id); held {
+		t.Fatal("shadow promoted without its compensate-begin record")
+	}
+	if n := a.Metrics().AbortErrors.Load(); n != 1 {
+		t.Fatalf("AbortErrors = %d, want 1", n)
+	}
+	a.ReconcileFragments()
+	if _, held := a.Store().GetFragment(id); !held {
+		t.Fatal("shadow not promoted once its record could be appended")
+	}
+	if n := a.Metrics().FragPromotions.Load(); n != 1 {
+		t.Fatalf("FragPromotions = %d, want 1", n)
+	}
 }

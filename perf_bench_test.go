@@ -2,6 +2,8 @@ package axmltx
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -120,6 +122,56 @@ func BenchmarkConcurrentOrigins(b *testing.B) {
 				return
 			}
 			if err := origin.Commit(bg, txc); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkStoreDisjointDocs measures one peer's transaction throughput
+// when every goroutine owns its own document: the local_rw shape (an
+// ATPList of players, four citizenship queries to one points replace) with
+// one document per RunParallel goroutine. Run with -cpu 1,2,4 it traces how
+// throughput follows GOMAXPROCS when transactions on different documents
+// need not wait for each other.
+func BenchmarkStoreDisjointDocs(b *testing.B) {
+	const players, citizenships = 1000, 50
+	net := p2p.NewNetwork(0)
+	peer := core.NewPeer(net.Join("P1"), wal.NewMemory(), core.Options{})
+	// RunParallel starts GOMAXPROCS goroutines; host one document for each.
+	for n := 1; n <= runtime.GOMAXPROCS(0); n++ {
+		var doc strings.Builder
+		fmt.Fprintf(&doc, `<ATP%d>`, n)
+		for i := 0; i < players; i++ {
+			fmt.Fprintf(&doc, `<player rank="%d"><name><firstname>F%d</firstname><lastname>L%d</lastname></name>`+
+				`<citizenship>C%d</citizenship><points>%d</points></player>`, i+1, i, i, i%citizenships, 100+i)
+		}
+		fmt.Fprintf(&doc, `</ATP%d>`, n)
+		if err := peer.HostDocument(fmt.Sprintf("ATP%d.xml", n), doc.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var seq atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := seq.Add(1)
+		for i := 0; pb.Next(); i++ {
+			var action *axml.Action
+			if i%5 == 4 {
+				q, _ := axml.ParseQuery(fmt.Sprintf("Select p/points from p in ATP%d//player where p/name/lastname = L%d", n, i%players))
+				action = axml.NewReplace(q, fmt.Sprintf("<points>%d</points>", i))
+			} else {
+				q, _ := axml.ParseQuery(fmt.Sprintf("Select p/name/lastname, p/points from p in ATP%d//player where p/citizenship = C%d", n, i%citizenships))
+				action = axml.NewQuery(q)
+			}
+			txc := peer.Begin()
+			if _, err := peer.Exec(bg, txc, action); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := peer.Commit(bg, txc); err != nil {
 				b.Error(err)
 				return
 			}
