@@ -446,18 +446,6 @@ func WithLockTimeout(d time.Duration) Option {
 	})
 }
 
-// WithMaxConcurrentCalls caps in-flight service invocations during one
-// materialization round (1 forces sequential materialization).
-func WithMaxConcurrentCalls(n int) Option {
-	return optionFunc(func(c *peerConfig) {
-		if n < 0 {
-			c.fail("WithMaxConcurrentCalls(%d): negative cap", n)
-			return
-		}
-		c.opts.MaxConcurrentCalls = n
-	})
-}
-
 // WithCallCache enables the semantic materialization cache: embedded
 // service-call results are cached under (service, canonicalized params,
 // freshness window) — the window taken from the call's frequency attribute

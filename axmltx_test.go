@@ -246,9 +246,6 @@ func TestPublicAPIBadOption(t *testing.T) {
 	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithLockTimeout(-time.Second)); !errors.Is(err, axmltx.ErrBadOption) {
 		t.Fatalf("WithLockTimeout(-1s) err = %v, want ErrBadOption", err)
 	}
-	if _, err := axmltx.NewPeer(net.Join("AP2"), axmltx.WithMaxConcurrentCalls(-1)); !errors.Is(err, axmltx.ErrBadOption) {
-		t.Fatalf("WithMaxConcurrentCalls(-1) err = %v, want ErrBadOption", err)
-	}
 }
 
 func TestPublicAPIScheduler(t *testing.T) {

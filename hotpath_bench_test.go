@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"axmltx/internal/axml"
 	"axmltx/internal/sim"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
@@ -18,51 +17,29 @@ import (
 // materialization, WAL group commit, pooled serialization. Run with
 // `go test -bench 'ParallelMaterialize|WALGroupCommit|SerializeAllocs' -benchmem .`
 
-// benchSlowMat simulates a remote provider with fixed latency; stateless,
-// so safe under the store's overlapped invocations.
-type benchSlowMat struct{ delay time.Duration }
-
-func (m *benchSlowMat) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	time.Sleep(m.delay)
-	name := strings.TrimPrefix(call.Service(), "svc")
-	return []string{fmt.Sprintf("<r%s>v</r%s>", name, name)}, nil
-}
-
-func (m *benchSlowMat) ResultName(service string) string {
-	return "r" + strings.TrimPrefix(service, "svc")
-}
-
-func benchCallDoc(calls int) string {
-	var b strings.Builder
-	b.WriteString("<D>")
-	for i := 1; i <= calls; i++ {
-		fmt.Fprintf(&b, `<axml:sc methodName="svc%d" mode="replace"/>`, i)
-	}
-	b.WriteString("</D>")
-	return b.String()
-}
-
-// BenchmarkParallelMaterialize compares one full materialization of a
-// document with 8 embedded 2ms service calls, sequential vs pooled.
+// BenchmarkParallelMaterialize compares one transaction of an origin peer
+// that materializes 8 remote calls over 2ms links and commits: 8 one-call
+// documents one after another, against one document whose 8 calls are
+// invoked as one batch (sim.MaterializeRig). ns/op includes the commit;
+// materialize-ns/op does not.
 func BenchmarkParallelMaterialize(b *testing.B) {
-	const calls = 8
-	mat := &benchSlowMat{delay: 2 * time.Millisecond}
 	for _, cfg := range []struct {
-		name     string
-		maxCalls int
-	}{{"sequential", 1}, {"parallel8", calls}} {
+		name    string
+		batched bool
+	}{{"sequential", false}, {"batched", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
+			rig := sim.NewMaterializeRig(8, 2*time.Millisecond, cfg.batched)
 			b.ReportAllocs()
+			b.ResetTimer()
+			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				s := axml.NewStore(wal.NewMemory())
-				if _, err := s.AddParsed("D.xml", benchCallDoc(calls)); err != nil {
+				took, err := rig.Materialize()
+				if err != nil {
 					b.Fatal(err)
 				}
-				s.SetMaxConcurrentCalls(cfg.maxCalls)
-				if _, err := s.MaterializeAll("B", "D.xml", mat); err != nil {
-					b.Fatal(err)
-				}
+				total += took
 			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "materialize-ns/op")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"axmltx/internal/wal"
@@ -12,12 +11,10 @@ import (
 )
 
 // fakeMaterializer implements Materializer from a static table and records
-// which services were invoked. The mutex makes it safe for the store's
-// overlapped per-round invocations.
+// which services were invoked.
 type fakeMaterializer struct {
 	results     map[string][]string // service -> result fragments
 	resultNames map[string]string   // service -> declared result element name
-	mu          sync.Mutex
 	invoked     []string
 	params      map[string][]Param
 	fail        map[string]error
@@ -32,13 +29,14 @@ func newFakeMaterializer() *fakeMaterializer {
 	}
 }
 
-func (f *fakeMaterializer) Invoke(txn string, call *ServiceCall, params []Param) ([]string, error) {
-	f.mu.Lock()
+func (f *fakeMaterializer) Invoke(txn string, calls []*ServiceCall, params [][]Param) []InvokeOutcome {
+	return InvokeEach(calls, params, f.invoke)
+}
+
+func (f *fakeMaterializer) invoke(call *ServiceCall, params []Param) ([]string, error) {
 	f.invoked = append(f.invoked, call.Service())
 	f.params[call.Service()] = params
-	err := f.fail[call.Service()]
-	f.mu.Unlock()
-	if err != nil {
+	if err := f.fail[call.Service()]; err != nil {
 		return nil, err
 	}
 	res, ok := f.results[call.Service()]

@@ -41,8 +41,10 @@ func (m *gateMaterializer) ResultName(string) string {
 	return ""
 }
 
-func (m *gateMaterializer) Invoke(string, *ServiceCall, []Param) ([]string, error) {
-	return nil, errors.New("gateMaterializer: no service is expected to run")
+func (m *gateMaterializer) Invoke(_ string, calls []*ServiceCall, params [][]Param) []InvokeOutcome {
+	return InvokeEach(calls, params, func(*ServiceCall, []Param) ([]string, error) {
+		return nil, errors.New("gateMaterializer: no service is expected to run")
+	})
 }
 
 // gatedDoc has one call whose existing result (<old/>) does not answer a

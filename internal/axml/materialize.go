@@ -3,7 +3,6 @@ package axml
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"axmltx/internal/query"
 	"axmltx/internal/wal"
@@ -15,44 +14,42 @@ import (
 // invoking local services directly and remote ones over the network, inside
 // the calling transaction.
 type Materializer interface {
-	// Invoke executes the service named by the call with resolved
-	// parameters, within transaction txn, and returns the result as XML
-	// fragments (zero or more sibling elements). Errors become faults
-	// handled by the recovery protocol. Implementations must be safe for
-	// concurrent use: the store overlaps the network waits of one
-	// materialization round's independent calls (SetMaxConcurrentCalls).
-	Invoke(txn string, call *ServiceCall, params []Param) ([]string, error)
+	// Invoke executes calls[i] with resolved parameters params[i], within
+	// transaction txn, and returns one outcome per call, in call order: the
+	// result as XML fragments (zero or more sibling elements) or an error,
+	// which becomes a fault handled by the recovery protocol. The store
+	// passes several calls at once only when they are independent of one
+	// another, so an implementation may overlap their network waits.
+	Invoke(txn string, calls []*ServiceCall, params [][]Param) []InvokeOutcome
 	// ResultName reports the element name the named service produces, or
 	// "" when unknown. Lazy evaluation uses it to decide whether a query
 	// needs a call that has no previous results to reveal its shape.
 	ResultName(service string) string
 }
 
-// LocalityHinter is optionally implemented by a Materializer to report
-// whether invoking a call would execute on this very peer. Local execution
-// re-enters the store (a peer's composition document routinely calls the
-// peer's own services), so such calls are kept on the strictly sequential
-// path; only genuinely remote waits are overlapped by the worker pool.
-type LocalityHinter interface {
-	InvokesLocally(sc *ServiceCall) bool
-}
-
-// InvokeOutcome is the result of one invocation performed by a BatchInvoker.
+// InvokeOutcome is the result of one call of a Materializer.Invoke batch.
 type InvokeOutcome struct {
 	Fragments []string
 	Err       error
 }
 
-// BatchInvoker is optionally implemented by a Materializer that can overlap
-// the network waits of several independent invocations itself while keeping
-// its per-transaction bookkeeping (notably the active-peer chain of §3.3)
-// in call order. When implemented, the store's round prefetch delegates to
-// it instead of running its own generic worker pool, so chain extension and
-// child-invocation records stay deterministic.
-type BatchInvoker interface {
-	// InvokeBatch invokes calls[i] with params[i], at most limit network
-	// waits in flight at once, and returns one outcome per call.
-	InvokeBatch(txn string, calls []*ServiceCall, params [][]Param, limit int) []InvokeOutcome
+// InvokeEach runs a batch one call at a time, in order, through invoke: the
+// Materializer.Invoke of an implementation with no waits worth overlapping.
+func InvokeEach(calls []*ServiceCall, params [][]Param, invoke func(*ServiceCall, []Param) ([]string, error)) []InvokeOutcome {
+	out := make([]InvokeOutcome, len(calls))
+	for i, sc := range calls {
+		out[i].Fragments, out[i].Err = invoke(sc, params[i])
+	}
+	return out
+}
+
+// LocalityHinter is optionally implemented by a Materializer to report
+// whether invoking a call would execute on this very peer. Local execution
+// re-enters the store (a peer's composition document routinely calls the
+// peer's own services) and logs its effects as it runs, so such calls are
+// invoked one at a time, in document order, never in a batch.
+type LocalityHinter interface {
+	InvokesLocally(sc *ServiceCall) bool
 }
 
 // ErrNoMaterializer is returned when evaluation needs a service call
@@ -103,7 +100,7 @@ func (s *Store) materializeForQuery(txn string, e *docEntry, q *query.Query, mat
 }
 
 // materializeRound materializes one round's due calls. Calls whose network
-// waits can safely overlap are invoked first through a bounded worker pool
+// waits can safely overlap are invoked first, as one batch
 // (prefetchInvocations); then every call is processed strictly in document
 // order — prefetched results are merged, the rest take the sequential path —
 // so the WAL record sequence and therefore compensation are identical to
@@ -113,15 +110,15 @@ func (s *Store) materializeRound(txn string, e *docEntry, due []*ServiceCall, ma
 	pre := s.prefetchInvocations(txn, e, due, mat)
 	for i, sc := range due {
 		if r, ok := pre[i]; ok {
-			if r.err != nil {
-				return fmt.Errorf("axml: materialize %s: %w", sc.Describe(), r.err)
+			if r.Err != nil {
+				return fmt.Errorf("axml: materialize %s: %w", sc.Describe(), r.Err)
 			}
 			if !attached(doc, sc.Node()) {
-				// Detached while the pool ran (or by an earlier call in this
+				// Detached while the batch ran (or by an earlier call in this
 				// round); its results have nowhere to go.
 				continue
 			}
-			if err := s.mergeResults(txn, doc, sc, r.fragments, res); err != nil {
+			if err := s.mergeResults(txn, doc, sc, r.Fragments, res); err != nil {
 				return err
 			}
 			continue
@@ -138,19 +135,14 @@ func (s *Store) materializeRound(txn string, e *docEntry, due []*ServiceCall, ma
 	return nil
 }
 
-// prefetched is the outcome of one pooled Invoke.
-type prefetched struct {
-	fragments []string
-	err       error
-}
-
-// prefetchInvocations overlaps the Invoke network waits of the round's
-// independent calls through a bounded worker pool and returns their results
-// keyed by position in due. Called (and returning) with e's latch held; the
-// latch is released only while the pool runs, exactly like the sequential
-// path releases it around each single Invoke.
+// prefetchInvocations invokes the round's independent calls as one
+// Materializer.Invoke batch, so the materializer can overlap their network
+// waits, and returns their outcomes keyed by position in due. Called (and
+// returning) with e's latch held; the latch is released only while the
+// batch runs, exactly like the sequential path releases it around each
+// one-call Invoke.
 //
-// A call stays off the pool (sequential fallback) when any of:
+// A call stays out of the batch (sequential path) when any of:
 //   - it has nested service-call parameters — resolving those logs WAL
 //     records, whose order must match sequential execution;
 //   - the materializer reports it executes locally (LocalityHinter) — local
@@ -158,24 +150,19 @@ type prefetched struct {
 //   - an earlier replace-mode due call's existing results contain it — that
 //     call's merge would detach it, and sequential execution would
 //     therefore never invoke it.
-func (s *Store) prefetchInvocations(txn string, e *docEntry, due []*ServiceCall, mat Materializer) map[int]*prefetched {
+func (s *Store) prefetchInvocations(txn string, e *docEntry, due []*ServiceCall, mat Materializer) map[int]InvokeOutcome {
 	if mat == nil || len(due) < 2 {
-		return nil
-	}
-	limit := s.concurrencyFor(len(due))
-	if limit <= 1 {
 		return nil
 	}
 	hinter, _ := mat.(LocalityHinter)
 	// Existing result roots of earlier replace-mode calls: anything beneath
 	// them may be discarded before its own turn comes.
 	var hazards []*xmldom.Node
-	type job struct {
-		i      int
-		sc     *ServiceCall
-		params []Param
-	}
-	var jobs []job
+	var (
+		pos    []int
+		calls  []*ServiceCall
+		params [][]Param
+	)
 	for i, sc := range due {
 		eligible := true
 		for _, h := range hazards {
@@ -190,55 +177,27 @@ func (s *Store) prefetchInvocations(txn string, e *docEntry, due []*ServiceCall,
 		if !eligible || (hinter != nil && hinter.InvokesLocally(sc)) {
 			continue
 		}
-		params := sc.Params()
-		for _, p := range params {
+		ps := sc.Params()
+		for _, p := range ps {
 			if p.Nested != nil {
 				eligible = false
 				break
 			}
 		}
 		if eligible {
-			jobs = append(jobs, job{i: i, sc: sc, params: params})
+			pos, calls, params = append(pos, i), append(calls, sc), append(params, ps)
 		}
 	}
-	if len(jobs) < 2 {
+	if len(calls) < 2 {
 		return nil // nothing to overlap
 	}
-	out := make(map[int]*prefetched, len(jobs))
-	if bi, ok := mat.(BatchInvoker); ok {
-		calls := make([]*ServiceCall, len(jobs))
-		params := make([][]Param, len(jobs))
-		for k, j := range jobs {
-			calls[k], params[k] = j.sc, j.params
-		}
-		e.latch.Unlock()
-		outcomes := bi.InvokeBatch(txn, calls, params, limit)
-		e.latch.Lock()
-		for k := range jobs {
-			if k < len(outcomes) {
-				out[jobs[k].i] = &prefetched{fragments: outcomes[k].Fragments, err: outcomes[k].Err}
-			}
-		}
-		return out
-	}
-	var omu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, limit)
 	e.latch.Unlock()
-	for _, j := range jobs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			frags, err := mat.Invoke(txn, j.sc, j.params)
-			omu.Lock()
-			out[j.i] = &prefetched{fragments: frags, err: err}
-			omu.Unlock()
-		}(j)
-	}
-	wg.Wait()
+	outcomes := mat.Invoke(txn, calls, params)
 	e.latch.Lock()
+	out := make(map[int]InvokeOutcome, len(pos))
+	for k, i := range pos {
+		out[i] = outcomes[k]
+	}
 	return out
 }
 
@@ -285,10 +244,10 @@ func (s *Store) materializeCall(txn string, e *docEntry, sc *ServiceCall, mat Ma
 	// services). Transaction-level isolation is the lock table's job, not
 	// the latch's.
 	e.latch.Unlock()
-	fragments, err := mat.Invoke(txn, sc, params)
+	r := mat.Invoke(txn, []*ServiceCall{sc}, [][]Param{params})[0]
 	e.latch.Lock()
-	if err != nil {
-		return fmt.Errorf("axml: materialize %s: %w", sc.Describe(), err)
+	if r.Err != nil {
+		return fmt.Errorf("axml: materialize %s: %w", sc.Describe(), r.Err)
 	}
 	if !attached(e.doc, sc.Node()) {
 		// The call was detached while the latch was released (e.g. a nested
@@ -296,7 +255,7 @@ func (s *Store) materializeCall(txn string, e *docEntry, sc *ServiceCall, mat Ma
 		// nowhere to go.
 		return nil
 	}
-	return s.mergeResults(txn, e.doc, sc, fragments, res)
+	return s.mergeResults(txn, e.doc, sc, r.Fragments, res)
 }
 
 // mergeResults applies one successful invocation to the document under its

@@ -13,30 +13,48 @@ import (
 	"axmltx/internal/xmldom"
 )
 
-// jitterMaterializer answers from a static table after a random delay, so
-// concurrent invocations complete in scrambled order — the adversarial
-// schedule for the determinism guarantee.
-type jitterMaterializer struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	results map[string][]string
-}
-
-func (m *jitterMaterializer) Invoke(txn string, call *ServiceCall, params []Param) ([]string, error) {
-	m.mu.Lock()
-	d := time.Duration(m.rng.Intn(2000)) * time.Microsecond
-	m.mu.Unlock()
-	time.Sleep(d)
-	res, ok := m.results[call.Service()]
-	if !ok {
+// tableResults answers svcN with <rN>new</rN>.
+func tableResults(call *ServiceCall) ([]string, error) {
+	var n int
+	if _, err := fmt.Sscanf(call.Service(), "svc%d", &n); err != nil {
 		return nil, fmt.Errorf("no such service %q", call.Service())
 	}
-	return res, nil
+	return []string{fmt.Sprintf("<r%d>new</r%d>", n, n)}, nil
 }
 
-func (m *jitterMaterializer) ResultName(service string) string {
-	return "r" + strings.TrimPrefix(service, "svc")
+func tableResultName(service string) string { return "r" + strings.TrimPrefix(service, "svc") }
+
+// sequentialMaterializer invokes a batch one call at a time, in order.
+type sequentialMaterializer struct{}
+
+func (sequentialMaterializer) Invoke(_ string, calls []*ServiceCall, params [][]Param) []InvokeOutcome {
+	return InvokeEach(calls, params, func(sc *ServiceCall, _ []Param) ([]string, error) { return tableResults(sc) })
 }
+
+func (sequentialMaterializer) ResultName(service string) string { return tableResultName(service) }
+
+// scrambledMaterializer invokes every call of a batch on a goroutine of its
+// own after a random delay, so the calls complete in scrambled order — the
+// adversarial schedule for the determinism guarantee.
+type scrambledMaterializer struct{ rng *rand.Rand }
+
+func (m scrambledMaterializer) Invoke(_ string, calls []*ServiceCall, params [][]Param) []InvokeOutcome {
+	out := make([]InvokeOutcome, len(calls))
+	var wg sync.WaitGroup
+	for i, sc := range calls {
+		d := time.Duration(m.rng.Intn(2000)) * time.Microsecond
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(d)
+			out[i].Fragments, out[i].Err = tableResults(sc)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+func (scrambledMaterializer) ResultName(service string) string { return tableResultName(service) }
 
 // renderLog flattens a transaction's WAL records into comparable strings.
 func renderLog(log wal.Log, txn string) []string {
@@ -49,13 +67,13 @@ func renderLog(log wal.Log, txn string) []string {
 }
 
 // TestParallelMaterializationDeterministic runs the same lazy query once
-// with strictly sequential materialization and once with the full worker
-// pool under a jittery materializer, and requires byte-identical WAL record
-// sequences and document serializations: parallelism may only overlap the
-// network waits, never reorder effects.
+// under a materializer that invokes a batch strictly in order and then
+// under one that completes the batch's calls in scrambled order, and
+// requires byte-identical WAL record sequences and document serializations:
+// overlapping the invocations may never reorder effects.
 func TestParallelMaterializationDeterministic(t *testing.T) {
 	const calls = 8
-	build := func(maxCalls int, seed int64) (*Store, *wal.MemoryLog, *jitterMaterializer) {
+	build := func() (*Store, *wal.MemoryLog) {
 		log := wal.NewMemory()
 		s := NewStore(log)
 		var b strings.Builder
@@ -67,17 +85,12 @@ func TestParallelMaterializationDeterministic(t *testing.T) {
 		if _, err := s.AddParsed("D.xml", b.String()); err != nil {
 			t.Fatal(err)
 		}
-		s.SetMaxConcurrentCalls(maxCalls)
-		mat := &jitterMaterializer{rng: rand.New(rand.NewSource(seed)), results: map[string][]string{}}
-		for i := 1; i <= calls; i++ {
-			mat.results[fmt.Sprintf("svc%d", i)] = []string{fmt.Sprintf("<r%d>new</r%d>", i, i)}
-		}
-		return s, log, mat
+		return s, log
 	}
 	query := mustParseQ(`Select d/r1, d/r2, d/r3, d/r4, d/r5, d/r6, d/r7, d/r8 from d in D`)
 
-	seqStore, seqLog, seqMat := build(1, 1)
-	if _, err := seqStore.Apply("T", query, seqMat, Lazy); err != nil {
+	seqStore, seqLog := build()
+	if _, err := seqStore.Apply("T", query, sequentialMaterializer{}, Lazy); err != nil {
 		t.Fatal(err)
 	}
 	wantLog := renderLog(seqLog, "T")
@@ -85,8 +98,9 @@ func TestParallelMaterializationDeterministic(t *testing.T) {
 	wantXML := xmldom.MarshalString(seqDoc.Root())
 
 	for trial := 0; trial < 5; trial++ {
-		parStore, parLog, parMat := build(DefaultMaxConcurrentCalls, int64(100+trial))
-		if _, err := parStore.Apply("T", query, parMat, Lazy); err != nil {
+		parStore, parLog := build()
+		mat := scrambledMaterializer{rng: rand.New(rand.NewSource(int64(100 + trial)))}
+		if _, err := parStore.Apply("T", query, mat, Lazy); err != nil {
 			t.Fatal(err)
 		}
 		if got := renderLog(parLog, "T"); !reflect.DeepEqual(got, wantLog) {

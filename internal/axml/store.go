@@ -21,9 +21,10 @@ import (
 // respect to other operations on the same document while operations on
 // different documents run in parallel. The latch is released around every
 // Materializer invocation: the service may be local and re-enter the store.
-// s.mu guards only the maps (docs, frags, spines, manifests); the settings
-// are atomics. Transaction-level isolation (waiting, holding until commit)
-// is the lock table's job in the transaction manager, not the latch's.
+// s.mu guards only the maps (docs, frags, spines, manifests); the apply
+// observer is an atomic. Transaction-level isolation (waiting, holding
+// until commit) is the lock table's job in the transaction manager, not the
+// latch's.
 //
 // Lock order:
 //   - a latch holder may take s.mu briefly;
@@ -46,10 +47,6 @@ type Store struct {
 	manifests map[string][]FragmentID
 	log       wal.Log
 	eval      *query.Evaluator
-	// maxCalls caps how many of a materialization round's due service calls
-	// may have their Invoke network waits in flight at once; 0 means
-	// DefaultMaxConcurrentCalls, 1 disables the overlap entirely.
-	maxCalls atomic.Int32
 	// applyObserver, when set, receives the wall-clock duration of every
 	// Apply (action evaluation including its materialization rounds).
 	applyObserver atomic.Pointer[func(time.Duration)]
@@ -63,11 +60,6 @@ type docEntry struct {
 	latch sync.Mutex
 	doc   *xmldom.Document
 }
-
-// DefaultMaxConcurrentCalls is the default cap on overlapping service
-// invocations within one materialization round (further bounded by the
-// number of due calls).
-const DefaultMaxConcurrentCalls = 8
 
 // NewStore returns a store writing to log.
 func NewStore(log wal.Log) *Store {
@@ -83,28 +75,6 @@ func NewStore(log wal.Log) *Store {
 
 // Log returns the store's operation log.
 func (s *Store) Log() wal.Log { return s.log }
-
-// SetMaxConcurrentCalls bounds the per-round service-invocation overlap:
-// 0 restores the default (min(DefaultMaxConcurrentCalls, len(due))), 1
-// forces strictly sequential materialization.
-func (s *Store) SetMaxConcurrentCalls(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxCalls.Store(int32(n))
-}
-
-// concurrencyFor resolves the worker-pool size for a round of n due calls.
-func (s *Store) concurrencyFor(n int) int {
-	limit := int(s.maxCalls.Load())
-	if limit == 0 {
-		limit = DefaultMaxConcurrentCalls
-	}
-	if limit > n {
-		limit = n
-	}
-	return limit
-}
 
 // SetApplyObserver installs a latency callback fired once per Apply with
 // the operation's duration (materialization included). Install before the

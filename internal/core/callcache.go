@@ -182,7 +182,7 @@ func (c *callCache) begin(key string) (fl *flight, leader bool) {
 }
 
 // inflight returns the current flight for key, if any, without creating
-// one (the non-blocking batch path and the fetch handler use it).
+// one (the fetch handler uses it).
 func (c *callCache) inflight(key string) (*flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

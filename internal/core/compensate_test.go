@@ -41,8 +41,10 @@ type tableMat struct {
 	names   map[string]string
 }
 
-func (m *tableMat) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	return m.results[call.Service()], nil
+func (m *tableMat) Invoke(txn string, calls []*axml.ServiceCall, params [][]axml.Param) []axml.InvokeOutcome {
+	return axml.InvokeEach(calls, params, func(call *axml.ServiceCall, _ []axml.Param) ([]string, error) {
+		return m.results[call.Service()], nil
+	})
 }
 
 func (m *tableMat) ResultName(service string) string { return m.names[service] }

@@ -37,10 +37,6 @@ type Options struct {
 	EvalMode axml.EvalMode
 	// LockTimeout bounds document lock waits; zero means 2s.
 	LockTimeout time.Duration
-	// MaxConcurrentCalls caps how many of a materialization round's service
-	// invocations may have their network waits in flight at once: 0 means
-	// axml.DefaultMaxConcurrentCalls, 1 forces sequential materialization.
-	MaxConcurrentCalls int
 	// TraceSink receives every span the engine emits (one per Exec, Call,
 	// invocation, compensation, retry, redirect…); nil disables tracing. A
 	// sink chain containing an *obs.Sampler enables adaptive tail-based
@@ -143,7 +139,6 @@ func NewPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
 		metrics:    &Metrics{},
 		faultHooks: make(map[string]FaultHook),
 	}
-	p.store.SetMaxConcurrentCalls(opts.MaxConcurrentCalls)
 	if opts.CallCacheCapacity > 0 {
 		p.cache = newCallCache(opts.CallCacheCapacity)
 	}

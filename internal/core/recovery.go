@@ -44,20 +44,81 @@ func EnvFrom(ctx context.Context) (*Env, bool) {
 	return env, ok
 }
 
+// maxInflightCalls bounds how many upstream round trips of one Invoke batch
+// are in flight at once.
+const maxInflightCalls = 8
+
 // Invoke implements axml.Materializer: it executes the embedded service
-// call within txn, applying the call's fault handlers (§3.2) before letting
-// a failure propagate. This is where the nested recovery protocol's
-// forward-vs-backward choice is made at each intermediate peer.
-func (p *Peer) Invoke(txn string, sc *axml.ServiceCall, params []axml.Param) ([]string, error) {
+// calls within txn, applying each call's fault handlers (§3.2) before
+// letting a failure propagate. This is where the nested recovery protocol's
+// forward-vs-backward choice is made at each intermediate peer. A batch
+// runs in three phases, and only the second overlaps anything:
+//
+//  1. in call order, each call is served without an upstream invocation if
+//     it can be, or else executed locally with recovery, or readied for its
+//     round trip: chain extension and propagation (§3.3), the request and
+//     its invoke span (startInvocation);
+//  2. the readied round trips, overlapped (roundTrips);
+//  3. in call order, each reply is finished — chain adoption, the
+//     child-invocation record, recovery of a failure — and the call's cache
+//     flight filled or withdrawn (finishInvocation).
+//
+// The WAL and chain state are therefore those of one-call-at-a-time
+// execution, and a batch of one is exactly that.
+func (p *Peer) Invoke(txn string, calls []*axml.ServiceCall, params [][]axml.Param) []axml.InvokeOutcome {
 	txc, ok := p.mgr.Get(txn)
 	if !ok {
-		return nil, fmt.Errorf("core: no context for transaction %s at %s", txn, p.id)
+		err := fmt.Errorf("core: no context for transaction %s at %s", txn, p.id)
+		return axml.InvokeEach(calls, params, func(*axml.ServiceCall, []axml.Param) ([]string, error) { return nil, err })
 	}
-	service := sc.Service()
+	out := make([]axml.InvokeOutcome, len(calls))
+	invs := make([]invocation, len(calls))
+	leading := false
+	for i, sc := range calls {
+		invs[i].sc = sc
+		out[i].Fragments, out[i].Err = p.startInvocation(txc, &invs[i], params[i], !leading)
+		leading = leading || (invs[i].fl != nil && invs[i].msg != nil)
+	}
+	p.roundTrips(txc, invs)
+	for i := range invs {
+		if invs[i].msg != nil {
+			out[i].Fragments, out[i].Err = p.finishInvocation(txc, &invs[i])
+		}
+	}
+	return out
+}
 
-	// Work salvaged from a disconnected peer's children substitutes for
-	// re-invocation (§3.3 case b: "passing the materialized results
-	// directly").
+// invocation is one call's state between the phases of Invoke.
+type invocation struct {
+	sc     *axml.ServiceCall
+	pm     map[string]string
+	target p2p.PeerID
+	spec   cacheSpec
+	fl     *flight         // the cache flight this call leads, if any
+	miss   *obs.ActiveSpan // the leader's cache-miss span
+	msg    *p2p.Message    // the request, when a round trip is due
+	sp     *obs.ActiveSpan // the invoke span opened with msg
+	reply  *p2p.Message
+	err    error
+}
+
+// startInvocation is phase 1 for one call. Each of these serves the call
+// with no upstream invocation: work salvaged from a disconnected peer's
+// children (§3.3 case b: "passing the materialized results directly"), a
+// fresh local cache entry, a bounded wait on another caller's flight of the
+// same key, and a fetch from a peer advertising the key in the gossip
+// catalog. Served results extend no chain and record no child invocation:
+// nothing needs committing, aborting or compensating at a provider that was
+// never invoked. Otherwise a cacheable call leads its key's flight, and the
+// call is executed locally, its outcome returned, or readied for its round
+// trip (inv.msg set).
+//
+// mayWait is false once the batch leads a flight still open: a flight of
+// this very batch completes only in phase 3, and two batches each waiting
+// on a flight the other leads would stall until the wait bound. The call
+// then proceeds uncached.
+func (p *Peer) startInvocation(txc *Context, inv *invocation, params []axml.Param, mayWait bool) ([]string, error) {
+	service := inv.sc.Service()
 	if frags, ok := txc.takeReused(service); ok {
 		p.metrics.WorkReused.Add(1)
 		sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindReuse, service)
@@ -65,22 +126,142 @@ func (p *Peer) Invoke(txn string, sc *axml.ServiceCall, params []axml.Param) ([]
 		sp.End("", nil)
 		return frags, nil
 	}
-	if spec, ok := p.cacheSpecFor(sc, params); ok {
-		return p.invokeCached(txc, sc, params, spec)
+	if spec, ok := p.cacheSpecFor(inv.sc, params); ok {
+		if frags, ok := p.cache.lookup(spec.key, time.Now()); ok {
+			p.metrics.CacheHits.Add(1)
+			sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheHit, service)
+			sp.End("", nil)
+			return frags, nil
+		}
+		fl, leader := p.cache.begin(spec.key)
+		switch {
+		case leader:
+			if e, ok := p.fetchFromOwner(txc, spec, service); ok {
+				p.cachePut(spec, e)
+				p.cache.finish(spec.key, fl, e.fragments, nil)
+				return e.fragments, nil
+			}
+			p.metrics.CacheMisses.Add(1)
+			if m := p.opts.Membership; m != nil {
+				// Advertise the in-flight call so remote peers about to invoke
+				// the same key can direct a fetch here instead of going upstream.
+				m.AnnounceCallInflight(spec.key, service)
+			}
+			inv.spec, inv.fl = spec, fl
+			inv.miss = p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheMiss, service)
+		case mayWait:
+			// A failed or overlong flight falls through to this call's own
+			// upstream invocation, without registering a flight of its own.
+			sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheWait, service)
+			frags, err, done := p.cache.wait(txc.ctxForCalls(), fl, p.opts.LockTimeout)
+			if done && err == nil {
+				p.metrics.CacheWaits.Add(1)
+				sp.End("", nil)
+				return frags, nil
+			}
+			sp.SetAttr("fallthrough", "true")
+			sp.End(ErrCode(err), err)
+		}
 	}
-	return p.invokeUpstream(txc, sc, params)
+	inv.pm = paramMap(params)
+	inv.target = p.resolveTarget(inv.sc)
+	prev := inv.adoptMiss(txc)
+	if inv.target != p.id && inv.target != "" {
+		inv.msg, inv.sp = p.prepareRemoteInvoke(txc, inv.target, service, inv.pm, false)
+		inv.dropMiss(txc, prev)
+		return nil, nil
+	}
+	resp, err := p.invokeOnce(txc, inv.target, service, inv.pm, false)
+	frags, err := p.recovered(txc, inv, resp, err)
+	inv.dropMiss(txc, prev)
+	return p.settleFlight(inv, frags, err)
 }
 
-// invokeUpstream is the uncached invocation path: resolve the provider,
-// invoke once, and run the fault-handler recovery protocol on failure.
-func (p *Peer) invokeUpstream(txc *Context, sc *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	pm := paramMap(params)
-	target := p.resolveTarget(sc)
-	resp, err := p.invokeOnce(txc, target, sc.Service(), pm, false)
-	if err == nil {
-		return resp.Fragments, nil
+// roundTrips is phase 2: the requests readied in phase 1, at most
+// maxInflightCalls in flight at once. A lone request runs on the caller's
+// goroutine. Nothing here writes transaction state.
+func (p *Peer) roundTrips(txc *Context, invs []invocation) {
+	var due []*invocation
+	for i := range invs {
+		if invs[i].msg != nil {
+			due = append(due, &invs[i])
+		}
 	}
-	return p.recoverInvocation(txc, sc, pm, target, err)
+	if len(due) < 2 {
+		for _, inv := range due {
+			inv.reply, inv.err = p.request(txc, inv.target, inv.msg)
+		}
+		return
+	}
+	sem := make(chan struct{}, maxInflightCalls)
+	var wg sync.WaitGroup
+	for _, inv := range due {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inv.reply, inv.err = p.request(txc, inv.target, inv.msg)
+			<-sem
+		}()
+	}
+	wg.Wait()
+}
+
+// finishInvocation is phase 3 for one call that made a round trip.
+func (p *Peer) finishInvocation(txc *Context, inv *invocation) ([]string, error) {
+	prev := inv.adoptMiss(txc)
+	resp, err := p.finishRemoteInvoke(txc, inv.target, inv.sc.Service(), false, inv.reply, inv.err, inv.sp)
+	frags, err := p.recovered(txc, inv, resp, err)
+	inv.dropMiss(txc, prev)
+	return p.settleFlight(inv, frags, err)
+}
+
+// recovered turns an invocation's response into the call's outcome, running
+// the fault-handler recovery protocol on failure.
+func (p *Peer) recovered(txc *Context, inv *invocation, resp *InvokeResponse, err error) ([]string, error) {
+	if err != nil {
+		return p.recoverInvocation(txc, inv.sc, inv.pm, inv.target, err)
+	}
+	return resp.Fragments, nil
+}
+
+// adoptMiss makes a leader's cache-miss span the tracing parent of its
+// upstream work (invoke and retry spans) and returns the parent for
+// dropMiss to restore.
+func (inv *invocation) adoptMiss(txc *Context) string {
+	if inv.fl == nil {
+		return ""
+	}
+	return txc.swapSpanID(inv.miss.ID())
+}
+
+func (inv *invocation) dropMiss(txc *Context, prev string) {
+	if inv.fl != nil {
+		txc.swapSpanID(prev)
+	}
+}
+
+// settleFlight ends a leader's cache-miss span and completes its flight: a
+// result is cached and advertised, a failure withdraws the in-flight
+// advertisement. Calls leading no flight pass through.
+func (p *Peer) settleFlight(inv *invocation, frags []string, err error) ([]string, error) {
+	if inv.fl == nil {
+		return frags, err
+	}
+	inv.miss.End(ErrCode(err), err)
+	if err != nil {
+		if m := p.opts.Membership; m != nil {
+			m.WithdrawCall(inv.spec.key)
+		}
+		p.cache.finish(inv.spec.key, inv.fl, nil, err)
+		return nil, err
+	}
+	p.cachePut(inv.spec, &cacheEntry{
+		service: inv.sc.Service(), fragments: frags,
+		fetched: time.Now(), window: inv.spec.window, docs: inv.spec.docs,
+	})
+	p.cache.finish(inv.spec.key, inv.fl, frags, nil)
+	return frags, nil
 }
 
 // cacheSpec is the cache identity of one cacheable invocation: its key, the
@@ -124,69 +305,6 @@ func (p *Peer) cacheSpecFor(sc *axml.ServiceCall, params []axml.Param) (cacheSpe
 		}
 	}
 	return cacheSpec{key: cacheKey(service, params, window), window: window, docs: docs}, true
-}
-
-// invokeCached serves a cacheable call through the dedupe ladder: local
-// fresh hit, singleflight wait behind a concurrent local leader, fetch from
-// a peer advertising the key in the gossip catalog, and only then the
-// upstream invocation — whose result is cached and advertised. Served
-// results extend no chain and record no child invocation, exactly like
-// salvaged work (takeReused): nothing needs committing, aborting or
-// compensating at a provider that was never invoked.
-func (p *Peer) invokeCached(txc *Context, sc *axml.ServiceCall, params []axml.Param, spec cacheSpec) ([]string, error) {
-	service := sc.Service()
-	if frags, ok := p.cache.lookup(spec.key, time.Now()); ok {
-		p.metrics.CacheHits.Add(1)
-		sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheHit, service)
-		sp.End("", nil)
-		return frags, nil
-	}
-	fl, leader := p.cache.begin(spec.key)
-	if !leader {
-		// Follower: bounded wait on the leader's in-flight invocation. A
-		// failed or overlong flight falls through to this caller's own
-		// upstream invocation, without registering a flight of its own.
-		sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheWait, service)
-		frags, err, done := p.cache.wait(txc.ctxForCalls(), fl, p.opts.LockTimeout)
-		if done && err == nil {
-			p.metrics.CacheWaits.Add(1)
-			sp.End("", nil)
-			return frags, nil
-		}
-		sp.SetAttr("fallthrough", "true")
-		sp.End(ErrCode(err), err)
-		return p.invokeUpstream(txc, sc, params)
-	}
-	if e, ok := p.fetchFromOwner(txc, spec, service); ok {
-		p.cachePut(spec, e)
-		p.cache.finish(spec.key, fl, e.fragments, nil)
-		return e.fragments, nil
-	}
-	p.metrics.CacheMisses.Add(1)
-	m := p.opts.Membership
-	if m != nil {
-		// Advertise the in-flight call so remote peers about to invoke the
-		// same key can direct a fetch here instead of going upstream.
-		m.AnnounceCallInflight(spec.key, service)
-	}
-	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheMiss, service)
-	prevSpan := txc.swapSpanID(sp.ID())
-	frags, err := p.invokeUpstream(txc, sc, params)
-	txc.swapSpanID(prevSpan)
-	sp.End(ErrCode(err), err)
-	if err != nil {
-		if m != nil {
-			m.WithdrawCall(spec.key)
-		}
-		p.cache.finish(spec.key, fl, nil, err)
-		return nil, err
-	}
-	p.cachePut(spec, &cacheEntry{
-		service: service, fragments: frags,
-		fetched: time.Now(), window: spec.window, docs: spec.docs,
-	})
-	p.cache.finish(spec.key, fl, frags, nil)
-	return frags, nil
 }
 
 // cachePut stores a completed entry and keeps the gossip catalog in step:
@@ -446,6 +564,13 @@ func (p *Peer) invokeOnce(txc *Context, target p2p.PeerID, service string, param
 		return &InvokeResponse{Service: service, Fragments: frags, Chain: txc.Chain()}, nil
 	}
 	msg, sp := p.prepareRemoteInvoke(txc, target, service, params, async)
+	reply, err := p.request(txc, target, msg)
+	return p.finishRemoteInvoke(txc, target, service, async, reply, err, sp)
+}
+
+// request performs one remote round trip for txc, timed by the invoke
+// histogram and, when it succeeds, by the membership RTT estimator.
+func (p *Peer) request(txc *Context, target p2p.PeerID, msg *p2p.Message) (*p2p.Message, error) {
 	start := time.Now()
 	reply, err := p.transport.Request(txc.ctxForCalls(), target, msg)
 	elapsed := time.Since(start)
@@ -453,7 +578,7 @@ func (p *Peer) invokeOnce(txc *Context, target p2p.PeerID, service string, param
 	if err == nil {
 		p.noteInvokeRTT(target, elapsed)
 	}
-	return p.finishRemoteInvoke(txc, target, service, async, reply, err, sp)
+	return reply, err
 }
 
 // prepareRemoteInvoke performs the synchronous bookkeeping that must happen
@@ -461,7 +586,7 @@ func (p *Peer) invokeOnce(txc *Context, target p2p.PeerID, service string, param
 // and returns the wire message plus the opened client-side invoke span
 // (whose ID travels in the message, parenting the participant's serve
 // span). Chain sibling order is the order of prepareRemoteInvoke calls,
-// which parallel materialization keeps equal to document order.
+// which Invoke keeps equal to call order.
 func (p *Peer) prepareRemoteInvoke(txc *Context, target p2p.PeerID, service string, params map[string]string, async bool) (*p2p.Message, *obs.ActiveSpan) {
 	p.metrics.InvocationsMade.Add(1)
 	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindInvoke, service)
@@ -492,14 +617,11 @@ func (p *Peer) prepareRemoteInvoke(txc *Context, target p2p.PeerID, service stri
 // finishRemoteInvoke processes a remote invocation's reply: error mapping,
 // chain adoption, the child-invocation record, and closing the invoke span
 // opened by prepareRemoteInvoke.
-func (p *Peer) finishRemoteInvoke(txc *Context, target p2p.PeerID, service string, async bool, reply *p2p.Message, err error, sp *obs.ActiveSpan) (*InvokeResponse, error) {
-	resp, err := p.finishRemoteReply(txc, target, service, async, reply, err)
-	sp.SetChain(chainStr(txc))
-	sp.End(ErrCode(err), err)
-	return resp, err
-}
-
-func (p *Peer) finishRemoteReply(txc *Context, target p2p.PeerID, service string, async bool, reply *p2p.Message, err error) (*InvokeResponse, error) {
+func (p *Peer) finishRemoteInvoke(txc *Context, target p2p.PeerID, service string, async bool, reply *p2p.Message, err error, sp *obs.ActiveSpan) (_ *InvokeResponse, failed error) {
+	defer func() {
+		sp.SetChain(chainStr(txc))
+		sp.End(ErrCode(failed), failed)
+	}()
 	if err != nil {
 		if errors.Is(err, p2p.ErrUnreachable) {
 			p.metrics.DisconnectsDetected.Add(1)
@@ -543,143 +665,11 @@ func (p *Peer) childInvocation(peer p2p.PeerID, service string, comp []byte) Inv
 }
 
 // InvokesLocally implements axml.LocalityHinter: calls that resolve to this
-// very peer re-enter the local store when executed, so the materializer's
-// worker pool must keep them sequential.
+// very peer re-enter the local store when executed, so the store keeps
+// them out of its batches.
 func (p *Peer) InvokesLocally(sc *axml.ServiceCall) bool {
 	target := p.resolveTarget(sc)
 	return target == p.id || target == ""
-}
-
-// InvokeBatch implements axml.BatchInvoker: it overlaps the network waits
-// of one materialization round's independent calls while performing every
-// piece of transaction bookkeeping strictly in call order, in three phases —
-// (1) sequential: salvage reuse, target resolution, chain extension and
-// propagation; (2) concurrent: the transport round trips, bounded by limit;
-// (3) sequential: reply processing, chain adoption, child records, and the
-// per-call fault-handler recovery protocol for failures. The result is
-// byte-identical WAL and chain state to sequential execution; only the
-// remote waits overlap.
-func (p *Peer) InvokeBatch(txn string, calls []*axml.ServiceCall, params [][]axml.Param, limit int) []axml.InvokeOutcome {
-	out := make([]axml.InvokeOutcome, len(calls))
-	txc, ok := p.mgr.Get(txn)
-	if !ok {
-		err := fmt.Errorf("core: no context for transaction %s at %s", txn, p.id)
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	type pending struct {
-		i       int
-		target  p2p.PeerID
-		service string
-		pm      map[string]string
-		msg     *p2p.Message
-		sp      *obs.ActiveSpan
-		spec    cacheSpec
-		fl      *flight // non-nil when this call leads a cache flight
-	}
-	var remote []pending
-	for i, sc := range calls {
-		service := sc.Service()
-		pm := paramMap(params[i])
-		if frags, ok := txc.takeReused(service); ok {
-			p.metrics.WorkReused.Add(1)
-			sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindReuse, service)
-			sp.SetChain(chainStr(txc))
-			sp.End("", nil)
-			out[i].Fragments = frags
-			continue
-		}
-		spec, cacheable := p.cacheSpecFor(sc, params[i])
-		if cacheable {
-			if frags, ok := p.cache.lookup(spec.key, time.Now()); ok {
-				p.metrics.CacheHits.Add(1)
-				sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheHit, service)
-				sp.End("", nil)
-				out[i].Fragments = frags
-				continue
-			}
-		}
-		target := p.resolveTarget(sc)
-		if target == p.id || target == "" {
-			// Local execution re-enters the store; the materializer filters
-			// these out of batches, but handle stragglers correctly. Invoke
-			// runs the full cache protocol itself.
-			out[i].Fragments, out[i].Err = p.Invoke(txn, sc, params[i])
-			continue
-		}
-		var fl *flight
-		if cacheable {
-			// Non-blocking singleflight: waiting here on a flight led by an
-			// earlier entry of this very batch would deadlock (it completes
-			// only in phase 3 of this goroutine), so followers proceed as if
-			// uncached. Leaders complete their flight in phase 3; the
-			// cluster-fetch ladder is skipped — the batch exists to overlap
-			// these very network waits.
-			if lead, leader := p.cache.begin(spec.key); leader {
-				fl = lead
-				if m := p.opts.Membership; m != nil {
-					m.AnnounceCallInflight(spec.key, service)
-				}
-			}
-		}
-		msg, sp := p.prepareRemoteInvoke(txc, target, service, pm, false)
-		remote = append(remote, pending{
-			i: i, target: target, service: service, pm: pm, msg: msg, sp: sp,
-			spec: spec, fl: fl,
-		})
-	}
-	replies := make([]*p2p.Message, len(remote))
-	errs := make([]error, len(remote))
-	if limit < 1 {
-		limit = 1
-	}
-	callCtx := txc.ctxForCalls()
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for k, pr := range remote {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(k int, pr pending) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			replies[k], errs[k] = p.transport.Request(callCtx, pr.target, pr.msg)
-			elapsed := time.Since(start)
-			p.histInvoke.Observe(elapsed)
-			if errs[k] == nil {
-				p.noteInvokeRTT(pr.target, elapsed)
-			}
-		}(k, pr)
-	}
-	wg.Wait()
-	for k, pr := range remote {
-		resp, err := p.finishRemoteInvoke(txc, pr.target, pr.service, false, replies[k], errs[k], pr.sp)
-		var frags []string
-		if err == nil {
-			frags = resp.Fragments
-		} else {
-			frags, err = p.recoverInvocation(txc, calls[pr.i], pr.pm, pr.target, err)
-		}
-		if pr.fl != nil {
-			if err == nil {
-				p.metrics.CacheMisses.Add(1)
-				p.cachePut(pr.spec, &cacheEntry{
-					service: pr.service, fragments: frags,
-					fetched: time.Now(), window: pr.spec.window, docs: pr.spec.docs,
-				})
-				p.cache.finish(pr.spec.key, pr.fl, frags, nil)
-			} else {
-				if m := p.opts.Membership; m != nil {
-					m.WithdrawCall(pr.spec.key)
-				}
-				p.cache.finish(pr.spec.key, pr.fl, nil, err)
-			}
-		}
-		out[pr.i].Fragments, out[pr.i].Err = frags, err
-	}
-	return out
 }
 
 // propagateChain shares txc's current chain with every ancestor of this

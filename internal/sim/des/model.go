@@ -418,8 +418,8 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 // execute materializes the peer's service-call document for txn: the local
 // work service first (document order), then chain propagation for every
 // remote call, then the remote calls themselves, then reply processing —
-// the exact shape of core.InvokeBatch's three phases over the in-memory
-// transport's synchronous delivery.
+// the exact shape of the three phases of core.Peer.Invoke over the
+// in-memory transport's synchronous delivery.
 func (p *Peer) execute(txn string) error {
 	c := p.ctxs[txn]
 	pl := p.d.plans[txn]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,19 +13,29 @@ import (
 	"axmltx/internal/xmldom"
 )
 
-// jitteryMat answers after a random delay so that concurrent invocations
-// complete in scrambled order.
+// jitteryMat invokes every call of a batch on a goroutine of its own after
+// a per-service delay, so the calls complete in scrambled order.
 type jitteryMat struct {
 	delays []time.Duration
 }
 
-func (m *jitteryMat) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	var idx int
-	fmt.Sscanf(call.Service(), "svc%d", &idx)
-	if idx >= 1 && idx <= len(m.delays) {
-		time.Sleep(m.delays[idx-1])
+func (m *jitteryMat) Invoke(txn string, calls []*axml.ServiceCall, params [][]axml.Param) []axml.InvokeOutcome {
+	out := make([]axml.InvokeOutcome, len(calls))
+	var wg sync.WaitGroup
+	for i, call := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var idx int
+			fmt.Sscanf(call.Service(), "svc%d", &idx)
+			if idx >= 1 && idx <= len(m.delays) {
+				time.Sleep(m.delays[idx-1])
+			}
+			out[i].Fragments = []string{fmt.Sprintf("<r%d>new</r%d>", idx, idx)}
+		}()
 	}
-	return []string{fmt.Sprintf("<r%d>new</r%d>", idx, idx)}, nil
+	wg.Wait()
+	return out
 }
 
 func (m *jitteryMat) ResultName(service string) string {
@@ -32,10 +43,10 @@ func (m *jitteryMat) ResultName(service string) string {
 }
 
 // TestParallelMaterializationCompensates materializes a replace-mode
-// document through the worker pool under jittery latency, then runs the
-// core compensation machinery over the resulting log: the document must be
-// restored exactly, because the parallel log is order-identical to
-// sequential execution (§3.1 dynamic compensation depends on that order).
+// document as one batch whose calls complete in jittery order, then runs
+// the core compensation machinery over the resulting log: the document must
+// be restored exactly, because the log is order-identical to sequential
+// execution (§3.1 dynamic compensation depends on that order).
 func TestParallelMaterializationCompensates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const calls = 8

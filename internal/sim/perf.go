@@ -1,16 +1,18 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"axmltx/internal/axml"
+	"axmltx/internal/core"
+	"axmltx/internal/p2p"
+	"axmltx/internal/services"
 	"axmltx/internal/sim/des"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
@@ -37,58 +39,82 @@ type PerfResult struct {
 	UpstreamCalls int64 `json:"upstream_calls,omitempty"`
 }
 
-// slowMaterializer simulates a remote provider with fixed network latency.
-// It is stateless and therefore safe for the store's overlapped invocations.
-type slowMaterializer struct {
-	delay time.Duration
+// MaterializeRig is the deployed-path setup of the materialization rows: an
+// origin core.Peer whose documents embed calls to a provider peer's
+// services over an in-memory network with a fixed per-message delay.
+type MaterializeRig struct {
+	origin *core.Peer
+	docs   []string
 }
 
-func (m *slowMaterializer) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	time.Sleep(m.delay)
-	name := strings.TrimPrefix(call.Service(), "svc")
-	return []string{fmt.Sprintf("<r%s>v</r%s>", name, name)}, nil
-}
-
-func (m *slowMaterializer) ResultName(service string) string {
-	return "r" + strings.TrimPrefix(service, "svc")
-}
-
-// perfDoc builds a document with k top-level embedded service calls.
-func perfDoc(k int) string {
-	var b strings.Builder
-	b.WriteString("<D>")
-	for i := 1; i <= k; i++ {
-		fmt.Fprintf(&b, `<axml:sc methodName="svc%d" mode="replace"/>`, i)
+// NewMaterializeRig builds a rig with calls remote service calls. batched
+// embeds all of them in one document, so one materialization round invokes
+// them as one batch whose round trips overlap; otherwise each call has a
+// document of its own, materialized one after another.
+func NewMaterializeRig(calls int, delay time.Duration, batched bool) *MaterializeRig {
+	net := p2p.NewNetwork(delay)
+	provider := core.NewPeer(net.Join("P"), wal.NewMemory(), core.Options{})
+	r := &MaterializeRig{origin: core.NewPeer(net.Join("O"), wal.NewMemory(), core.Options{})}
+	var all string
+	for i := 1; i <= calls; i++ {
+		frag := fmt.Sprintf("<r%d>v</r%d>", i, i)
+		provider.HostService(services.NewFuncService(
+			services.Descriptor{Name: fmt.Sprintf("svc%d", i), ResultName: fmt.Sprintf("r%d", i)},
+			func(context.Context, map[string]string) ([]string, error) { return []string{frag}, nil }))
+		sc := fmt.Sprintf(`<axml:sc methodName="svc%d" serviceURL="P" mode="replace"/>`, i)
+		all += sc
+		if !batched {
+			r.host(fmt.Sprintf("D%d.xml", i), sc)
+		}
 	}
-	b.WriteString("</D>")
-	return b.String()
+	if batched {
+		r.host("D.xml", all)
+	}
+	return r
 }
 
-// RunPerfMaterialize measures one full materialization of a document with
-// calls embedded 5ms-latency service calls, over the given number of trials,
-// with the store's per-round concurrency capped at maxCalls (1 = the
-// sequential baseline).
-func RunPerfMaterialize(calls, maxCalls, trials int, delay time.Duration) PerfResult {
-	lat := make([]time.Duration, 0, trials)
-	mat := &slowMaterializer{delay: delay}
+func (r *MaterializeRig) host(name, calls string) {
+	if err := r.origin.HostDocument(name, "<D>"+calls+"</D>"); err != nil {
+		panic(err)
+	}
+	r.docs = append(r.docs, name)
+}
+
+// Materialize runs one transaction that materializes every call and
+// commits, and returns how long the materialization took.
+func (r *MaterializeRig) Materialize() (time.Duration, error) {
+	txc := r.origin.Begin()
 	start := time.Now()
+	for _, doc := range r.docs {
+		if _, err := r.origin.Store().MaterializeAll(txc.ID, doc, r.origin); err != nil {
+			return 0, err
+		}
+	}
+	took := time.Since(start)
+	return took, r.origin.Commit(context.Background(), txc)
+}
+
+// RunPerfMaterialize times trials transactions of a MaterializeRig with
+// calls calls and the given network delay: materialize_parallel when
+// batched, materialize_sequential otherwise. Ops per second count
+// materialization time only.
+func RunPerfMaterialize(calls, trials int, delay time.Duration, batched bool) PerfResult {
+	rig := NewMaterializeRig(calls, delay, batched)
+	lat := make([]time.Duration, 0, trials)
+	var total time.Duration
 	for t := 0; t < trials; t++ {
-		s := axml.NewStore(wal.NewMemory())
-		if _, err := s.AddParsed("D.xml", perfDoc(calls)); err != nil {
+		took, err := rig.Materialize()
+		if err != nil {
 			panic(err)
 		}
-		s.SetMaxConcurrentCalls(maxCalls)
-		t0 := time.Now()
-		if _, err := s.MaterializeAll("P", "D.xml", mat); err != nil {
-			panic(err)
-		}
-		lat = append(lat, time.Since(t0))
+		lat = append(lat, took)
+		total += took
 	}
-	name := "materialize_parallel"
-	if maxCalls == 1 {
-		name = "materialize_sequential"
+	name := "materialize_sequential"
+	if batched {
+		name = "materialize_parallel"
 	}
-	return summarize(name, trials, time.Since(start), lat, 0)
+	return summarize(name, trials, total, lat, 0)
 }
 
 // AppendDurableTxn logs one durable transaction: four effect records,
@@ -186,8 +212,8 @@ func RunPerfSerialize(players, ops int) PerfResult {
 }
 
 // RunPerfSuite runs the whole hot-path suite with the PR's reference
-// parameters: 8 embedded 5ms calls, 16 concurrent WAL writers, a 200-player
-// ATP document.
+// parameters: 8 remote calls over 5ms links, 16 concurrent WAL writers, a
+// 200-player ATP document.
 func RunPerfSuite() []PerfResult {
 	const (
 		calls   = 8
@@ -197,8 +223,8 @@ func RunPerfSuite() []PerfResult {
 		perW    = 100
 	)
 	rs := []PerfResult{
-		RunPerfMaterialize(calls, 1, trials, delay),
-		RunPerfMaterialize(calls, calls, trials, delay),
+		RunPerfMaterialize(calls, trials, delay, false),
+		RunPerfMaterialize(calls, trials, delay, true),
 		RunPerfWAL(wal.SyncEach, writers, perW),
 		RunPerfWAL(wal.SyncGroup, writers, perW),
 		RunPerfSerialize(200, 5000),
@@ -229,8 +255,8 @@ func RunPerfSuiteQuick() []PerfResult {
 	// group-commit speedup) are stable enough for the -compare regression
 	// gate; 5 trials made them swing >10% run to run.
 	rs := []PerfResult{
-		RunPerfMaterialize(4, 1, 15, 2*time.Millisecond),
-		RunPerfMaterialize(4, 4, 15, 2*time.Millisecond),
+		RunPerfMaterialize(4, 15, 2*time.Millisecond, false),
+		RunPerfMaterialize(4, 15, 2*time.Millisecond, true),
 		RunPerfWAL(wal.SyncEach, 8, 50),
 		RunPerfWAL(wal.SyncGroup, 8, 50),
 		RunPerfSerialize(50, 500),

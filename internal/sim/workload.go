@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 
 	"axmltx/internal/axml"
 	"axmltx/internal/core"
@@ -32,15 +31,16 @@ func GenerateATPDoc(players int, withSCEvery int) string {
 }
 
 // tableMaterializer serves getPoints-style calls from a counter, so every
-// materialization changes the document (replace mode). The counter is atomic
-// because the store may overlap Invoke calls within one round.
+// materialization changes the document (replace mode).
 type tableMaterializer struct {
-	calls atomic.Int64
+	calls int
 }
 
-func (m *tableMaterializer) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	n := m.calls.Add(1)
-	return []string{fmt.Sprintf("<points>%d</points>", 500+n)}, nil
+func (m *tableMaterializer) Invoke(txn string, calls []*axml.ServiceCall, params [][]axml.Param) []axml.InvokeOutcome {
+	return axml.InvokeEach(calls, params, func(*axml.ServiceCall, []axml.Param) ([]string, error) {
+		m.calls++
+		return []string{fmt.Sprintf("<points>%d</points>", 500+m.calls)}, nil
+	})
 }
 
 func (m *tableMaterializer) ResultName(service string) string {
@@ -148,7 +148,7 @@ func RunE1(spec OpsSpec) E1Result {
 		}
 		res.AffectedNodes += out.AffectedNodes
 	}
-	res.Materializations = int(mat.calls.Load())
+	res.Materializations = mat.calls
 	for _, rec := range log.TxnRecords(txn) {
 		res.LogRecords++
 		res.LogBytes += len(rec.XML) + len(rec.OldText) + len(rec.NewText) + 32
@@ -204,7 +204,7 @@ func RunE2(k, j int) E2Result {
 	if err != nil {
 		panic(err)
 	}
-	res.LazyInvoked = int(mat.calls.Load())
+	res.LazyInvoked = mat.calls
 	res.LazyAffected = out.AffectedNodes
 
 	store, action, mat = build()
@@ -212,19 +212,20 @@ func RunE2(k, j int) E2Result {
 	if err != nil {
 		panic(err)
 	}
-	res.EagerInvoked = int(mat.calls.Load())
+	res.EagerInvoked = mat.calls
 	res.EagerAffected = out.AffectedNodes
 	return res
 }
 
-// countingMaterializer counts invocations; the counter is atomic because the
-// store may overlap Invoke calls within one materialization round.
-type countingMaterializer struct{ calls atomic.Int64 }
+// countingMaterializer counts invocations.
+type countingMaterializer struct{ calls int }
 
-func (m *countingMaterializer) Invoke(txn string, call *axml.ServiceCall, params []axml.Param) ([]string, error) {
-	m.calls.Add(1)
-	name := strings.TrimPrefix(call.Service(), "svc")
-	return []string{fmt.Sprintf("<r%s>new</r%s>", name, name)}, nil
+func (m *countingMaterializer) Invoke(txn string, calls []*axml.ServiceCall, params [][]axml.Param) []axml.InvokeOutcome {
+	return axml.InvokeEach(calls, params, func(call *axml.ServiceCall, _ []axml.Param) ([]string, error) {
+		m.calls++
+		name := strings.TrimPrefix(call.Service(), "svc")
+		return []string{fmt.Sprintf("<r%s>new</r%s>", name, name)}, nil
+	})
 }
 
 func (m *countingMaterializer) ResultName(service string) string {

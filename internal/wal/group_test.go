@@ -54,32 +54,6 @@ func TestGroupCommitDurable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindow exercises the batching window: decision appends
-// still return durable, just after at most one window's delay.
-func TestGroupCommitWindow(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "window.wal")
-	l, err := OpenFileWith(path, FileOptions{Sync: SyncGroup, GroupCommitWindow: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append(&Record{Txn: "T", Type: TypeCommit}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if n := len(re.Records()); n != 5 {
-		t.Fatalf("got %d records, want 5", n)
-	}
-}
-
 // TestSyncBarrier verifies the explicit Sync barrier works in every mode
 // and that appending after Close fails cleanly.
 func TestSyncBarrier(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"axmltx/internal/codec"
 )
@@ -450,11 +449,6 @@ func (l *SegmentedLog) waitDurable(lsn uint64) error {
 		}
 		if !l.syncing {
 			l.syncing = true
-			if w := l.opts.GroupCommitWindow; w > 0 {
-				l.gmu.Unlock()
-				time.Sleep(w)
-				l.gmu.Lock()
-			}
 			target := l.written
 			f, gen := l.gf, l.gen
 			l.gmu.Unlock()

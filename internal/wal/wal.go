@@ -18,7 +18,6 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
-	"time"
 
 	"axmltx/internal/codec"
 )
@@ -250,11 +249,6 @@ const (
 type FileOptions struct {
 	// Sync selects the durability strategy; the zero value is SyncNone.
 	Sync SyncMode
-	// GroupCommitWindow (SyncGroup only) is how long the flusher waits
-	// after waking, to accumulate a batch before fsyncing. Zero syncs
-	// immediately — batching then arises naturally from appenders queueing
-	// behind an in-flight fsync.
-	GroupCommitWindow time.Duration
 }
 
 // readFrame reads one framed blob and returns it with the number of bytes
