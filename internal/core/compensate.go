@@ -39,7 +39,7 @@ func BuildCompensation(log wal.Log, txn string) []*axml.Action {
 // undo-insert restores the before-image's whole subtree, an undo-delete
 // counts one node.
 func buildCompensation(log wal.Log, txn string) ([]*axml.Action, int) {
-	recs := currentEpoch(log.TxnRecords(txn))
+	recs := wal.Fold(log.TxnRecords(txn)).Effects
 	var out []*axml.Action
 	nodes := 0
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -66,76 +66,6 @@ func buildCompensation(log wal.Log, txn string) ([]*axml.Action, int) {
 		}
 	}
 	return out, nodes
-}
-
-// currentEpoch returns the structural records of the newest compensation
-// epoch: everything after the last completed compensation bracket. Records
-// inside a completed bracket (compensation's own effects) and before it
-// (already undone) are dropped. An unclosed CompensateBegin (crash
-// mid-compensation) does NOT clear the epoch: its records are undos that
-// were applied before the crash, so they fold into the epoch and a re-run
-// compensates them together with the remaining original effects — first
-// re-doing the partially-undone suffix, then undoing everything, which is
-// consistent at every intermediate step.
-func currentEpoch(recs []*wal.Record) []*wal.Record {
-	var out []*wal.Record
-	var bracket []*wal.Record
-	open := false
-	for _, r := range recs {
-		switch r.Type {
-		case wal.TypeCompensateBegin:
-			if open {
-				// The previous bracket never closed (crash mid-compensation
-				// followed by a re-run): its applied undos join the epoch.
-				out = append(out, bracket...)
-				bracket = nil
-			}
-			open = true
-		case wal.TypeCompensateEnd:
-			if open {
-				out = out[:0]
-				bracket = nil
-				open = false
-			}
-		case wal.TypeInsert, wal.TypeDelete:
-			if open {
-				bracket = append(bracket, r)
-			} else {
-				out = append(out, r)
-			}
-		}
-	}
-	if open {
-		out = append(out, bracket...)
-	}
-	return out
-}
-
-// AlreadyCompensated reports whether txn's local effects are fully rolled
-// back: a compensation completed and no new effects were logged since. It
-// makes abort idempotent — a context may receive "Abort TA" from several
-// directions during disconnection storms.
-func AlreadyCompensated(log wal.Log, txn string) bool {
-	recs := log.TxnRecords(txn)
-	completed := false
-	for _, r := range recs {
-		if r.Type == wal.TypeCompensateEnd {
-			completed = true
-			break
-		}
-	}
-	return completed && len(currentEpoch(recs)) == 0
-}
-
-// HasCommitted reports whether txn committed locally; committed effects
-// must never be compensated by stray abort messages.
-func HasCommitted(log wal.Log, txn string) bool {
-	for _, r := range log.TxnRecords(txn) {
-		if r.Type == wal.TypeCommit {
-			return true
-		}
-	}
-	return false
 }
 
 // Compensate rolls back txn's local effects on the store and returns the
@@ -191,10 +121,12 @@ func (d *CompensationDef) Docs() []string {
 // Execute runs the definition against a store — the original peer's, or a
 // replica holder's — and returns the affected-node count. The actions run
 // under the original transaction ID inside one CompensateBegin/End bracket,
-// which makes local abort and shipped compensation mutually idempotent.
+// which makes local abort and shipped compensation mutually idempotent: a
+// context may receive "Abort TA" from several directions during
+// disconnection storms.
 func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
 	log := store.Log()
-	if AlreadyCompensated(log, d.Txn) {
+	if wal.Fold(log.TxnRecords(d.Txn)).Compensated {
 		return 0, nil
 	}
 	if _, err := log.Append(&wal.Record{Txn: d.Txn, Type: wal.TypeCompensateBegin}); err != nil {

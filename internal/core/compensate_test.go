@@ -222,8 +222,8 @@ func TestCompensateIdempotent(t *testing.T) {
 		t.Fatalf("second compensation affected %d nodes", affected)
 	}
 	assertRestored(t, s, snapshot)
-	if !AlreadyCompensated(s.Log(), "T") {
-		t.Fatal("AlreadyCompensated false after compensation")
+	if !wal.Fold(s.Log().TxnRecords("T")).Compensated {
+		t.Fatal("not Compensated after compensation")
 	}
 }
 
@@ -614,15 +614,25 @@ func TestRejectedCompDefCounted(t *testing.T) {
 	}
 }
 
+// TestHasCommitted: a stray abort arriving after the local commit leaves
+// the committed effects in place, however the context was lost.
 func TestHasCommitted(t *testing.T) {
-	s, _ := newCompStore(t)
-	if HasCommitted(s.Log(), "T") {
-		t.Fatal("empty log reports committed")
-	}
-	if _, err := s.Log().Append(&wal.Record{Txn: "T", Type: wal.TypeCommit}); err != nil {
+	c := newCluster(t)
+	ap1 := c.add("AP1", Options{})
+	hostEntryService(t, ap1, "S1", "D1.xml")
+	txc := ap1.Begin()
+	if _, err := ap1.Call(bg, txc, "AP1", "S1", nil); err != nil {
 		t.Fatal(err)
 	}
-	if !HasCommitted(s.Log(), "T") {
+	if err := ap1.Commit(bg, txc); err != nil {
+		t.Fatal(err)
+	}
+	if !wal.Fold(ap1.Store().Log().TxnRecords(txc.ID)).Committed {
 		t.Fatal("commit record not seen")
+	}
+	ap1.mgr.Remove(txc.ID)
+	ap1.handleAbort(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP2"})
+	if entryCount(t, ap1, "D1.xml") != 1 {
+		t.Fatal("a stray abort compensated committed work")
 	}
 }

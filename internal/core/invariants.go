@@ -54,14 +54,14 @@ func CheckLSNMonotonic(recs []*wal.Record) error {
 // only the peers that were told to commit carry a commit record; stragglers
 // look like the abort case and must be reconciled first).
 func CheckCompensationComplete(log wal.Log, txn string) error {
-	recs := log.TxnRecords(txn)
-	if HasCommitted(log, txn) {
-		if AlreadyCompensated(log, txn) {
+	st := wal.Fold(log.TxnRecords(txn))
+	if st.Committed {
+		if st.Compensated {
 			return fmt.Errorf("core: txn %s both committed and fully compensated", txn)
 		}
 		return nil
 	}
-	if n := len(currentEpoch(recs)); n > 0 {
+	if n := len(st.Effects); n > 0 {
 		return fmt.Errorf("core: txn %s did not commit but %d effect record(s) remain uncompensated", txn, n)
 	}
 	return nil

@@ -145,7 +145,7 @@ func TestCrashMidCompensationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if AlreadyCompensated(log, "T") {
+	if wal.Fold(log.TxnRecords("T")).Compensated {
 		t.Fatal("partial compensation reported as complete")
 	}
 	// Recovery re-runs compensation over the folded epoch.
@@ -157,7 +157,7 @@ func TestCrashMidCompensationRecovers(t *testing.T) {
 		t.Fatalf("document not restored:\n got: %s\nwant: %s",
 			xmldom.MarshalString(live.Root()), xmldom.MarshalString(snap.Root()))
 	}
-	if !AlreadyCompensated(log, "T") {
+	if !wal.Fold(log.TxnRecords("T")).Compensated {
 		t.Fatal("recovery did not complete compensation")
 	}
 	if err := CheckCompensationComplete(log, "T"); err != nil {

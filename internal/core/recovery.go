@@ -999,7 +999,7 @@ func (p *Peer) handleAbort(msg *p2p.Message) {
 		// No live context (e.g. already removed): still compensate any
 		// logged effects, idempotently — unless the transaction committed
 		// here, in which case a stray abort must not undo durable work.
-		if HasCommitted(p.store.Log(), msg.Txn) {
+		if wal.Fold(p.store.Log().TxnRecords(msg.Txn)).Committed {
 			return
 		}
 		def := BuildCompensationDef(p.store, msg.Txn, p.id, "")

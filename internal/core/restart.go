@@ -17,35 +17,8 @@ import (
 // It returns the IDs of the transactions it compensated. The pass is
 // idempotent: compensation markers make re-runs no-ops.
 func RecoverPending(store *axml.Store) ([]string, error) {
-	log := store.Log()
-	type state struct {
-		effects   bool // structural effects since the last completed compensation
-		committed bool
-	}
-	txns := make(map[string]*state)
-	var order []string
-	for _, r := range log.Records() {
-		st, ok := txns[r.Txn]
-		if !ok {
-			st = &state{}
-			txns[r.Txn] = st
-			order = append(order, r.Txn)
-		}
-		switch r.Type {
-		case wal.TypeInsert, wal.TypeDelete:
-			st.effects = true
-		case wal.TypeCompensateEnd:
-			st.effects = false
-		case wal.TypeCommit:
-			st.committed = true
-		}
-	}
 	var recovered []string
-	for _, txn := range order {
-		st := txns[txn]
-		if st.committed || !st.effects {
-			continue
-		}
+	for _, txn := range wal.PendingTxns(store.Log().Records()) {
 		if _, err := Compensate(store, txn); err != nil {
 			return recovered, fmt.Errorf("core: restart recovery of %s: %w", txn, err)
 		}

@@ -86,6 +86,67 @@ func TestRecoverPendingCompensatesInFlightTxn(t *testing.T) {
 	}
 }
 
+// TestRecoverPendingAfterCheckpointOfReinvokedTxn: a participant whose work
+// was compensated and which was then re-invoked (forward recovery) has new,
+// uncommitted effects after a completed compensation bracket. A checkpoint
+// taken then must keep the transaction's records, so a restart from the
+// checkpointed log still compensates the new work.
+func TestRecoverPendingAfterCheckpointOfReinvokedTxn(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.OpenDir(dir, wal.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := axml.NewStore(log)
+	if _, err := store.AddParsed("D.xml", `<D><log/></D>`); err != nil {
+		t.Fatal(err)
+	}
+	pristine, _ := store.Snapshot("D.xml")
+	loc, _ := axml.ParseQuery(`Select d/log from d in D`)
+	if _, err := store.Apply("T", axml.NewInsert(loc, `<first/>`), nil, axml.Lazy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compensate(store, "T"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Apply("T", axml.NewInsert(loc, `<again/>`), nil, axml.Lazy); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dirty, _ := store.Snapshot("D.xml")
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	relog, err := wal.OpenDir(dir, wal.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relog.Close()
+	restore := axml.NewStore(relog)
+	restore.Add(dirty)
+	recovered, err := RecoverPending(restore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0] != "T" {
+		t.Fatalf("recovered = %v, want [T]", recovered)
+	}
+	live, _ := restore.Get("D.xml")
+	if !live.Equal(pristine) {
+		t.Fatalf("after recovery:\n got: %s\nwant: %s",
+			xmldom.MarshalString(live.Root()), xmldom.MarshalString(pristine.Root()))
+	}
+	if err := CheckCompensationComplete(relog, "T"); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckReverseCompensationOrder(relog, "T"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoverPendingViaPeer(t *testing.T) {
 	c := newCluster(t)
 	ap1 := c.add("AP1", Options{})

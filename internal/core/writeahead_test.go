@@ -227,7 +227,7 @@ func TestParticipantCommitFailureCounted(t *testing.T) {
 		t.Fatalf("AP3 commit span = %+v, want an error outcome", sp)
 	}
 	for _, id := range []p2p.PeerID{"AP4", "AP5", "AP6"} {
-		if !HasCommitted(f.peers[id].Store().Log(), last.ID) {
+		if !wal.Fold(f.peers[id].Store().Log().TxnRecords(last.ID)).Committed {
 			t.Errorf("%s never committed: the cascade stopped at AP3", id)
 		}
 	}

@@ -542,7 +542,7 @@ func (p *Peer) abortContext(c *mctx, skip p2p.PeerID, notifyParent bool) {
 func (p *Peer) handleAbort(msg *p2p.Message) {
 	c := p.ctxs[msg.Txn]
 	if c == nil {
-		if !core.HasCommitted(p.log, msg.Txn) {
+		if !wal.Fold(p.log.TxnRecords(msg.Txn)).Committed {
 			p.compensate(msg.Txn)
 		}
 		return
@@ -576,7 +576,7 @@ func (p *Peer) handleCommit(msg *p2p.Message) {
 // apply them, bracketed by CompensateBegin/End. The bracket is written
 // even when there is nothing to undo, exactly like the real store path.
 func (p *Peer) compensate(txn string) {
-	if core.AlreadyCompensated(p.log, txn) {
+	if wal.Fold(p.log.TxnRecords(txn)).Compensated {
 		return
 	}
 	acts := core.BuildCompensation(p.log, txn)
@@ -607,22 +607,7 @@ func (p *Peer) compensate(txn string) {
 // over the model state.
 func (p *Peer) restart() {
 	p.ctxs = make(map[string]*mctx)
-	var order []string
-	seen := make(map[string]bool)
-	for _, r := range p.log.Records() {
-		if r.Txn == "" || seen[r.Txn] {
-			continue
-		}
-		switch r.Type {
-		case wal.TypeInsert, wal.TypeDelete, wal.TypeSetText:
-			seen[r.Txn] = true
-			order = append(order, r.Txn)
-		}
-	}
-	for _, txn := range order {
-		if core.HasCommitted(p.log, txn) || core.AlreadyCompensated(p.log, txn) {
-			continue
-		}
+	for _, txn := range wal.PendingTxns(p.log.Records()) {
 		p.compensate(txn)
 	}
 }

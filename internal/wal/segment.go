@@ -76,8 +76,8 @@ func parseSegmentName(name string) (uint64, bool) {
 //
 // Only the last segment can have a torn tail: rotation fsyncs a segment
 // before opening its successor, so every non-last segment is fully durable.
-// A transaction is live until its log shows TypeCommit or TypeCompensateEnd
-// — exactly the transactions core.RecoverPending would still act on.
+// A transaction is live while its TxnState is Pending — exactly the
+// transactions core.RecoverPending would still act on.
 type SegmentedLog struct {
 	mu       sync.Mutex
 	dir      string // segment directory; "" for a single-file log (OpenFile)
@@ -474,26 +474,22 @@ func (l *SegmentedLog) waitDurable(lsn uint64) error {
 	}
 }
 
-// liveRecordsLocked returns the records of every unresolved transaction in
-// LSN order. A transaction is resolved once its log shows TypeCommit or
-// TypeCompensateEnd — the states core.RecoverPending skips on restart.
+// liveRecordsLocked returns, in LSN order, every record of each transaction
+// whose TxnState is Pending: exactly the transactions restart recovery would
+// still compensate. A participant compensated and then re-invoked has a
+// completed bracket and effects after it; it stays live.
 func (l *SegmentedLog) liveRecordsLocked() []*Record {
-	resolved := make(map[string]bool)
-	for txn, recs := range l.mem.byTxn {
-		for _, r := range recs {
-			if r.Type == TypeCommit || r.Type == TypeCompensateEnd {
-				resolved[txn] = true
-				break
-			}
-		}
+	live := make(map[string]bool)
+	for _, txn := range PendingTxns(l.mem.records) {
+		live[txn] = true
 	}
-	var live []*Record
+	var out []*Record
 	for _, r := range l.mem.records {
-		if !resolved[r.Txn] {
-			live = append(live, r)
+		if live[r.Txn] {
+			out = append(out, r)
 		}
 	}
-	return live
+	return out
 }
 
 // Checkpoint rotates to a fresh segment whose first frame snapshots the

@@ -147,6 +147,47 @@ func TestSegmentedCheckpointTrimsResolved(t *testing.T) {
 	}
 }
 
+// TestSegmentedCheckpointKeepsReinvokedTxn: a transaction compensated and
+// then re-invoked has effects after its completed bracket; the checkpoint
+// keeps all its records, so the reopened log still shows them pending.
+func TestSegmentedCheckpointKeepsReinvokedTxn(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Record{
+		{Txn: "r", Type: TypeInsert, Doc: "d.xml", NodeID: 5},
+		{Txn: "r", Type: TypeAbort},
+		{Txn: "r", Type: TypeCompensateBegin},
+		{Txn: "r", Type: TypeDelete, Doc: "d.xml", NodeID: 5},
+		{Txn: "r", Type: TypeCompensateEnd},
+		{Txn: "r", Type: TypeInsert, Doc: "d.xml", NodeID: 9},
+	} {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := l.Records()
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoint kept %d of the re-invoked transaction's %d records", len(got), len(want))
+	}
+	if st := Fold(re.TxnRecords("r")); !st.Pending() || len(st.Effects) != 1 || st.Effects[0].NodeID != 9 {
+		t.Fatalf("reopened state = %+v, want the re-invoked insert pending", st)
+	}
+}
+
 func TestSegmentedCompact(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 3})
