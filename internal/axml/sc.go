@@ -276,25 +276,30 @@ func ServiceCalls(doc *xmldom.Document) []*ServiceCall {
 // TopLevelServiceCalls returns the document's service calls that are not
 // nested inside another call's parameters (those are materialized as part
 // of evaluating the outer call) or fault handlers (those describe
-// alternative invocations for recovery, not data to materialize).
+// alternative invocations for recovery, not data to materialize), in
+// document order. It visits elements only and does not descend into
+// parameters or handlers.
 func TopLevelServiceCalls(doc *xmldom.Document) []*ServiceCall {
-	var out []*ServiceCall
-	for _, sc := range ServiceCalls(doc) {
-		if !insideParamsOrHandler(sc.node) {
-			out = append(out, sc)
+	if doc.Root() == nil {
+		return nil
+	}
+	return appendTopLevelCalls(nil, doc.Root())
+}
+
+func appendTopLevelCalls(out []*ServiceCall, n *xmldom.Node) []*ServiceCall {
+	if sc, ok := AsServiceCall(n); ok {
+		out = append(out, sc)
+	}
+	switch n.Name() {
+	case ElemParams, ElemCatch, ElemCatchAll, ElemRetry:
+		return out
+	}
+	for _, c := range n.Children() {
+		if c.Kind() == xmldom.ElementNode {
+			out = appendTopLevelCalls(out, c)
 		}
 	}
 	return out
-}
-
-func insideParamsOrHandler(n *xmldom.Node) bool {
-	for p := n.Parent(); p != nil; p = p.Parent() {
-		switch p.Name() {
-		case ElemParams, ElemCatch, ElemCatchAll, ElemRetry:
-			return true
-		}
-	}
-	return false
 }
 
 // NewServiceCall builds a detached <axml:sc> element in doc.

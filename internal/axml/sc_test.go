@@ -130,6 +130,48 @@ func TestNestedParamServiceCall(t *testing.T) {
 	}
 }
 
+// TestTopLevelServiceCallsMatchesFilter checks the pruned walk against the
+// definition it implements: every call, minus those with an ancestor that
+// is a parameter list or a fault handler.
+func TestTopLevelServiceCallsMatchesFilter(t *testing.T) {
+	filter := func(doc *xmldom.Document) []*ServiceCall {
+		var out []*ServiceCall
+	calls:
+		for _, sc := range ServiceCalls(doc) {
+			for p := sc.Node().Parent(); p != nil; p = p.Parent() {
+				switch p.Name() {
+				case ElemParams, ElemCatch, ElemCatchAll, ElemRetry:
+					continue calls
+				}
+			}
+			out = append(out, sc)
+		}
+		return out
+	}
+	for name, src := range map[string]string{
+		"paper": scDoc,
+		"nested in params": `<D><axml:sc methodName="outer"><axml:params><axml:param name="p">` +
+			`<axml:value><axml:sc methodName="inner"/></axml:value></axml:param></axml:params></axml:sc></D>`,
+		"in handlers": `<D><axml:sc methodName="a"><axml:catch faultName="F"><axml:sc methodName="h1"/></axml:catch>` +
+			`<axml:catchAll><axml:retry times="1"><axml:sc methodName="alt"/></axml:retry></axml:catchAll></axml:sc></D>`,
+		"in results": `<D><axml:sc methodName="a"><r><axml:sc methodName="b"><axml:sc methodName="c"/></axml:sc></r></axml:sc>` +
+			`<x>text<!--c--><axml:sc methodName="d"/></x></D>`,
+		"root call": `<axml:sc methodName="root"><axml:params><axml:sc methodName="p"/></axml:params><axml:sc methodName="r"/></axml:sc>`,
+		"none":      `<D><x/></D>`,
+	} {
+		doc := xmldom.MustParse("D.xml", src)
+		got, want := TopLevelServiceCalls(doc), filter(doc)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d top-level calls, filter %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Node() != want[i].Node() {
+				t.Fatalf("%s: call %d is %s, filter %s", name, i, got[i].Describe(), want[i].Describe())
+			}
+		}
+	}
+}
+
 func TestNewServiceCall(t *testing.T) {
 	doc := xmldom.MustParse("D.xml", `<D/>`)
 	sc := NewServiceCall(doc, "getPoints", ModeMerge, map[string]string{"b": "2", "a": "1"})

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 
 	"axmltx/internal/xmldom"
 )
@@ -72,6 +73,10 @@ type Evaluator struct {
 // Eval evaluates q against doc. The query's document name must match the
 // root element name (or the document's repository name, with or without the
 // ".xml" suffix).
+//
+// Bindings stream from the source path one at a time: the where predicate
+// runs on each as it is reached, and the selects run only for the bindings
+// that pass, appending straight into the result.
 func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 	root := doc.Root()
 	if root == nil {
@@ -81,25 +86,42 @@ func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 		return nil, fmt.Errorf("query: query targets %q but document is %q (root %q)",
 			q.Doc, doc.Name(), root.Name())
 	}
-	candidates := ev.evalPathNodes(root, q.Source)
 	res := &Result{}
-	seen := make(map[Item]bool)
-	for _, b := range candidates {
-		ok, err := ev.evalExpr(b, q.Where)
-		if err != nil {
-			return nil, err
+	for _, step := range q.Source {
+		if step.Axis == AxisAttribute {
+			// An attribute is not a binding candidate.
+			return res, nil
 		}
-		if !ok {
-			continue
+	}
+	e := ev.evaluation()
+	var (
+		err  error
+		seen = make(map[Item]bool)
+		// selected backs every binding's PerBinding entry: each entry is
+		// a capacity-capped window of it, so a binding costs no slice of
+		// its own.
+		selected []Item
+	)
+	e.walk(root, q.Source, func(it Item) bool {
+		b := it.Node
+		var ok bool
+		if ok, err = e.evalExpr(b, q.Where); err != nil || !ok {
+			return err == nil
 		}
 		res.Bindings = append(res.Bindings, b)
-		var items []Item
+		start := len(selected)
 		for _, sel := range q.Selects {
-			selItems, err := ev.EvalPath(b, sel)
-			if err != nil {
-				return nil, err
+			if err = checkPath(sel); err != nil {
+				return false
 			}
-			items = append(items, selItems...)
+			e.walk(b, sel, func(it Item) bool {
+				selected = append(selected, it)
+				return true
+			})
+		}
+		var items []Item
+		if len(selected) > start {
+			items = selected[start:len(selected):len(selected)]
 		}
 		res.PerBinding = append(res.PerBinding, items)
 		for _, it := range items {
@@ -108,6 +130,10 @@ func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 				res.Items = append(res.Items, it)
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -125,164 +151,285 @@ func docNameMatches(doc *xmldom.Document, name string) bool {
 // EvalPath evaluates a relative path from ctx and returns the matched items.
 // An empty path yields ctx itself.
 func (ev *Evaluator) EvalPath(ctx *xmldom.Node, path Path) ([]Item, error) {
-	nodes := []*xmldom.Node{ctx}
-	for i, step := range path {
-		if step.Axis == AxisAttribute {
-			if i != len(path)-1 {
-				return nil, fmt.Errorf("query: attribute step /@%s must be last", step.Name)
-			}
-			var items []Item
-			for _, n := range nodes {
-				if _, ok := n.Attr(step.Name); ok {
-					items = append(items, Item{Node: n, Attr: step.Name})
-				}
-			}
-			return items, nil
-		}
-		nodes = ev.stepNodes(nodes, step)
+	if err := checkPath(path); err != nil {
+		return nil, err
 	}
-	items := make([]Item, 0, len(nodes))
-	for _, n := range nodes {
-		items = append(items, Item{Node: n})
+	// An empty result is [] for a node path and nil for an attribute
+	// path; callers have always seen these shapes.
+	items := []Item{}
+	if len(path) > 0 && path[len(path)-1].Axis == AxisAttribute {
+		items = nil
 	}
+	e := ev.evaluation()
+	e.walk(ctx, path, func(it Item) bool {
+		items = append(items, it)
+		return true
+	})
 	return items, nil
 }
 
-// evalPathNodes is EvalPath restricted to node (non-attribute) paths; it is
-// used for the source path, which cannot end on an attribute.
-func (ev *Evaluator) evalPathNodes(ctx *xmldom.Node, path Path) []*xmldom.Node {
-	nodes := []*xmldom.Node{ctx}
-	for _, step := range path {
-		if step.Axis == AxisAttribute {
-			return nil
-		}
-		nodes = ev.stepNodes(nodes, step)
-	}
-	return nodes
-}
-
-func (ev *Evaluator) stepNodes(ctxs []*xmldom.Node, step Step) []*xmldom.Node {
-	var out []*xmldom.Node
-	seen := make(map[*xmldom.Node]bool)
-	add := func(n *xmldom.Node) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// checkPath rejects an attribute step anywhere but last.
+func checkPath(path Path) error {
+	for i, step := range path {
+		if step.Axis == AxisAttribute && i != len(path)-1 {
+			return fmt.Errorf("query: attribute step /@%s must be last", step.Name)
 		}
 	}
-	for _, ctx := range ctxs {
-		switch step.Axis {
-		case AxisChild:
-			for _, c := range ev.logicalChildren(ctx) {
-				if nameMatches(c, step.Name) {
-					add(c)
-				}
-			}
-		case AxisDescendant:
-			ev.walkVisible(ctx, func(n *xmldom.Node) {
-				if n != ctx && nameMatches(n, step.Name) {
-					add(n)
-				}
-			})
-		case AxisParent:
-			if p := ev.logicalParent(ctx); p != nil {
-				add(p)
-			}
+	return nil
+}
+
+// evaluation is one Eval or EvalPath call's view of its Evaluator. The walk
+// asks whether each element it passes is hidden or transparent; a name
+// whose length no configured name has is answered without hashing it.
+type evaluation struct {
+	ev *Evaluator
+	// transparentLens and hiddenLens have bit min(len(name), 63) set for
+	// each configured name.
+	transparentLens, hiddenLens uint64
+}
+
+func (ev *Evaluator) evaluation() *evaluation {
+	e := &evaluation{ev: ev}
+	for name := range ev.Transparent {
+		e.transparentLens |= lenBit(name)
+	}
+	for name := range ev.Hidden {
+		e.hiddenLens |= lenBit(name)
+	}
+	return e
+}
+
+func lenBit(name string) uint64 { return 1 << min(len(name), 63) }
+
+func (e *evaluation) transparent(name string) bool {
+	return e.transparentLens&lenBit(name) != 0 && e.ev.Transparent[name]
+}
+
+func (e *evaluation) hidden(name string) bool {
+	return e.hiddenLens&lenBit(name) != 0 && e.ev.Hidden[name]
+}
+
+// walk streams the items path reaches from ctx to emit until emit returns
+// false. The order is that of evaluating the path one step at a time over
+// the whole set of contexts, first occurrence kept: step i+1 runs on the
+// nodes step i reached, in the order reached. Because each reached node is
+// carried to the end of the path before the next one is reached, that order
+// needs no intermediate node sets; only steps that can reach one node from
+// two contexts (see repeats) remember what they have passed on. An
+// attribute step must be last (checkPath).
+func (e *evaluation) walk(ctx *xmldom.Node, path Path, emit func(Item) bool) {
+	w := pathWalker{e: e, path: path}
+	for i := range path {
+		if e.repeats(path, i) {
+			w.seen = make([]map[*xmldom.Node]bool, len(path))
+			break
 		}
 	}
-	return out
+	w.from(0, ctx, emit)
 }
 
-func nameMatches(n *xmldom.Node, name string) bool {
-	return n.Kind() == xmldom.ElementNode && (name == "*" || n.Name() == name)
+// repeats reports whether step i of path can reach one node from two of its
+// contexts, which are the distinct nodes step i-1 reached.
+func (e *evaluation) repeats(path Path, i int) bool {
+	single := true // only parent steps so far: at most one context
+	for _, step := range path[:i] {
+		single = single && step.Axis == AxisParent
+	}
+	if single {
+		return false
+	}
+	switch path[i].Axis {
+	case AxisDescendant, AxisParent:
+		return true
+	case AxisChild:
+		// A node is the logical child of two contexts only when one of
+		// them is a transparent element inside the other. Parent steps
+		// never yield transparent elements.
+		prev := path[i-1]
+		return prev.Axis != AxisParent && (prev.Name == "*" || e.transparent(prev.Name))
+	}
+	return false
 }
 
-// logicalChildren returns ctx's children with AXML visibility applied:
-// hidden subtrees are dropped, and transparent children contribute both
-// themselves (so axml:sc can be addressed directly) and, recursively, their
-// own logical children in place.
-func (ev *Evaluator) logicalChildren(ctx *xmldom.Node) []*xmldom.Node {
-	var out []*xmldom.Node
+// pathWalker is the state of one walk: the depth-first cursor over path,
+// and for each step that repeats, the nodes it has already passed on.
+//
+// emit travels as a parameter rather than a field so that escape analysis
+// keeps the variables its closure captures on the caller's stack.
+type pathWalker struct {
+	e    *evaluation
+	path Path
+	seen []map[*xmldom.Node]bool
+}
+
+// from applies step i to ctx. It returns false once emit has asked to stop.
+func (w *pathWalker) from(i int, ctx *xmldom.Node, emit func(Item) bool) bool {
+	if i == len(w.path) {
+		return emit(Item{Node: ctx})
+	}
+	step := w.path[i]
+	switch step.Axis {
+	case AxisChild:
+		return w.children(i, ctx, emit)
+	case AxisDescendant:
+		return w.descendants(i, ctx, emit)
+	case AxisParent:
+		if p := w.e.logicalParent(ctx); p != nil {
+			return w.reach(i, p, emit)
+		}
+	case AxisAttribute:
+		if _, ok := ctx.Attr(step.Name); ok {
+			return emit(Item{Node: ctx, Attr: step.Name})
+		}
+	}
+	return true
+}
+
+// reach carries n, reached by step i, on through the rest of the path
+// unless step i has passed n on before.
+func (w *pathWalker) reach(i int, n *xmldom.Node, emit func(Item) bool) bool {
+	if w.seen != nil && w.e.repeats(w.path, i) {
+		if w.seen[i] == nil {
+			w.seen[i] = make(map[*xmldom.Node]bool)
+		}
+		if w.seen[i][n] {
+			return true
+		}
+		w.seen[i][n] = true
+	}
+	return w.from(i+1, n, emit)
+}
+
+// children reaches ctx's logical children that step i names: its element
+// children outside hidden subtrees, where a transparent child stands both
+// for itself (so axml:sc can be addressed directly) and, in place, for its
+// own logical children.
+func (w *pathWalker) children(i int, ctx *xmldom.Node, emit func(Item) bool) bool {
+	name := w.path[i].Name
 	for _, c := range ctx.Children() {
-		if c.Kind() != xmldom.ElementNode {
+		if c.Kind() != xmldom.ElementNode || w.e.hidden(c.Name()) {
 			continue
 		}
-		if ev.Hidden[c.Name()] {
-			continue
+		if (name == "*" || c.Name() == name) && !w.reach(i, c, emit) {
+			return false
 		}
-		out = append(out, c)
-		if ev.Transparent[c.Name()] {
-			out = append(out, ev.logicalChildren(c)...)
+		if w.e.transparent(c.Name()) && !w.children(i, c, emit) {
+			return false
 		}
 	}
-	return out
+	return true
+}
+
+// descendants reaches every element beneath ctx that step i names, in
+// document order, skipping hidden subtrees.
+func (w *pathWalker) descendants(i int, ctx *xmldom.Node, emit func(Item) bool) bool {
+	name := w.path[i].Name
+	for _, c := range ctx.Children() {
+		if c.Kind() != xmldom.ElementNode || w.e.hidden(c.Name()) {
+			continue
+		}
+		if (name == "*" || c.Name() == name) && !w.reach(i, c, emit) {
+			return false
+		}
+		if !w.descendants(i, c, emit) {
+			return false
+		}
+	}
+	return true
 }
 
 // logicalParent returns the nearest non-transparent ancestor element, so a
 // node stored inside an <axml:sc> reports the embedding element as parent.
-func (ev *Evaluator) logicalParent(n *xmldom.Node) *xmldom.Node {
+func (e *evaluation) logicalParent(n *xmldom.Node) *xmldom.Node {
 	for p := n.Parent(); p != nil; p = p.Parent() {
-		if !ev.Transparent[p.Name()] {
+		if !e.transparent(p.Name()) {
 			return p
 		}
 	}
 	return nil
 }
 
-// walkVisible visits every element beneath ctx in document order, skipping
-// hidden subtrees.
-func (ev *Evaluator) walkVisible(ctx *xmldom.Node, fn func(*xmldom.Node)) {
-	ctx.Walk(func(n *xmldom.Node) bool {
-		if n.Kind() != xmldom.ElementNode {
-			return false
-		}
-		if n != ctx && ev.Hidden[n.Name()] {
-			return false
-		}
-		fn(n)
-		return true
-	})
-}
-
-func (ev *Evaluator) evalExpr(binding *xmldom.Node, e Expr) (bool, error) {
-	if e == nil {
+func (e *evaluation) evalExpr(binding *xmldom.Node, expr Expr) (bool, error) {
+	if expr == nil {
 		return true, nil
 	}
-	switch x := e.(type) {
+	switch x := expr.(type) {
 	case *Compare:
-		items, err := ev.EvalPath(binding, x.Path)
-		if err != nil {
+		if err := checkPath(x.Path); err != nil {
 			return false, err
 		}
 		// Existential semantics as in XPath general comparisons: the
-		// predicate holds if any matched item satisfies it. A != with no
-		// matches is false (there is no witness).
-		for _, it := range items {
-			v := it.Value()
-			if x.Op == OpEq && v == x.Literal {
-				return true, nil
-			}
-			if x.Op == OpNeq && v != x.Literal {
-				return true, nil
-			}
+		// predicate holds if any matched item satisfies it, so the walk
+		// stops at the first witness. A != with no matches is false
+		// (there is no witness).
+		if x.Op != OpEq && x.Op != OpNeq {
+			return false, nil
 		}
-		return false, nil
+		found := false
+		e.walk(binding, x.Path, func(it Item) bool {
+			found = it.equals(x.Literal) == (x.Op == OpEq)
+			return !found
+		})
+		return found, nil
 	case *And:
-		l, err := ev.evalExpr(binding, x.L)
+		l, err := e.evalExpr(binding, x.L)
 		if err != nil || !l {
 			return false, err
 		}
-		return ev.evalExpr(binding, x.R)
+		return e.evalExpr(binding, x.R)
 	case *Or:
-		l, err := ev.evalExpr(binding, x.L)
+		l, err := e.evalExpr(binding, x.L)
 		if err != nil {
 			return false, err
 		}
 		if l {
 			return true, nil
 		}
-		return ev.evalExpr(binding, x.R)
+		return e.evalExpr(binding, x.R)
 	default:
-		return false, fmt.Errorf("query: unknown expression %T", e)
+		return false, fmt.Errorf("query: unknown expression %T", expr)
 	}
+}
+
+// equals reports whether the item's value (see Value) is lit.
+func (it Item) equals(lit string) bool {
+	if it.Attr != "" {
+		v, _ := it.Node.Attr(it.Attr)
+		return v == lit
+	}
+	return textEquals(it.Node, lit)
+}
+
+// textEquals reports whether n.TextContent() is lit without building the
+// text.
+func textEquals(n *xmldom.Node, lit string) bool {
+	switch n.Kind() {
+	case xmldom.TextNode:
+		return n.Text() == lit
+	case xmldom.CommentNode:
+		return lit == ""
+	}
+	rest, ok := textPrefix(n, lit)
+	return ok && rest == ""
+}
+
+// textPrefix matches the text beneath element n, in document order, against
+// the start of lit and returns what is left of lit; ok is false at the first
+// character that differs.
+func textPrefix(n *xmldom.Node, lit string) (rest string, ok bool) {
+	for _, c := range n.Children() {
+		switch c.Kind() {
+		case xmldom.TextNode:
+			t := c.Text()
+			if !strings.HasPrefix(lit, t) {
+				return "", false
+			}
+			lit = lit[len(t):]
+		case xmldom.ElementNode:
+			if lit, ok = textPrefix(c, lit); !ok {
+				return "", false
+			}
+		}
+	}
+	return lit, true
 }

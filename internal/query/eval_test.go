@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"axmltx/internal/xmldom"
@@ -241,5 +243,46 @@ func TestEvalPathAttributeMustBeLast(t *testing.T) {
 	ev := &Evaluator{}
 	if _, err := ev.EvalPath(doc.Root(), Path{{Axis: AxisAttribute, Name: "k"}, {Axis: AxisChild, Name: "b"}}); err == nil {
 		t.Fatal("attribute step in the middle must error")
+	}
+}
+
+// playersDoc is the benchmark's ATPList shape: per player a rank, a name,
+// one of 50 citizenships and a points element.
+func playersDoc(players int) *xmldom.Document {
+	var b strings.Builder
+	b.WriteString(`<ATP date="18042005">`)
+	for i := 0; i < players; i++ {
+		fmt.Fprintf(&b, `<player rank="%d"><name><firstname>F%d</firstname><lastname>L%d</lastname></name>`+
+			`<citizenship>C%d</citizenship><points>%d</points></player>`, i+1, i, i, i%50, 100+i)
+	}
+	b.WriteString(`</ATP>`)
+	return xmldom.MustParse("ATP.xml", b.String())
+}
+
+// TestEvalAllocsIndependentOfNonMatches pins the streaming evaluator's
+// allocation profile: a candidate that fails the where clause costs no
+// allocation, and a matching row costs a few amortised appends.
+func TestEvalAllocsIndependentOfNonMatches(t *testing.T) {
+	ev := axmlEvaluator()
+	allocs := func(doc *xmldom.Document, src string, rows int) float64 {
+		q := MustParse(src)
+		return testing.AllocsPerRun(20, func() {
+			res, err := ev.Eval(doc, q)
+			if err != nil || len(res.Bindings) != rows {
+				t.Fatalf("%s: %d rows, %v; want %d", src, len(res.Bindings), err, rows)
+			}
+		})
+	}
+	const oneRow = `Select p/points from p in ATP//player where p/name/lastname = L7`
+	small, large := allocs(playersDoc(50), oneRow, 1), allocs(playersDoc(5000), oneRow, 1)
+	t.Logf("one-row query: %v allocs at 50 players, %v at 5000", small, large)
+	if small != large || large > 64 {
+		t.Errorf("one-row query: %v allocs at 50 players, %v at 5000; want equal and <= 64", small, large)
+	}
+	const read = `Select p/name/lastname, p/points from p in ATP//player where p/citizenship = C7`
+	got := allocs(playersDoc(5000), read, 100)
+	t.Logf("100-row read query: %v allocs", got)
+	if got > 25*100 {
+		t.Errorf("100-row read query: %v allocs, want <= %d", got, 25*100)
 	}
 }

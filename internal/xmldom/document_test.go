@@ -305,9 +305,30 @@ func TestEqualChildOrderSignificant(t *testing.T) {
 }
 
 func TestTextContentConcatenation(t *testing.T) {
-	d := MustParse("d", `<r>Hello <b>world</b>!</r>`)
-	if got := d.Root().TextContent(); got != "Hello world!" {
-		t.Fatalf("TextContent = %q", got)
+	for _, tc := range []struct{ name, src, want string }{
+		{"empty", `<r/>`, ""},
+		{"one text", `<r>123</r>`, "123"},
+		{"comment only", `<r><!--c--></r>`, ""},
+		{"text and comment", `<r><!--c-->123</r>`, "123"},
+		{"text around comment", `<r>12<!--c-->3</r>`, "123"},
+		{"nested elements", `<r><a><b>L7</b></a></r>`, "L7"},
+		{"mixed", `<r>Hello <b>world</b>!</r>`, "Hello world!"},
+	} {
+		root := MustParse("d", tc.src).Root()
+		var concat strings.Builder
+		root.Walk(func(n *Node) bool {
+			if n.Kind() == TextNode {
+				concat.WriteString(n.Text())
+			}
+			return true
+		})
+		if got := root.TextContent(); got != tc.want || got != concat.String() {
+			t.Errorf("%s: TextContent = %q, want %q (concatenation %q)", tc.name, got, tc.want, concat.String())
+		}
+	}
+	points := MustParse("d", `<points>123</points>`).Root()
+	if allocs := testing.AllocsPerRun(100, func() { _ = points.TextContent() }); allocs != 0 {
+		t.Fatalf("TextContent of one text child allocated %v times", allocs)
 	}
 }
 

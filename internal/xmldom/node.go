@@ -181,9 +181,32 @@ func (n *Node) TextContent() string {
 	case CommentNode:
 		return ""
 	}
+	if t, ok := n.soleText(); ok {
+		return t
+	}
 	var b strings.Builder
 	n.appendText(&b)
 	return b.String()
+}
+
+// soleText returns the text of the only text node among an element's
+// children, or "" when there is none, so the common <points>123</points>
+// shape needs no builder; ok is false when there are element children or
+// more than one text node.
+func (n *Node) soleText() (text string, ok bool) {
+	found := false
+	for _, c := range n.children {
+		switch c.kind {
+		case TextNode:
+			if found {
+				return "", false
+			}
+			text, found = c.text, true
+		case ElementNode:
+			return "", false
+		}
+	}
+	return text, true
 }
 
 func (n *Node) appendText(b *strings.Builder) {

@@ -10,6 +10,7 @@ import (
 	"axmltx/internal/axml"
 	"axmltx/internal/core"
 	"axmltx/internal/p2p"
+	"axmltx/internal/query"
 	"axmltx/internal/services"
 	"axmltx/internal/wal"
 )
@@ -141,14 +142,7 @@ func BenchmarkStoreDisjointDocs(b *testing.B) {
 	peer := core.NewPeer(net.Join("P1"), wal.NewMemory(), core.Options{})
 	// RunParallel starts GOMAXPROCS goroutines; host one document for each.
 	for n := 1; n <= runtime.GOMAXPROCS(0); n++ {
-		var doc strings.Builder
-		fmt.Fprintf(&doc, `<ATP%d>`, n)
-		for i := 0; i < players; i++ {
-			fmt.Fprintf(&doc, `<player rank="%d"><name><firstname>F%d</firstname><lastname>L%d</lastname></name>`+
-				`<citizenship>C%d</citizenship><points>%d</points></player>`, i+1, i, i, i%citizenships, 100+i)
-		}
-		fmt.Fprintf(&doc, `</ATP%d>`, n)
-		if err := peer.HostDocument(fmt.Sprintf("ATP%d.xml", n), doc.String()); err != nil {
+		if err := peer.HostDocument(fmt.Sprintf("ATP%d.xml", n), playersDoc(fmt.Sprintf("ATP%d", n), players, citizenships)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,34 +173,96 @@ func BenchmarkStoreDisjointDocs(b *testing.B) {
 	})
 }
 
+// playersDoc builds the local_rw document shape under root element root:
+// per player a rank, a name, one of citizenships citizenships and a points
+// element.
+func playersDoc(root string, players, citizenships int) string {
+	var doc strings.Builder
+	fmt.Fprintf(&doc, `<%s>`, root)
+	for i := 0; i < players; i++ {
+		fmt.Fprintf(&doc, `<player rank="%d"><name><firstname>F%d</firstname><lastname>L%d</lastname></name>`+
+			`<citizenship>C%d</citizenship><points>%d</points></player>`, i+1, i, i, i%citizenships, 100+i)
+	}
+	fmt.Fprintf(&doc, `</%s>`, root)
+	return doc.String()
+}
+
 // BenchmarkQueryEvaluation measures pure (non-materializing) query
-// evaluation over a 200-player document.
+// evaluation: a one-row query through a peer transaction over 200 players,
+// and local_rw's two query shapes over 5 000 players, once through
+// Store.Apply (materialization planning, latch, log) and once through the
+// evaluator alone.
 func BenchmarkQueryEvaluation(b *testing.B) {
-	net := p2p.NewNetwork(0)
-	ap1 := core.NewPeer(net.Join("AP1"), wal.NewMemory(), core.Options{})
-	var doc string
-	{
-		doc = `<ATPList>`
-		for i := 1; i <= 200; i++ {
-			doc += fmt.Sprintf(`<player rank="%d"><name><lastname>L%d</lastname></name><citizenship>C%d</citizenship></player>`, i, i, i%20)
+	b.Run("peer_200", func(b *testing.B) {
+		net := p2p.NewNetwork(0)
+		ap1 := core.NewPeer(net.Join("AP1"), wal.NewMemory(), core.Options{})
+		var doc string
+		{
+			doc = `<ATPList>`
+			for i := 1; i <= 200; i++ {
+				doc += fmt.Sprintf(`<player rank="%d"><name><lastname>L%d</lastname></name><citizenship>C%d</citizenship></player>`, i, i, i%20)
+			}
+			doc += `</ATPList>`
 		}
-		doc += `</ATPList>`
-	}
-	if err := ap1.HostDocument("ATPList.xml", doc); err != nil {
-		b.Fatal(err)
-	}
-	q, _ := axml.ParseQuery(`Select p/citizenship from p in ATPList//player where p/name/lastname = L137`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txc := ap1.Begin()
-		res, err := ap1.Exec(bg, txc, axml.NewQuery(q))
-		if err != nil || len(res.Query.Items) != 1 {
-			b.Fatalf("res=%v err=%v", res, err)
-		}
-		if err := ap1.Commit(bg, txc); err != nil {
+		if err := ap1.HostDocument("ATPList.xml", doc); err != nil {
 			b.Fatal(err)
 		}
+		q, _ := axml.ParseQuery(`Select p/citizenship from p in ATPList//player where p/name/lastname = L137`)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			txc := ap1.Begin()
+			res, err := ap1.Exec(bg, txc, axml.NewQuery(q))
+			if err != nil || len(res.Query.Items) != 1 {
+				b.Fatalf("res=%v err=%v", res, err)
+			}
+			if err := ap1.Commit(bg, txc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	const players, citizenships = 5000, 50
+	store := axml.NewStore(wal.NewMemory())
+	if _, err := store.AddParsed("ATP.xml", playersDoc("ATP", players, citizenships)); err != nil {
+		b.Fatal(err)
+	}
+	read, _ := axml.ParseQuery(`Select p/name/lastname, p/points from p in ATP//player where p/citizenship = C7`)
+	points, _ := axml.ParseQuery(`Select p/points from p in ATP//player where p/name/lastname = L7`)
+	shapes := []struct {
+		name  string
+		q     *query.Query
+		items int
+		// action is what local_rw applies for this shape.
+		action func(i int) *axml.Action
+	}{
+		{"read", read, 2 * players / citizenships, func(int) *axml.Action { return axml.NewQuery(read) }},
+		{"replace", points, 1, func(i int) *axml.Action { return axml.NewReplace(points, fmt.Sprintf("<points>%d</points>", i)) }},
+	}
+	for _, sh := range shapes {
+		b.Run("apply_5000/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Apply(fmt.Sprintf("T%d", i), sh.action(i), nil, axml.Lazy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("eval_5000/"+sh.name, func(b *testing.B) {
+			doc, ok := store.Snapshot("ATP.xml")
+			if !ok {
+				b.Fatal("no snapshot")
+			}
+			ev := store.Evaluator()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ev.Eval(doc, sh.q)
+				if err != nil || len(res.Items) != sh.items {
+					b.Fatalf("res=%v err=%v", res, err)
+				}
+			}
+		})
 	}
 }
 
