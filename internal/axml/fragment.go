@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"axmltx/internal/xmldom"
 )
@@ -154,11 +153,11 @@ func SplitDocument(doc *xmldom.Document, threshold int) (spine string, frags []*
 }
 
 // AssembleDocument rebuilds a document from its spine and fragments. The
-// fragment XML bodies are parsed in parallel (the expensive part of
-// assembly); re-attachment into the target tree is sequential and ordered
-// by (Parent, Pos) so sibling order is reconstructed exactly. Fragments
-// whose parent no longer exists in the spine are rejected — a torn or
-// mismatched fragment set must fail loudly, never assemble silently wrong.
+// fragment XML bodies are parsed first, one after another on the calling
+// goroutine; re-attachment into the target tree is ordered by (Parent, Pos)
+// so sibling order is reconstructed exactly. Fragments whose parent no
+// longer exists in the spine are rejected — a torn or mismatched fragment
+// set must fail loudly, never assemble silently wrong.
 func AssembleDocument(name, spine string, frags []*Fragment) (*xmldom.Document, error) {
 	doc, err := restoreDoc(name, spine)
 	if err != nil {
@@ -167,21 +166,10 @@ func AssembleDocument(name, spine string, frags []*Fragment) (*xmldom.Document, 
 	if len(frags) == 0 {
 		return doc, nil
 	}
-	// Parse every fragment body concurrently into its own scratch document.
 	parsed := make([]*xmldom.Document, len(frags))
-	errs := make([]error, len(frags))
-	var wg sync.WaitGroup
 	for i, f := range frags {
-		wg.Add(1)
-		go func(i int, f *Fragment) {
-			defer wg.Done()
-			parsed[i], errs[i] = xmldom.ParseString(string(f.ID), f.XML)
-		}(i, f)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("axml: assemble %s: fragment %s: %w", name, frags[i].ID, err)
+		if parsed[i], err = xmldom.ParseString(string(f.ID), f.XML); err != nil {
+			return nil, fmt.Errorf("axml: assemble %s: fragment %s: %w", name, f.ID, err)
 		}
 	}
 	order := make([]int, len(frags))

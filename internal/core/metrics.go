@@ -79,8 +79,10 @@ type Metrics struct {
 	CacheFetches       atomic.Int64
 	CacheInvalidations atomic.Int64
 
-	// Document-sharding events. FragFetches counts remote fragment fetches
-	// made during assembly; FragMigrations counts completed heat-driven
+	// Document-sharding events. FragFetches counts answered fragment-fetch
+	// requests this peer sent — one per holder per round, so a remote
+	// assembly from a single holder costs 2 (spine, then its fragments), not
+	// one per fragment; FragMigrations counts completed heat-driven
 	// handoffs out of this peer; FragPromotions counts shadow copies
 	// re-promoted after a migration destination died (compensation).
 	FragFetches    atomic.Int64

@@ -45,11 +45,14 @@ type fragState struct {
 	heat   *shard.Heat
 	shadow map[axml.FragmentID]shadowEntry
 	seq    uint64 // migration WAL-txn counter
+	// replyBudget is fragReplyBudget; tests lower it to split replies.
+	replyBudget int
 }
 
 func (fs *fragState) init() {
 	fs.heat = shard.NewHeat()
 	fs.shadow = make(map[axml.FragmentID]shadowEntry)
+	fs.replyBudget = fragReplyBudget
 }
 
 // nextMigTxn returns the WAL transaction ID for the next migration.
@@ -83,38 +86,59 @@ func (p *Peer) ShardHostedDocument(name string, threshold int) error {
 	return nil
 }
 
-// handleFragFetch serves a fragment (or spine) to an assembling peer and
-// attributes the serve cost to the caller's heat score.
+// fragReplyBudget is the byte budget of one fragment-fetch reply, half of
+// p2p's 64 MiB maxFrame. A reply always carries its first piece, so a frame
+// holds at most the budget or one piece, whichever is larger: a document
+// whose every fragment could be fetched alone can be fetched in batches.
+const fragReplyBudget = 32 << 20
+
+// handleFragFetch serves fragments (and spines) to an assembling peer and
+// attributes each fragment's serve cost to the caller's heat score. It
+// serves the batch in request order and stops adding pieces once the reply
+// reaches its byte budget, marking the rest deferred.
 func (p *Peer) handleFragFetch(msg *p2p.Message) (*p2p.Message, error) {
 	var req FragFetchRequest
 	if err := decode(msg.Payload, &req); err != nil {
 		return nil, err
 	}
-	resp := FragFetchResponse{ID: req.ID}
-	if doc, ok := spineDoc(req.ID); ok {
-		if spine, held := p.store.Spine(doc); held {
-			resp.Found = true
-			resp.Doc = doc
-			resp.XML = spine
-			if manifest, ok := p.store.Manifest(doc); ok {
-				resp.Manifest = make([]string, len(manifest))
-				for i, id := range manifest {
-					resp.Manifest[i] = string(id)
+	resp := FragFetchResponse{Pieces: make([]FragPiece, len(req.IDs))}
+	used, full := 0, false
+	for i, id := range req.IDs {
+		pc := &resp.Pieces[i]
+		pc.ID = id
+		if full {
+			pc.Deferred = true
+			continue
+		}
+		if doc, ok := spineDoc(id); ok {
+			if spine, held := p.store.Spine(doc); held {
+				pc.Found = true
+				pc.Doc = doc
+				pc.XML = spine
+				used += len(spine)
+				if manifest, ok := p.store.Manifest(doc); ok {
+					pc.Manifest = make([]string, len(manifest))
+					for j, fid := range manifest {
+						pc.Manifest[j] = string(fid)
+						used += len(fid)
+					}
 				}
 			}
+		} else if f, ok := p.store.GetFragment(axml.FragmentID(id)); ok {
+			if used > 0 && used+len(f.XML) > p.frag.replyBudget {
+				pc.Deferred, full = true, true
+				continue
+			}
+			used += len(f.XML)
+			*pc = FragPiece{
+				ID: id, Found: true, Doc: f.Doc,
+				Root: uint64(f.Root), Parent: uint64(f.Parent), Pos: f.Pos,
+				XML: f.XML, Nodes: f.Nodes, Version: f.Version,
+			}
+			// Heat attribution: weight by subtree size, the cost this serve
+			// represents for the caller's assembly.
+			p.frag.heat.Observe(id, string(msg.From), float64(f.Nodes))
 		}
-	} else if f, ok := p.store.GetFragment(axml.FragmentID(req.ID)); ok {
-		resp.Found = true
-		resp.Doc = f.Doc
-		resp.Root = uint64(f.Root)
-		resp.Parent = uint64(f.Parent)
-		resp.Pos = f.Pos
-		resp.XML = f.XML
-		resp.Nodes = f.Nodes
-		resp.Version = f.Version
-		// Heat attribution: weight by subtree size, the cost this serve
-		// represents for the caller's assembly.
-		p.frag.heat.Observe(req.ID, string(msg.From), float64(f.Nodes))
 	}
 	return &p2p.Message{Kind: p2p.KindFragFetch, Payload: encode(&resp)}, nil
 }
@@ -133,81 +157,184 @@ func spineDoc(id string) (string, bool) {
 // here (local access still feeds heat, so a fragment whose traffic is
 // already local stays put) or from a catalog-advertised holder otherwise.
 func (p *Peer) FetchFragment(ctx context.Context, id axml.FragmentID) (*axml.Fragment, error) {
-	if f, ok := p.store.GetFragment(id); ok {
-		p.frag.heat.Observe(string(id), string(p.id), float64(f.Nodes))
+	if f, ok := p.localFragment(id); ok {
 		return f, nil
 	}
-	resp, err := p.fragFetchRemote(ctx, string(id))
+	pieces, err := p.fetchPieces(ctx, []string{string(id)})
 	if err != nil {
 		return nil, err
 	}
-	return &axml.Fragment{
-		ID:      axml.FragmentID(resp.ID),
-		Doc:     resp.Doc,
-		Root:    xmldom.NodeID(resp.Root),
-		Parent:  xmldom.NodeID(resp.Parent),
-		Pos:     resp.Pos,
-		XML:     resp.XML,
-		Nodes:   resp.Nodes,
-		Version: resp.Version,
-	}, nil
+	return pieceFragment(&pieces[0]), nil
 }
 
-// fragFetchRemote walks the advertised holders of id (highest version
-// first, so a reader racing a migration prefers the handoff destination)
-// until one answers with the fragment.
-func (p *Peer) fragFetchRemote(ctx context.Context, id string) (*FragFetchResponse, error) {
-	owners := p.fragmentOwners(id)
-	var lastErr error
-	for _, owner := range owners {
-		if owner == p.id {
-			continue
-		}
-		sp := p.tracer.Start("", "", obs.KindFragFetch, id)
-		sp.SetTarget(string(owner))
-		start := time.Now()
-		reply, err := p.transport.Request(ctx, owner, &p2p.Message{
-			Kind:    p2p.KindFragFetch,
-			Subject: id,
-			Payload: encode(&FragFetchRequest{ID: id}),
-		})
-		if err != nil {
-			sp.End(ErrCode(err), err)
-			lastErr = err
-			continue
-		}
-		var resp FragFetchResponse
-		if err := decode(reply.Payload, &resp); err != nil {
-			sp.End(ErrCode(err), err)
-			lastErr = err
-			continue
-		}
-		if !resp.Found {
-			// The advertisement was stale (fragment migrated away between
-			// gossip rounds); try the next holder.
-			sp.End("", nil)
-			lastErr = fmt.Errorf("core: peer %s no longer holds fragment %s", owner, id)
-			continue
-		}
-		p.noteInvokeRTT(owner, time.Since(start))
-		p.metrics.FragFetches.Add(1)
-		sp.End("", nil)
-		return &resp, nil
+// localFragment returns a fragment this peer holds and counts the access in
+// its own heat table.
+func (p *Peer) localFragment(id axml.FragmentID) (*axml.Fragment, bool) {
+	f, ok := p.store.GetFragment(id)
+	if ok {
+		p.frag.heat.Observe(string(id), string(p.id), float64(f.Nodes))
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("core: no holder advertised for fragment %s", id)
+	return f, ok
+}
+
+func pieceFragment(pc *FragPiece) *axml.Fragment {
+	return &axml.Fragment{
+		ID:      axml.FragmentID(pc.ID),
+		Doc:     pc.Doc,
+		Root:    xmldom.NodeID(pc.Root),
+		Parent:  xmldom.NodeID(pc.Parent),
+		Pos:     pc.Pos,
+		XML:     pc.XML,
+		Nodes:   pc.Nodes,
+		Version: pc.Version,
 	}
-	return nil, lastErr
+}
+
+// fetchBatch is one round's request to one holder: the positions, in the
+// caller's ID list, of the IDs it is asked for.
+type fetchBatch struct {
+	holder p2p.PeerID
+	idx    []int
+	pieces []FragPiece
+	err    error
+}
+
+// fetchPieces gets every named piece from other peers, in rounds. Each
+// round groups the IDs still wanted by their best remaining holder (highest
+// version first, so a reader racing a migration prefers the handoff
+// destination) and sends one request per holder; the first request runs on
+// the calling goroutine and only the others start one. An ID its holder no
+// longer has, or whose request failed, moves to its next-ranked holder; an
+// ID the holder deferred goes back to the same holder. An ID with no holder
+// left fails the fetch with an error naming it.
+func (p *Peer) fetchPieces(ctx context.Context, ids []string) ([]FragPiece, error) {
+	out := make([]FragPiece, len(ids))
+	holders := make([][]p2p.PeerID, len(ids))
+	lastErr := make([]error, len(ids))
+	pending := make([]int, len(ids))
+	for i, id := range ids {
+		hs := p.fragmentOwners(id)
+		remote := hs[:0]
+		for _, h := range hs {
+			if h != p.id {
+				remote = append(remote, h)
+			}
+		}
+		holders[i] = remote
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		var batches []fetchBatch
+		for _, i := range pending {
+			if len(holders[i]) == 0 {
+				if lastErr[i] != nil {
+					return nil, lastErr[i]
+				}
+				return nil, fmt.Errorf("core: no holder advertised for fragment %s", ids[i])
+			}
+			b := 0
+			for b < len(batches) && batches[b].holder != holders[i][0] {
+				b++
+			}
+			if b == len(batches) {
+				batches = append(batches, fetchBatch{holder: holders[i][0]})
+			}
+			batches[b].idx = append(batches[b].idx, i)
+		}
+		var wg sync.WaitGroup
+		for b := 1; b < len(batches); b++ {
+			wg.Add(1)
+			go func(b *fetchBatch) {
+				defer wg.Done()
+				b.pieces, b.err = p.fragFetch(ctx, b.holder, ids, b.idx)
+			}(&batches[b])
+		}
+		first := &batches[0]
+		first.pieces, first.err = p.fragFetch(ctx, first.holder, ids, first.idx)
+		wg.Wait()
+		pending = pending[:0]
+		for _, b := range batches {
+			for k, i := range b.idx {
+				switch {
+				case b.err != nil:
+					lastErr[i] = fmt.Errorf("core: fetch fragment %s from %s: %w", ids[i], b.holder, b.err)
+				case b.pieces[k].Deferred:
+					pending = append(pending, i)
+					continue
+				case !b.pieces[k].Found:
+					// The advertisement was stale (the fragment migrated away
+					// between gossip rounds).
+					lastErr[i] = fmt.Errorf("core: peer %s no longer holds fragment %s", b.holder, ids[i])
+				default:
+					out[i] = b.pieces[k]
+					continue
+				}
+				holders[i] = holders[i][1:]
+				pending = append(pending, i)
+			}
+		}
+	}
+	return out, nil
+}
+
+// fragFetch sends one fragment-fetch request to holder for ids[idx...] and
+// returns its pieces in request order.
+func (p *Peer) fragFetch(ctx context.Context, holder p2p.PeerID, ids []string, idx []int) ([]FragPiece, error) {
+	want := make([]string, len(idx))
+	for k, i := range idx {
+		want[k] = ids[i]
+	}
+	sp := p.tracer.Start("", "", obs.KindFragFetch, want[0])
+	sp.SetTarget(string(holder))
+	start := time.Now()
+	reply, err := p.transport.Request(ctx, holder, &p2p.Message{
+		Kind:    p2p.KindFragFetch,
+		Subject: want[0],
+		Payload: encode(&FragFetchRequest{IDs: want}),
+	})
+	var resp FragFetchResponse
+	if err == nil {
+		err = decode(reply.Payload, &resp)
+	}
+	if err == nil {
+		err = checkPieces(want, resp.Pieces)
+	}
+	if err != nil {
+		sp.End(ErrCode(err), err)
+		return nil, err
+	}
+	p.noteInvokeRTT(holder, time.Since(start))
+	p.metrics.FragFetches.Add(1)
+	sp.End("", nil)
+	return resp.Pieces, nil
+}
+
+// checkPieces validates a reply against its request: one piece per ID, in
+// order, and the first piece answered, so every round makes progress.
+func checkPieces(want []string, pieces []FragPiece) error {
+	if len(pieces) != len(want) {
+		return fmt.Errorf("core: fragment fetch answered %d of %d IDs", len(pieces), len(want))
+	}
+	for k, pc := range pieces {
+		if pc.ID != want[k] {
+			return fmt.Errorf("core: fragment fetch answered %s for %s", pc.ID, want[k])
+		}
+	}
+	if pieces[0].Deferred {
+		return errors.New("core: fragment fetch deferred its first piece")
+	}
+	return nil
 }
 
 // fragmentOwners merges catalog knowledge (version-ranked, live origins)
 // with the replication table (RTT-ranked; also the only source for peers
 // running without gossip).
 func (p *Peer) fragmentOwners(id string) []p2p.PeerID {
-	var owners []p2p.PeerID
-	if m := p.opts.Membership; m != nil {
-		owners = m.FragmentOwners(id)
+	m := p.opts.Membership
+	if m == nil {
+		return p.replicas.FragmentHolders(id)
 	}
+	owners := m.FragmentOwners(id)
 	seen := make(map[p2p.PeerID]bool, len(owners))
 	for _, o := range owners {
 		seen[o] = true
@@ -220,43 +347,48 @@ func (p *Peer) fragmentOwners(id string) []p2p.PeerID {
 	return owners
 }
 
-// AssembleSharded materializes a sharded document: the spine (local or
-// fetched from an advertised holder) plus every manifest fragment, fetched
-// concurrently, reassembled with the parallel merge of
-// axml.AssembleDocument. The fragment set comes from the manifest fixed at
-// split time, not from placement advertisements — a fragment mid-handoff
-// may transiently have no advertised holder, and an assembly that silently
-// skipped it would be a torn read. Missing fragments fail the assembly
-// loudly instead.
+// AssembleSharded materializes a sharded document in two rounds: the spine
+// (local, or one request to an advertised holder, which also returns the
+// manifest), then every manifest fragment not held here, one request per
+// holder (fetchPieces), reassembled by axml.AssembleDocument. The fragment
+// set comes from the manifest fixed at split time, not from placement
+// advertisements — a fragment mid-handoff may transiently have no
+// advertised holder, and an assembly that silently skipped it would be a
+// torn read. Missing fragments fail the assembly loudly instead.
 func (p *Peer) AssembleSharded(ctx context.Context, name string) (*xmldom.Document, error) {
 	spine, ok := p.store.Spine(name)
 	var ids []axml.FragmentID
 	if ok {
 		ids, _ = p.store.Manifest(name)
 	} else {
-		resp, err := p.fragFetchRemote(ctx, string(axml.SpineFragmentID(name)))
+		pieces, err := p.fetchPieces(ctx, []string{string(axml.SpineFragmentID(name))})
 		if err != nil {
 			return nil, fmt.Errorf("core: assemble %s: spine: %w", name, err)
 		}
-		spine = resp.XML
-		for _, id := range resp.Manifest {
-			ids = append(ids, axml.FragmentID(id))
+		spine = pieces[0].XML
+		ids = make([]axml.FragmentID, len(pieces[0].Manifest))
+		for i, id := range pieces[0].Manifest {
+			ids[i] = axml.FragmentID(id)
 		}
 	}
 	frags := make([]*axml.Fragment, len(ids))
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
+	var remote []string
+	var slots []int
 	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id axml.FragmentID) {
-			defer wg.Done()
-			frags[i], errs[i] = p.FetchFragment(ctx, id)
-		}(i, id)
+		if f, ok := p.localFragment(id); ok {
+			frags[i] = f
+			continue
+		}
+		remote = append(remote, string(id))
+		slots = append(slots, i)
 	}
-	wg.Wait()
-	for _, err := range errs {
+	if len(remote) > 0 {
+		pieces, err := p.fetchPieces(ctx, remote)
 		if err != nil {
 			return nil, fmt.Errorf("core: assemble %s: %w", name, err)
+		}
+		for k, i := range slots {
+			frags[i] = pieceFragment(&pieces[k])
 		}
 	}
 	return axml.AssembleDocument(name, spine, frags)

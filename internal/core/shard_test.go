@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"axmltx/internal/axml"
 	"axmltx/internal/membership"
 	"axmltx/internal/p2p"
 	"axmltx/internal/wal"
@@ -93,8 +98,10 @@ func TestShardAssembleRemote(t *testing.T) {
 			t.Fatalf("peer %s assembled wrong document:\n%s", p.ID(), xmldom.DocumentString(got))
 		}
 	}
-	if got := peers[2].Metrics().FragFetches.Load(); got < 3 {
-		t.Fatalf("remote assembler made %d fragment fetches, want >= 3", got)
+	// One request for the spine, one for all of the single holder's
+	// fragments.
+	if got := peers[2].Metrics().FragFetches.Load(); got != 2 {
+		t.Fatalf("remote assembler made %d fragment fetch requests, want 2", got)
 	}
 }
 
@@ -116,6 +123,222 @@ func TestShardAssembleMissingHolderFails(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), string(lost)) {
 		t.Fatalf("err = %v, want it to name fragment %s", err, lost)
+	}
+}
+
+// fetchLog records the fragment-fetch requests a peer sends, as
+// "<holder>:<id>,<id>..." in the order they were sent.
+type fetchLog struct {
+	p2p.Transport
+	mu   sync.Mutex
+	reqs []string
+}
+
+func recordFetches(p *Peer) *fetchLog {
+	l := &fetchLog{Transport: p.transport}
+	p.transport = l
+	return l
+}
+
+func (l *fetchLog) Request(ctx context.Context, to p2p.PeerID, msg *p2p.Message) (*p2p.Message, error) {
+	if msg.Kind == p2p.KindFragFetch {
+		var req FragFetchRequest
+		if err := decode(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.reqs = append(l.reqs, string(to)+":"+strings.Join(req.IDs, ","))
+		l.mu.Unlock()
+	}
+	return l.Transport.Request(ctx, to, msg)
+}
+
+func (l *fetchLog) requests() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.reqs...)
+}
+
+// staticShardCluster builds n peers without gossip; the first hosts and
+// shards shardTestDoc, and every other peer's replica table lists it as the
+// holder of the spine and of every fragment. It returns the fragment IDs in
+// manifest order.
+func staticShardCluster(t *testing.T, n int) ([]*Peer, []string) {
+	t.Helper()
+	net := p2p.NewNetwork(0)
+	peers := make([]*Peer, n)
+	for i := range peers {
+		peers[i] = NewPeer(net.Join(p2p.PeerID(string(rune('A'+i)))), wal.NewMemory(), Options{})
+	}
+	a := peers[0]
+	if err := a.HostDocument("league", shardTestDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ShardHostedDocument("league", 0); err != nil {
+		t.Fatal(err)
+	}
+	manifest, _ := a.Store().Manifest("league")
+	ids := make([]string, len(manifest))
+	for i, id := range manifest {
+		ids[i] = string(id)
+	}
+	for _, p := range peers[1:] {
+		for _, id := range append([]string{"league#spine"}, ids...) {
+			p.Replicas().AddFragment(id, a.ID())
+		}
+	}
+	return peers, ids
+}
+
+// assembleEqual assembles league at p and fails unless it equals
+// shardTestDoc.
+func assembleEqual(t *testing.T, p *Peer) *xmldom.Document {
+	t.Helper()
+	got, err := p.AssembleSharded(bg, "league")
+	if err != nil {
+		t.Fatalf("peer %s: %v", p.ID(), err)
+	}
+	ref, err := xmldom.ParseString("league", shardTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(ref) {
+		t.Fatalf("peer %s assembled wrong document:\n%s", p.ID(), xmldom.DocumentString(got))
+	}
+	return got
+}
+
+func wantRequests(t *testing.T, p *Peer, l *fetchLog, want ...string) {
+	t.Helper()
+	got := l.requests()
+	// Requests to different holders overlap, so their order is not fixed.
+	sortedGot, sortedWant := append([]string(nil), got...), append([]string(nil), want...)
+	sort.Strings(sortedGot)
+	sort.Strings(sortedWant)
+	if !reflect.DeepEqual(sortedGot, sortedWant) {
+		t.Fatalf("fetch requests = %q, want %q", got, want)
+	}
+	if n := p.Metrics().FragFetches.Load(); n != int64(len(want)) {
+		t.Fatalf("FragFetches = %d, want %d", n, len(want))
+	}
+}
+
+// TestShardAssembleOneRequestPerHolder: with one fragment migrated to B, a
+// third peer's assembly sends three requests — the spine, A's fragments in
+// one batch, B's fragment in another.
+func TestShardAssembleOneRequestPerHolder(t *testing.T) {
+	_, peers, gossips := shardCluster(t, 3)
+	a, b, c := peers[0], peers[1], peers[2]
+	moved := a.Store().Fragments()[0].ID
+	if err := a.MigrateFragment(bg, moved, b.ID()); err != nil {
+		t.Fatal(err)
+	}
+	converge(t, peers, gossips, func() bool {
+		owners := c.fragmentOwners(string(moved))
+		return len(owners) == 1 && owners[0] == b.ID()
+	})
+	var stay []string
+	manifest, _ := a.Store().Manifest("league")
+	for _, id := range manifest {
+		if id != moved {
+			stay = append(stay, string(id))
+		}
+	}
+	l := recordFetches(c)
+	assembleEqual(t, c)
+	wantRequests(t, c, l, "A:league#spine", "A:"+strings.Join(stay, ","), "B:"+string(moved))
+}
+
+// TestShardAssembleStaleHolderRetried: a stale advertisement ranked first
+// for a migrated fragment costs one retry of that fragment alone, at its
+// next-ranked holder.
+func TestShardAssembleStaleHolderRetried(t *testing.T) {
+	peers, ids := staticShardCluster(t, 3)
+	a, b, c := peers[0], peers[1], peers[2]
+	moved := ids[1]
+	c.Replicas().AddFragment(moved, b.ID()) // ranked after A
+	if err := a.MigrateFragment(bg, axml.FragmentID(moved), b.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.fragmentOwners(moved); !reflect.DeepEqual(got, []p2p.PeerID{a.ID(), b.ID()}) {
+		t.Fatalf("owners of %s = %v, want the stale A first", moved, got)
+	}
+	l := recordFetches(c)
+	assembleEqual(t, c)
+	wantRequests(t, c, l, "A:league#spine", "A:"+strings.Join(ids, ","), "B:"+moved)
+}
+
+// TestShardAssembleLocalFragmentsNotRequested: fragments the assembler holds
+// come from its own store and are left out of the holder's batch.
+func TestShardAssembleLocalFragmentsNotRequested(t *testing.T) {
+	peers, ids := staticShardCluster(t, 2)
+	a, c := peers[0], peers[1]
+	local := ids[0]
+	if err := a.MigrateFragment(bg, axml.FragmentID(local), c.ID()); err != nil {
+		t.Fatal(err)
+	}
+	l := recordFetches(c)
+	assembleEqual(t, c)
+	wantRequests(t, c, l, "A:league#spine", "A:"+strings.Join(ids[1:], ","))
+	if caller, _, total := c.frag.heat.Dominant(local); caller != string(c.ID()) || total == 0 {
+		t.Fatalf("local fragment heat = %v from %q, want the assembler's own access", total, caller)
+	}
+}
+
+// TestShardAssembleReplyBudget: a holder whose reply budget fits one
+// fragment serves a batch over several requests, each answering the first
+// piece still wanted and deferring the rest, and the document arrives
+// byte-identical.
+func TestShardAssembleReplyBudget(t *testing.T) {
+	peers, ids := staticShardCluster(t, 2)
+	a, c := peers[0], peers[1]
+	whole := xmldom.DocumentString(assembleEqual(t, c))
+	c.metrics.FragFetches.Store(0)
+	a.frag.replyBudget = 1
+	l := recordFetches(c)
+	if got := xmldom.DocumentString(assembleEqual(t, c)); got != whole {
+		t.Fatalf("budgeted assembly differs:\n got %s\nwant %s", got, whole)
+	}
+	want := []string{"A:league#spine"}
+	for i := range ids {
+		want = append(want, "A:"+strings.Join(ids[i:], ","))
+	}
+	wantRequests(t, c, l, want...)
+}
+
+// TestShardAssembleHeatPerFragment: one remote assembly leaves the holder's
+// heat for each fragment equal to the fragment's Nodes, all of it
+// attributed to the assembler.
+func TestShardAssembleHeatPerFragment(t *testing.T) {
+	peers, _ := staticShardCluster(t, 2)
+	a, c := peers[0], peers[1]
+	assembleEqual(t, c)
+	for _, f := range a.Store().Fragments() {
+		caller, share, total := a.frag.heat.Dominant(string(f.ID))
+		if caller != string(c.ID()) || share != 1 || total != float64(f.Nodes) {
+			t.Fatalf("heat of %s = %v (%.2f from %q), want %d from %s", f.ID, total, share, caller, f.Nodes, c.ID())
+		}
+	}
+}
+
+// TestShardFragmentOwnersRanking: without a catalog the owners are the
+// replica table's ranked holders; with one, the catalog's version-ranked
+// owners come first and the table adds the holders the catalog lacks.
+func TestShardFragmentOwnersRanking(t *testing.T) {
+	peers, ids := staticShardCluster(t, 2)
+	c := peers[1]
+	c.Replicas().AddFragment(ids[0], "X")
+	if got, want := c.fragmentOwners(ids[0]), []p2p.PeerID{"A", "X"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("without a catalog: owners = %v, want %v", got, want)
+	}
+
+	_, gpeers, _ := shardCluster(t, 3)
+	gc := gpeers[2]
+	id := string(gpeers[0].Store().Fragments()[0].ID)
+	gc.Replicas().AddFragment(id, "X")
+	gc.Replicas().AddFragment(id, "A")
+	if got, want := gc.fragmentOwners(id), []p2p.PeerID{"A", "X"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("with a catalog: owners = %v, want %v", got, want)
 	}
 }
 

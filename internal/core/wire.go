@@ -113,22 +113,32 @@ type CacheFetchResponse struct {
 }
 
 // FragFetchRequest is the payload of KindFragFetch: the sender is
-// assembling a sharded document and asks a catalog-advertised holder for
-// one fragment (or, with an ID of the "<doc>#spine" form, for the spine).
+// assembling a sharded document and asks one catalog-advertised holder for
+// every piece it wants from that holder, in one round trip.
 type FragFetchRequest struct {
-	// ID is the fragment ID ("<doc>#<root node ID>", internal/axml) or the
-	// "<doc>#spine" pseudo-ID naming the document spine.
-	ID string
+	// IDs are fragment IDs ("<doc>#<root node ID>", internal/axml) or the
+	// "<doc>#spine" pseudo-ID naming a document spine.
+	IDs []string
 }
 
-// FragFetchResponse answers a FragFetchRequest. Found is false when the
-// holder no longer has the fragment (it migrated away since the
-// advertisement); the requester then tries the next advertised holder.
+// FragFetchResponse answers a FragFetchRequest with one piece per requested
+// ID, in request order.
 type FragFetchResponse struct {
-	ID    string
+	Pieces []FragPiece
+}
+
+// FragPiece is a holder's answer for one requested ID.
+type FragPiece struct {
+	ID string
+	// Found is false when the holder no longer has the piece (it migrated
+	// away since the advertisement); the requester then tries the next
+	// advertised holder.
 	Found bool
-	// Fragment fields, mirroring axml.Fragment; for a spine fetch only Doc,
-	// XML and Manifest are set.
+	// Deferred marks a piece the holder did not send because the reply
+	// reached its byte budget; the requester asks the same holder again.
+	Deferred bool
+	// Fragment fields, mirroring axml.Fragment; for a spine only Doc, XML
+	// and Manifest are set.
 	Doc     string
 	Root    uint64
 	Parent  uint64
@@ -136,7 +146,7 @@ type FragFetchResponse struct {
 	XML     string
 	Nodes   int
 	Version uint64
-	// Manifest lists the document's complete fragment ID set (spine fetches
+	// Manifest lists the document's complete fragment ID set (spines
 	// only): the assembling peer must gather exactly these fragments, no
 	// matter how migration has scattered the advertisements.
 	Manifest []string

@@ -27,15 +27,21 @@ const (
 	wkStreamBatch
 	wkCacheFetchRequest
 	wkCacheFetchResponse
-	wkFragFetchRequest
-	wkFragFetchResponse
+	_ // 9: the single-fragment fetch request, retired; never reuse
+	_ // 10: the single-fragment fetch response, retired; never reuse
 	wkFragMigrateRequest
 	wkFragMigrateResponse
+	wkFragFetchRequest
+	wkFragFetchResponse
 )
 
 // errWireVersion reports a payload whose version byte this build does not
 // speak.
 var errWireVersion = errors.New("core: unsupported wire version")
+
+// errWireKind reports a payload whose kind tag is not the decode target's,
+// including the retired tags.
+var errWireKind = errors.New("core: wire kind tag mismatch")
 
 // encode renders a wire payload: no reflection, no type descriptors, one
 // output allocation per message (strings decode zero-copy on the other side).
@@ -85,19 +91,13 @@ func encode(v any) []byte {
 		w.Varint(m.WindowNanos)
 	case *FragFetchRequest:
 		w.Byte(wkFragFetchRequest)
-		w.String(m.ID)
+		w.Strings(m.IDs)
 	case *FragFetchResponse:
 		w.Byte(wkFragFetchResponse)
-		w.String(m.ID)
-		w.Bool(m.Found)
-		w.String(m.Doc)
-		w.Uvarint(m.Root)
-		w.Uvarint(m.Parent)
-		w.Varint(int64(m.Pos))
-		w.String(m.XML)
-		w.Varint(int64(m.Nodes))
-		w.Uvarint(m.Version)
-		w.Strings(m.Manifest)
+		w.Uvarint(uint64(len(m.Pieces)))
+		for i := range m.Pieces {
+			appendFragPiece(w, &m.Pieces[i])
+		}
 	case *FragMigrateRequest:
 		w.Byte(wkFragMigrateRequest)
 		w.String(m.ID)
@@ -187,21 +187,12 @@ func decode(b []byte, v any) error {
 	case *FragFetchRequest:
 		want = wkFragFetchRequest
 		if kind == want {
-			m.ID = r.String()
+			m.IDs = r.Strings()
 		}
 	case *FragFetchResponse:
 		want = wkFragFetchResponse
 		if kind == want {
-			m.ID = r.String()
-			m.Found = r.Bool()
-			m.Doc = r.String()
-			m.Root = r.Uvarint()
-			m.Parent = r.Uvarint()
-			m.Pos = int(r.Varint())
-			m.XML = r.String()
-			m.Nodes = int(r.Varint())
-			m.Version = r.Uvarint()
-			m.Manifest = r.Strings()
+			m.Pieces = readFragPieces(r)
 		}
 	case *FragMigrateRequest:
 		want = wkFragMigrateRequest
@@ -225,7 +216,7 @@ func decode(b []byte, v any) error {
 		return fmt.Errorf("core: decode: unknown wire type %T", v)
 	}
 	if r.Err() == nil && kind != want {
-		return fmt.Errorf("core: decode %T: payload has kind tag %d, want %d", v, kind, want)
+		return fmt.Errorf("core: decode %T: %w: payload has kind tag %d, want %d", v, errWireKind, kind, want)
 	}
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("core: decode %T: %w", v, err)
@@ -269,6 +260,46 @@ func readInvokeResponse(r *codec.Reader, m *InvokeResponse) {
 	m.Chain = readChain(r)
 	m.Comp = r.BytesPrefixed()
 	m.Nodes = int(r.Varint())
+}
+
+func appendFragPiece(w *codec.Writer, m *FragPiece) {
+	w.String(m.ID)
+	w.Bool(m.Found)
+	w.Bool(m.Deferred)
+	w.String(m.Doc)
+	w.Uvarint(m.Root)
+	w.Uvarint(m.Parent)
+	w.Varint(int64(m.Pos))
+	w.String(m.XML)
+	w.Varint(int64(m.Nodes))
+	w.Uvarint(m.Version)
+	w.Strings(m.Manifest)
+}
+
+func readFragPieces(r *codec.Reader) []FragPiece {
+	n := r.Count(11) // minimal piece: one byte per field
+	if n == 0 {
+		return nil
+	}
+	out := make([]FragPiece, n)
+	for i := range out {
+		m := &out[i]
+		m.ID = r.String()
+		m.Found = r.Bool()
+		m.Deferred = r.Bool()
+		m.Doc = r.String()
+		m.Root = r.Uvarint()
+		m.Parent = r.Uvarint()
+		m.Pos = int(r.Varint())
+		m.XML = r.String()
+		m.Nodes = int(r.Varint())
+		m.Version = r.Uvarint()
+		m.Manifest = r.Strings()
+		if r.Err() != nil {
+			return nil
+		}
+	}
+	return out
 }
 
 // appendChain encodes a possibly-nil invocation tree: presence flag, node

@@ -78,6 +78,23 @@ func wireFixtures() []wireFixture {
 			fresh:  func() any { return new(StreamBatch) },
 			golden: "02060574786e2d3104737663530801043c622f3e",
 		},
+		{
+			name:   "FragFetchRequest",
+			msg:    &FragFetchRequest{IDs: []string{"league#spine", "league#7"}},
+			fresh:  func() any { return new(FragFetchRequest) },
+			golden: "020d020c6c6561677565237370696e65086c65616775652337",
+		},
+		{
+			name: "FragFetchResponse",
+			msg: &FragFetchResponse{Pieces: []FragPiece{
+				{ID: "league#spine", Found: true, Doc: "league", XML: "<league/>", Manifest: []string{"league#7", "league#9"}},
+				{ID: "league#7", Found: true, Doc: "league", Root: 7, Parent: 1, Pos: 2, XML: "<p/>", Nodes: 3, Version: 2},
+				{ID: "league#9"},
+				{ID: "league#11", Deferred: true},
+			}},
+			fresh:  func() any { return new(FragFetchResponse) },
+			golden: "020e040c6c6561677565237370696e650100066c6561677565000000093c6c65616775652f3e000002086c65616775652337086c65616775652339086c656167756523370100066c6561677565070104043c702f3e060200086c6561677565233900000000000000000000096c656167756523313100010000000000000000",
+		},
 	}
 }
 
@@ -125,8 +142,23 @@ func TestWireUnknownVersion(t *testing.T) {
 func TestWireKindTagMismatch(t *testing.T) {
 	b := EncodeWire(&DisconnectNotice{Txn: "t", Dead: "AP2", Detected: "AP1"})
 	var resp InvokeResponse
-	if err := DecodeWire(b, &resp); err == nil {
-		t.Fatal("decoding a DisconnectNotice payload as InvokeResponse succeeded")
+	if err := DecodeWire(b, &resp); !errors.Is(err, errWireKind) {
+		t.Fatalf("decoding a DisconnectNotice payload as InvokeResponse: err = %v, want errWireKind", err)
+	}
+}
+
+// TestWireRetiredFragFetchTags: tags 9 and 10 carried the single-fragment
+// fetch exchange. Its payloads are the typed kind-tag error for the batched
+// messages, never misparsed as them.
+func TestWireRetiredFragFetchTags(t *testing.T) {
+	for _, tag := range []byte{9, 10} {
+		old := []byte{wireVersion, tag, 8}
+		old = append(old, "league#7"...)
+		for _, v := range []any{new(FragFetchRequest), new(FragFetchResponse)} {
+			if err := DecodeWire(old, v); !errors.Is(err, errWireKind) {
+				t.Fatalf("tag %d as %T: err = %v, want errWireKind", tag, v, err)
+			}
+		}
 	}
 }
 
@@ -146,6 +178,8 @@ func FuzzWireDecode(f *testing.F) {
 			func() any { return new(DisconnectNotice) },
 			func() any { return new(RedirectResult) },
 			func() any { return new(StreamBatch) },
+			func() any { return new(FragFetchRequest) },
+			func() any { return new(FragFetchResponse) },
 		}
 		for _, fresh := range targets {
 			v := fresh()

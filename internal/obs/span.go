@@ -52,8 +52,9 @@ const (
 	KindCompensate = "compensate"
 	// KindCommit covers commit processing at a peer.
 	KindCommit = "commit"
-	// KindFragFetch is the client side of one remote fragment fetch during
-	// sharded-document assembly.
+	// KindFragFetch is the client side of one fragment-fetch request (a
+	// spine, or a batch of one holder's fragments) during sharded-document
+	// assembly.
 	KindFragFetch = "frag-fetch"
 	// KindFragMigrate covers one heat-driven fragment migration (handoff to
 	// the dominant caller, WAL-logged with compensation).
