@@ -152,21 +152,17 @@ func childPos(parent *xmldom.Node, pos int) int {
 	return pos
 }
 
-// parseFragments parses data as a sequence of sibling elements.
+// parseFragments parses data as a sequence of sibling nodes straight into
+// doc.
 func parseFragments(doc *xmldom.Document, data string) ([]*xmldom.Node, error) {
-	wrapper, err := xmldom.ParseString("fragment", "<frag>"+data+"</frag>")
+	nodes, err := xmldom.ParseContent(doc, data)
 	if err != nil {
 		return nil, err
 	}
-	children := wrapper.Root().Children()
-	if len(children) == 0 {
+	if len(nodes) == 0 {
 		return nil, fmt.Errorf("axml: empty data fragment")
 	}
-	out := make([]*xmldom.Node, 0, len(children))
-	for _, c := range children {
-		out = append(out, doc.Adopt(c))
-	}
-	return out, nil
+	return nodes, nil
 }
 
 func (s *Store) locateInsertParents(txn string, e *docEntry, a *Action, mat Materializer, mode EvalMode, res *Result) ([]*xmldom.Node, error) {

@@ -152,12 +152,13 @@ func SplitDocument(doc *xmldom.Document, threshold int) (spine string, frags []*
 	return xmldom.DocumentString(cp), frags, nil
 }
 
-// AssembleDocument rebuilds a document from its spine and fragments. The
-// fragment XML bodies are parsed first, one after another on the calling
-// goroutine; re-attachment into the target tree is ordered by (Parent, Pos)
-// so sibling order is reconstructed exactly. Fragments whose parent no
-// longer exists in the spine are rejected — a torn or mismatched fragment
-// set must fail loudly, never assemble silently wrong.
+// AssembleDocument rebuilds a document from its spine and fragments.
+// Fragments are parsed straight into the document, ordered by (Parent,
+// Pos) so sibling order is reconstructed exactly, keeping their persisted
+// element IDs; other nodes take the document's next IDs in that order.
+// Fragments whose parent no longer exists in the spine are rejected — a
+// torn or mismatched fragment set must fail loudly, never assemble
+// silently wrong.
 func AssembleDocument(name, spine string, frags []*Fragment) (*xmldom.Document, error) {
 	doc, err := restoreDoc(name, spine)
 	if err != nil {
@@ -165,12 +166,6 @@ func AssembleDocument(name, spine string, frags []*Fragment) (*xmldom.Document, 
 	}
 	if len(frags) == 0 {
 		return doc, nil
-	}
-	parsed := make([]*xmldom.Document, len(frags))
-	for i, f := range frags {
-		if parsed[i], err = xmldom.ParseString(string(f.ID), f.XML); err != nil {
-			return nil, fmt.Errorf("axml: assemble %s: fragment %s: %w", name, f.ID, err)
-		}
 	}
 	order := make([]int, len(frags))
 	for i := range order {
@@ -189,7 +184,7 @@ func AssembleDocument(name, spine string, frags []*Fragment) (*xmldom.Document, 
 		if parent == nil {
 			return nil, fmt.Errorf("axml: assemble %s: fragment %s: parent node %d not in spine", name, f.ID, f.Parent)
 		}
-		sub, err := rebuild(doc, parsed[i].Root(), name)
+		sub, err := xmldom.RestoreFragment(doc, f.XML, idAttr)
 		if err != nil {
 			return nil, fmt.Errorf("axml: assemble %s: fragment %s: %w", name, f.ID, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"axmltx/internal/xmldom"
@@ -136,71 +135,13 @@ func (s *Store) LoadAll(dir string) ([]string, error) {
 }
 
 // restoreDoc rebuilds a document from its checkpoint, re-establishing the
-// persisted element IDs.
+// persisted element IDs; unpersisted nodes get fresh IDs above them.
 func restoreDoc(name, raw string) (*xmldom.Document, error) {
-	parsed, err := xmldom.ParseString(name, raw)
+	doc, err := xmldom.RestoreString(name, raw, idAttr)
 	if err != nil {
-		return nil, fmt.Errorf("axml: load %s: %w", name, err)
-	}
-	// First pass: the highest persisted ID bounds the allocator so fresh
-	// (text) nodes never collide with elements restored later.
-	var maxID uint64
-	parsed.Root().Walk(func(n *xmldom.Node) bool {
-		if v, ok := n.Attr(idAttr); ok {
-			if id, err := strconv.ParseUint(v, 10, 64); err == nil && id > maxID {
-				maxID = id
-			}
-		}
-		return true
-	})
-	doc := xmldom.NewDocument(name)
-	doc.EnsureNextID(xmldom.NodeID(maxID))
-	root, err := rebuild(doc, parsed.Root(), name)
-	if err != nil {
-		return nil, err
-	}
-	if err := doc.SetRoot(root); err != nil {
 		return nil, fmt.Errorf("axml: load %s: %w", name, err)
 	}
 	return doc, nil
-}
-
-func rebuild(doc *xmldom.Document, src *xmldom.Node, name string) (*xmldom.Node, error) {
-	var n *xmldom.Node
-	switch src.Kind() {
-	case xmldom.ElementNode:
-		if v, ok := src.Attr(idAttr); ok {
-			id, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("axml: load %s: bad %s %q", name, idAttr, v)
-			}
-			n, err = doc.CreateElementWithID(src.Name(), xmldom.NodeID(id))
-			if err != nil {
-				return nil, fmt.Errorf("axml: load %s: %w", name, err)
-			}
-		} else {
-			n = doc.CreateElement(src.Name())
-		}
-		for _, a := range src.Attrs() {
-			if a.Name != idAttr {
-				n.SetAttr(a.Name, a.Value)
-			}
-		}
-		for _, c := range src.Children() {
-			child, err := rebuild(doc, c, name)
-			if err != nil {
-				return nil, err
-			}
-			if err := doc.AppendChild(n, child); err != nil {
-				return nil, fmt.Errorf("axml: load %s: %w", name, err)
-			}
-		}
-	case xmldom.TextNode:
-		n = doc.CreateText(src.Text())
-	case xmldom.CommentNode:
-		n = doc.CreateComment(src.Text())
-	}
-	return n, nil
 }
 
 // sanitizeFileName keeps checkpoint files inside dir: path separators in

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"axmltx/internal/obs"
 	"axmltx/internal/p2p"
 )
 
@@ -24,6 +25,23 @@ func TestChainStringMatchesPaperNotation(t *testing.T) {
 	want := "[AP1* → AP2 → [AP3 → AP6] || [AP4 → AP5]]"
 	if got != want {
 		t.Fatalf("String() = %s, want %s", got, want)
+	}
+}
+
+// TestSetSpanChainRendersOnlyWhenRecording: with tracing off the span is
+// nil and recording the chain allocates nothing; with it on, the span
+// carries the paper's notation.
+func TestSetSpanChainRendersOnlyWhenRecording(t *testing.T) {
+	ch := fig2Chain()
+	if allocs := testing.AllocsPerRun(100, func() { setSpanChain(nil, ch) }); allocs != 0 {
+		t.Fatalf("nil span: %.0f allocs, want 0", allocs)
+	}
+	ring := obs.NewRing(4)
+	sp := obs.NewTracer("AP1", ring).Start("T1@AP1", "", obs.KindRedirect, "S6")
+	setSpanChain(sp, ch)
+	sp.End("", nil)
+	if spans := ring.Spans(); len(spans) != 1 || spans[0].Chain != ch.String() {
+		t.Fatalf("recorded spans = %+v, want one with chain %s", spans, ch)
 	}
 }
 

@@ -40,7 +40,7 @@ func (p *Peer) redirectPastDeadParent(txc *Context, dead p2p.PeerID, service str
 	}
 	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindRedirect, service)
 	sp.SetAttr("dead", string(dead))
-	sp.SetChain(chain.String())
+	setSpanChain(sp, chain)
 	payload := &RedirectResult{Txn: txc.ID, Dead: dead, Service: service, Response: *resp}
 	msg := &p2p.Message{Kind: p2p.KindRedirect, Txn: txc.ID, Subject: service,
 		Payload: encode(payload), Span: sp.ID()}
@@ -55,8 +55,7 @@ func (p *Peer) redirectPastDeadParent(txc *Context, dead p2p.PeerID, service str
 			continue
 		}
 		tried[ancestor] = true
-		if err := p.transport.Send(bg, ancestor, msg); err == nil {
-			p.metrics.Redirects.Add(1)
+		if p.sendRedirect(bg, ancestor, msg) {
 			sp.SetTarget(string(ancestor))
 			sp.End("", nil)
 			return
@@ -64,8 +63,7 @@ func (p *Peer) redirectPastDeadParent(txc *Context, dead p2p.PeerID, service str
 		p.metrics.DisconnectsDetected.Add(1)
 	}
 	if superPeer, ok := chain.ClosestSuperAncestor(dead); ok && !tried[superPeer] {
-		if err := p.transport.Send(bg, superPeer, msg); err == nil {
-			p.metrics.Redirects.Add(1)
+		if p.sendRedirect(bg, superPeer, msg) {
 			sp.SetTarget(string(superPeer))
 			sp.End("", nil)
 			return
@@ -74,6 +72,19 @@ func (p *Peer) redirectPastDeadParent(txc *Context, dead p2p.PeerID, service str
 	// Every ancestor is gone; the work really is lost.
 	p.metrics.NodesLost.Add(int64(resp.Nodes))
 	sp.End(CodePeerDown, ErrPeerDown)
+}
+
+// sendRedirect sends a redirect to ancestor and reports whether it went.
+// The redirect is counted before the send, because the receiver may act on
+// it (and a watcher read Redirects) before Send returns, and un-counted if
+// the send fails.
+func (p *Peer) sendRedirect(ctx context.Context, ancestor p2p.PeerID, msg *p2p.Message) bool {
+	p.metrics.Redirects.Add(1)
+	if err := p.transport.Send(ctx, ancestor, msg); err != nil {
+		p.metrics.Redirects.Add(-1)
+		return false
+	}
+	return true
 }
 
 // handleRedirect is the ancestor side of scenario (b): record the salvaged
@@ -268,7 +279,7 @@ func (p *Peer) recoverDeadChild(txc *Context, chain *Chain, dead p2p.PeerID) {
 				}
 				txc.AddChild(p.childInvocation(alt, service, resp.Comp))
 				p.metrics.ForwardRecoveries.Add(1)
-				rsp.SetChain(chainStr(txc))
+				setSpanChain(rsp, txc.Chain())
 				rsp.End("", nil)
 				p.mu.Lock()
 				cb := p.onResult

@@ -244,12 +244,17 @@ func (p *Peer) syncLog() error {
 	return err
 }
 
-// chainStr renders the context's active-peer list for span snapshots.
-func chainStr(txc *Context) string {
-	if ch := txc.Chain(); ch != nil {
-		return ch.String()
+// setSpanChain records the active-peer list ch on sp. The bracket notation
+// is rendered only when sp records, so with tracing off it costs nothing.
+func setSpanChain(sp *obs.ActiveSpan, ch *Chain) {
+	if sp == nil {
+		return
 	}
-	return ""
+	s := ""
+	if ch != nil {
+		s = ch.String()
+	}
+	sp.SetChain(s)
 }
 
 // errStatus reports an operation on a non-active transaction, typed so
@@ -427,7 +432,7 @@ func (p *Peer) Exec(ctx context.Context, txc *Context, action *axml.Action) (*ax
 		// recorded against it and withdraws its advertisements.
 		p.invalidateDocCache(action.DocName())
 	}
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	return res, err
 }
@@ -470,7 +475,7 @@ func (p *Peer) Call(ctx context.Context, txc *Context, target p2p.PeerID, servic
 		txc.swapSpanID(prevSpan)
 	}()
 	resp, err := p.invokeOnce(txc, target, service, params, false)
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	if err != nil {
 		return nil, err
@@ -500,7 +505,7 @@ func (p *Peer) CallAsync(ctx context.Context, txc *Context, target p2p.PeerID, s
 		txc.swapSpanID(prevSpan)
 	}()
 	_, err := p.invokeOnce(txc, target, service, params, true)
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	return err
 }
@@ -531,10 +536,10 @@ func (p *Peer) Commit(ctx context.Context, txc *Context) error {
 		_ = p.transport.Send(context.Background(), child.Peer,
 			&p2p.Message{Kind: p2p.KindCommit, Txn: txc.ID})
 	}
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	p.noteSlowTxn(txc, "committed")
-	txc.rootSpan.SetChain(chainStr(txc))
+	setSpanChain(txc.rootSpan, txc.Chain())
 	txc.rootSpan.End(ErrCode(err), err)
 	return err
 }

@@ -122,7 +122,7 @@ func (p *Peer) startInvocation(txc *Context, inv *invocation, params []axml.Para
 	if frags, ok := txc.takeReused(service); ok {
 		p.metrics.WorkReused.Add(1)
 		sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindReuse, service)
-		sp.SetChain(chainStr(txc))
+		setSpanChain(sp, txc.Chain())
 		sp.End("", nil)
 		return frags, nil
 	}
@@ -501,7 +501,7 @@ func (p *Peer) recoverInvocation(txc *Context, sc *axml.ServiceCall, params map[
 		prevSpan := txc.swapSpanID(rsp.ID())
 		resp, err := p.invokeOnce(txc, target, service, pm, false)
 		txc.swapSpanID(prevSpan)
-		rsp.SetChain(chainStr(txc))
+		setSpanChain(rsp, txc.Chain())
 		rsp.End(ErrCode(err), err)
 		if err == nil {
 			p.metrics.ForwardRecoveries.Add(1)
@@ -556,7 +556,7 @@ func (p *Peer) invokeOnce(txc *Context, target p2p.PeerID, service string, param
 		start := time.Now()
 		frags, err := p.executeLocalService(txc, service, params)
 		p.histInvoke.Observe(time.Since(start))
-		sp.SetChain(chainStr(txc))
+		setSpanChain(sp, txc.Chain())
 		sp.End(ErrCode(err), err)
 		if err != nil {
 			return nil, err
@@ -619,7 +619,7 @@ func (p *Peer) prepareRemoteInvoke(txc *Context, target p2p.PeerID, service stri
 // opened by prepareRemoteInvoke.
 func (p *Peer) finishRemoteInvoke(txc *Context, target p2p.PeerID, service string, async bool, reply *p2p.Message, err error, sp *obs.ActiveSpan) (_ *InvokeResponse, failed error) {
 	defer func() {
-		sp.SetChain(chainStr(txc))
+		setSpanChain(sp, txc.Chain())
 		sp.End(ErrCode(failed), failed)
 	}()
 	if err != nil {
@@ -767,13 +767,13 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 		// notify the peers whose services we invoked; the error reply
 		// carries the abort to the invoker. The abort record is a decision,
 		// durable with every serve record before it when its Append returns.
-		sp.SetChain(chainStr(txc))
+		setSpanChain(sp, txc.Chain())
 		sp.End(ErrCode(err), err)
 		_ = p.abortContext(txc, req.Caller, false)
 		return &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn,
 			Subject: faultNameOf(err), Err: err.Error(), Code: ErrCode(err)}, nil
 	}
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End("", nil)
 	resp := p.serveResponse(txc, &req, frags, logBefore)
 	return &p2p.Message{Kind: p2p.KindResult, Txn: req.Txn, Payload: encode(resp)}, nil
@@ -845,7 +845,7 @@ func (p *Peer) runAsync(txc *Context, req *InvokeRequest, sp *obs.ActiveSpan) {
 	logBefore := len(p.store.Log().TxnRecords(req.Txn))
 	frags, err := p.serveLocal(txc, req)
 	setServeLSNRange(sp, p.store.Log(), req.Txn, logBefore)
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	if err != nil {
 		_ = p.abortContext(txc, "", true)
@@ -933,13 +933,13 @@ func (p *Peer) abortContext(txc *Context, skip p2p.PeerID, notifyParent bool) er
 	if err != nil {
 		p.metrics.AbortErrors.Add(1)
 	}
-	sp.SetChain(chainStr(txc))
+	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
 	if txc.rootSpan != nil {
 		p.noteSlowTxn(txc, "aborted")
 		// Close the origin's transaction root span with the abort outcome
 		// so /trace shows a complete tree for aborted transactions.
-		txc.rootSpan.SetChain(chainStr(txc))
+		setSpanChain(txc.rootSpan, txc.Chain())
 		txc.rootSpan.End(CodeCompensated, nil)
 		txc.rootSpan = nil
 	}

@@ -207,28 +207,6 @@ func (d *Document) Remove(n *Node) error {
 	return nil
 }
 
-// Adopt deep-copies foreign (a node from another document, or nil-doc
-// literal trees) into this document with fresh IDs, returning the detached
-// copy. Attributes and child order are preserved.
-func (d *Document) Adopt(foreign *Node) *Node {
-	var cp *Node
-	switch foreign.kind {
-	case ElementNode:
-		cp = d.CreateElement(foreign.name)
-		cp.attrs = append([]Attr(nil), foreign.attrs...)
-	case TextNode:
-		cp = d.CreateText(foreign.text)
-	case CommentNode:
-		cp = d.CreateComment(foreign.text)
-	}
-	for _, c := range foreign.children {
-		child := d.Adopt(c)
-		child.parent = cp
-		cp.children = append(cp.children, child)
-	}
-	return cp
-}
-
 // Clone returns a deep copy of the whole document, with node IDs preserved
 // (the copy has the same ID→structure mapping as the original). Cloning is
 // used for snapshot comparison in tests and for shipping document fragments

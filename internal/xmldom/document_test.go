@@ -203,23 +203,6 @@ func TestDetachRootEmptiesDocument(t *testing.T) {
 	}
 }
 
-func TestAdoptCopiesAcrossDocuments(t *testing.T) {
-	_, player := buildPlayer(t)
-	dst := NewDocument("dst")
-	cp := dst.Adopt(player)
-	if cp.Document() != dst {
-		t.Fatal("adopted node has wrong document")
-	}
-	if !cp.Equal(player) {
-		t.Fatal("adopted copy not structurally equal")
-	}
-	// Mutating the copy must not touch the original.
-	cp.SetAttr("rank", "2")
-	if v, _ := player.Attr("rank"); v != "1" {
-		t.Fatal("original mutated through adopted copy")
-	}
-}
-
 func TestCloneDocumentPreservesIDs(t *testing.T) {
 	doc, player := buildPlayer(t)
 	cp := doc.Clone()

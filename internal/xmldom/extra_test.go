@@ -186,15 +186,3 @@ func TestEqualNilCases(t *testing.T) {
 		t.Fatal("empty vs non-empty")
 	}
 }
-
-func TestAdoptTextAndComment(t *testing.T) {
-	src := MustParse("s", `<r>text<!--note--></r>`)
-	dst := NewDocument("d")
-	cp := dst.Adopt(src.Root())
-	if cp.ChildCount() != 2 {
-		t.Fatalf("adopted children = %d", cp.ChildCount())
-	}
-	if cp.Child(0).Kind() != TextNode || cp.Child(1).Kind() != CommentNode {
-		t.Fatal("kinds lost in adoption")
-	}
-}

@@ -2,7 +2,6 @@ package xmldom
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -49,12 +48,15 @@ func MarshalIndent(n *Node, indent string) string {
 	return b.String()
 }
 
+// header is the XML declaration DocumentString writes.
+const header = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+
 // DocumentString serializes a whole document, including the XML declaration.
 func DocumentString(d *Document) string {
 	if d.Root() == nil {
-		return xml.Header
+		return header
 	}
-	return xml.Header + MarshalString(d.Root())
+	return header + MarshalString(d.Root())
 }
 
 type stickyWriter struct {
@@ -188,110 +190,4 @@ func escapeAttr(s string) string {
 		return s
 	}
 	return attrEscaper.Replace(s)
-}
-
-// Parse reads an XML document from r into a new Document with the given
-// repository name. Processing instructions and directives are skipped;
-// comments are kept.
-func Parse(name string, r io.Reader) (*Document, error) {
-	doc := NewDocument(name)
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldom: parse %s: %w", name, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := doc.CreateElement(qualName(t.Name))
-			for _, a := range t.Attr {
-				el.SetAttr(qualName(a.Name), a.Value)
-			}
-			if len(stack) == 0 {
-				if err := doc.SetRoot(el); err != nil {
-					return nil, fmt.Errorf("xmldom: parse %s: %w", name, err)
-				}
-			} else if err := doc.AppendChild(stack[len(stack)-1], el); err != nil {
-				return nil, fmt.Errorf("xmldom: parse %s: %w", name, err)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmldom: parse %s: unbalanced end element", name)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue // whitespace outside the root
-			}
-			text := string(t)
-			if strings.TrimSpace(text) == "" {
-				continue // insignificant whitespace
-			}
-			parent := stack[len(stack)-1]
-			if err := doc.AppendChild(parent, doc.CreateText(text)); err != nil {
-				return nil, fmt.Errorf("xmldom: parse %s: %w", name, err)
-			}
-		case xml.Comment:
-			if len(stack) == 0 {
-				continue
-			}
-			parent := stack[len(stack)-1]
-			if err := doc.AppendChild(parent, doc.CreateComment(string(t))); err != nil {
-				return nil, fmt.Errorf("xmldom: parse %s: %w", name, err)
-			}
-		}
-	}
-	if doc.Root() == nil {
-		return nil, fmt.Errorf("xmldom: parse %s: no root element", name)
-	}
-	return doc, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(name, s string) (*Document, error) {
-	return Parse(name, strings.NewReader(s))
-}
-
-// MustParse is ParseString that panics on error; for tests and literals.
-func MustParse(name, s string) *Document {
-	d, err := ParseString(name, s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// ParseFragment parses an XML fragment (one element) and returns it as a
-// detached node adopted into dst. It is how <data> payloads of update
-// actions become tree nodes.
-func ParseFragment(dst *Document, s string) (*Node, error) {
-	tmp, err := ParseString("fragment", s)
-	if err != nil {
-		return nil, err
-	}
-	return dst.Adopt(tmp.Root()), nil
-}
-
-// qualName renders an xml.Name with its prefix. encoding/xml resolves
-// namespaces to URLs; AXML markup uses the conventional "axml" prefix, so we
-// map the AXML namespace (and unresolvable prefixes, which the decoder
-// leaves as the space verbatim) back to prefix:local form.
-func qualName(n xml.Name) string {
-	if n.Space == "" {
-		return n.Local
-	}
-	if strings.Contains(n.Space, "://") {
-		// A resolved namespace URL. Only the AXML namespace is meaningful
-		// to us; anything else keeps its local name.
-		if strings.Contains(n.Space, "activexml") {
-			return "axml:" + n.Local
-		}
-		return n.Local
-	}
-	return n.Space + ":" + n.Local
 }

@@ -13,6 +13,7 @@ import (
 	"axmltx/internal/query"
 	"axmltx/internal/services"
 	"axmltx/internal/wal"
+	"axmltx/internal/xmldom"
 )
 
 // Engine micro-benchmarks: the cost of the transactional fast paths
@@ -185,6 +186,53 @@ func playersDoc(root string, players, citizenships int) string {
 	}
 	fmt.Fprintf(&doc, `</%s>`, root)
 	return doc.String()
+}
+
+// BenchmarkParse measures the XML parser on the three shapes that reach
+// it: a whole 1 000-player document (checkpoint load, AddParsed), one
+// player fragment of a sharded league parsed into its destination with
+// persisted IDs (assembly), and an update service's action (every remote
+// update parses one).
+func BenchmarkParse(b *testing.B) {
+	atp := playersDoc("ATPList", 1000, 20)
+	b.Run("atp_1000", func(b *testing.B) {
+		b.SetBytes(int64(len(atp)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := xmldom.ParseString("ATPList.xml", atp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	league := xmldom.MustParse("league.xml", playersDoc("league", 32, 20))
+	_, frags, err := axml.SplitDocument(league, 4)
+	if err != nil || len(frags) == 0 {
+		b.Fatalf("SplitDocument: %d fragments, %v", len(frags), err)
+	}
+	frag := frags[0].XML
+	b.Run("league_fragment", func(b *testing.B) {
+		b.SetBytes(int64(len(frag)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst := xmldom.NewDocument("league.xml")
+			if _, err := xmldom.RestoreFragment(dst, frag, "axml:nodeid"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	action := `<action type="replace"><data><player rank="7"><name><lastname>L7</lastname></name></player></data>` +
+		`<location>Select p from p in ATPList//player where p/rank = 7;</location></action>`
+	b.Run("update_action", func(b *testing.B) {
+		b.SetBytes(int64(len(action)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := axml.ParseAction(action); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkQueryEvaluation measures pure (non-materializing) query
