@@ -161,21 +161,6 @@ const (
 // EvalMode selects lazy or eager materialization (Lazy / Eager).
 type EvalMode = axml.EvalMode
 
-// WAL durability modes for file-backed operation logs (WithWALSync). In
-// every mode commit, abort and compensate-end records are durable when
-// their append returns, and a served invocation's reply waits for the log.
-const (
-	// SyncNone buffers other records; each of those waits runs its own fsync.
-	SyncNone = wal.SyncNone
-	// SyncEach also fsyncs every other log append (per-record durability).
-	SyncEach = wal.SyncEach
-	// SyncGroup buffers other records and lets concurrent waits share fsyncs.
-	SyncGroup = wal.SyncGroup
-)
-
-// SyncMode is a file log's durability strategy.
-type SyncMode = wal.SyncMode
-
 // RecoveryMode selects who drives compensation after a fault (§3.2).
 type RecoveryMode int
 
@@ -332,11 +317,9 @@ type Option interface{ apply(*peerConfig) }
 
 // peerConfig is the resolved construction state options apply to.
 type peerConfig struct {
-	opts    core.Options
-	walPath string
-	walSync wal.SyncMode
-	walDir  string
-	walSeg  wal.SegmentOptions
+	opts   core.Options
+	walDir string
+	walSeg wal.SegmentOptions
 	// err is the first invalid-option report; NewPeer returns it (wrapped
 	// in ErrBadOption) instead of constructing the peer.
 	err error
@@ -388,36 +371,26 @@ func WithMetrics(reg *Registry) Option {
 	return optionFunc(func(c *peerConfig) { c.opts.MetricsRegistry = reg })
 }
 
-// WithWALFile gives the peer a durable file-backed operation log at path
-// (NewPeer only; combine with WithWALSync for the durability mode).
-func WithWALFile(path string) Option {
-	return optionFunc(func(c *peerConfig) { c.walPath = path })
-}
-
-// WithWALSync selects the durability mode of the WithWALFile log:
-// SyncNone, SyncEach or SyncGroup.
-func WithWALSync(mode SyncMode) Option {
-	return optionFunc(func(c *peerConfig) { c.walSync = mode })
-}
-
-// WithWALDir gives the peer a durable segmented operation log in dir:
-// size/record-triggered segment rotation, checkpoint snapshots and
-// background compaction of covered segments. Takes precedence over
-// WithWALFile; WithWALSync and the segment knobs below apply to it.
+// WithWALDir gives the peer a durable operation log in directory dir:
+// group commit (commit, abort and compensate-end records are durable when
+// their append returns, concurrent waits share an fsync, and a served
+// invocation's reply waits for the log), size-triggered segment rotation,
+// checkpoint snapshots and background compaction of covered segments.
+// NewPeer only; without it the log is in memory.
 func WithWALDir(dir string) Option {
 	return optionFunc(func(c *peerConfig) { c.walDir = dir })
 }
 
 // WithWALSegmentSize caps a WithWALDir segment's size in bytes before
-// rotation (zero keeps the 4 MiB default).
+// rotation (zero keeps the 4 MiB default). It needs WithWALDir.
 func WithWALSegmentSize(n int64) Option {
-	return optionFunc(func(c *peerConfig) { c.walSeg.MaxSegmentBytes = n })
-}
-
-// WithWALSegmentRecords caps a WithWALDir segment's record count before
-// rotation (zero disables the count trigger).
-func WithWALSegmentRecords(n int) Option {
-	return optionFunc(func(c *peerConfig) { c.walSeg.MaxSegmentRecords = n })
+	return optionFunc(func(c *peerConfig) {
+		if n < 0 {
+			c.fail("WithWALSegmentSize(%d): negative size", n)
+			return
+		}
+		c.walSeg.MaxSegmentBytes = n
+	})
 }
 
 // WithWALCheckpointEvery checkpoints a WithWALDir log automatically after
@@ -425,9 +398,15 @@ func WithWALSegmentRecords(n int) Option {
 // transactions is written and covered segments are compacted away in the
 // background, keeping restart replay proportional to live work rather
 // than history (zero disables automatic checkpoints; call
-// SegmentedLog.Checkpoint/Compact manually).
+// SegmentedLog.Checkpoint/Compact manually). It needs WithWALDir.
 func WithWALCheckpointEvery(n int) Option {
-	return optionFunc(func(c *peerConfig) { c.walSeg.CheckpointEvery = n })
+	return optionFunc(func(c *peerConfig) {
+		if n < 0 {
+			c.fail("WithWALCheckpointEvery(%d): negative count", n)
+			return
+		}
+		c.walSeg.CheckpointEvery = n
+	})
 }
 
 // WithEvalMode selects Lazy or Eager materialization.
@@ -499,40 +478,37 @@ func WithSlowTxnLog(threshold time.Duration, fn func(txn string, d time.Duration
 func NewNetwork(latency time.Duration) *Network { return p2p.NewNetwork(latency) }
 
 // NewPeer assembles a peer with an in-memory operation log, or a durable
-// one when WithWALFile / WithWALDir is given. An option carrying an invalid
-// value yields an error matching ErrBadOption; a durable log that cannot be
-// opened yields the open error.
+// one when WithWALDir is given. An option carrying an invalid value, or a
+// segment knob without WithWALDir, yields an error matching ErrBadOption;
+// a durable log that cannot be opened yields the open error.
 func NewPeer(t Transport, opts ...Option) (*Peer, error) {
 	cfg := resolve(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
 	opLog := Log(wal.NewMemory())
-	switch {
-	case cfg.walDir != "":
-		segOpts := cfg.walSeg
-		segOpts.Sync = cfg.walSync
-		segLog, err := wal.OpenDir(cfg.walDir, segOpts)
+	if cfg.walDir != "" {
+		segLog, err := wal.OpenDir(cfg.walDir, cfg.walSeg)
 		if err != nil {
 			return nil, fmt.Errorf("axmltx: open WAL dir %s: %w", cfg.walDir, err)
 		}
 		opLog = segLog
-	case cfg.walPath != "":
-		fileLog, err := wal.OpenFileWith(cfg.walPath, wal.FileOptions{Sync: cfg.walSync})
-		if err != nil {
-			return nil, fmt.Errorf("axmltx: open WAL %s: %w", cfg.walPath, err)
-		}
-		opLog = fileLog
+	} else if cfg.walSeg != (wal.SegmentOptions{}) {
+		return nil, fmt.Errorf("%w: WithWALSegmentSize and WithWALCheckpointEvery need WithWALDir", ErrBadOption)
 	}
 	return core.NewPeer(t, opLog, cfg.opts), nil
 }
 
 // NewPeerWithLog assembles a peer over an explicit log (e.g. one from
-// OpenLog); WithWALFile/WithWALDir/WithWALSync are ignored here.
+// OpenLog). The WAL options configure NewPeer's own log, so they yield an
+// error matching ErrBadOption here.
 func NewPeerWithLog(t Transport, log Log, opts ...Option) (*Peer, error) {
 	cfg := resolve(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
+	}
+	if cfg.walDir != "" || cfg.walSeg != (wal.SegmentOptions{}) {
+		return nil, fmt.Errorf("%w: WithWALDir and its knobs do not apply to an explicit log", ErrBadOption)
 	}
 	return core.NewPeer(t, log, cfg.opts), nil
 }
@@ -545,55 +521,16 @@ func resolve(opts []Option) *peerConfig {
 	return cfg
 }
 
-// LogOption configures OpenLog.
-type LogOption interface{ applyLog(*logConfig) }
-
-// logConfig is the resolved OpenLog state.
-type logConfig struct {
-	sync      SyncMode
-	syncSet   bool
-	segmented bool
-	seg       SegmentOptions
-}
-
-type logOptionFunc func(*logConfig)
-
-func (f logOptionFunc) applyLog(c *logConfig) { f(c) }
-
-// WithLogSync selects the durability mode of an OpenLog log: SyncNone,
-// SyncEach or SyncGroup. It applies to file and segmented logs alike and
-// overrides the mode embedded in WithLogSegments.
-func WithLogSync(mode SyncMode) LogOption {
-	return logOptionFunc(func(c *logConfig) { c.sync, c.syncSet = mode, true })
-}
-
-// WithLogSegments makes OpenLog treat path as a segmented log directory —
-// size/record-triggered segment rotation, checkpoint snapshots and
-// background compaction — configured by opts (the zero value uses
-// defaults).
-func WithLogSegments(opts SegmentOptions) LogOption {
-	return logOptionFunc(func(c *logConfig) { c.segmented, c.seg = true, opts })
-}
-
-// OpenLog opens (creating if needed) a durable operation log at path: a
-// single append-only record file by default, or a segmented directory with
-// WithLogSegments:
+// OpenLog opens (creating if needed) the durable operation log in
+// directory dir, configured by opts (the zero value uses defaults):
 //
-//	log, err := axmltx.OpenLog("peer.wal", axmltx.WithLogSync(axmltx.SyncGroup))
-//	seg, err := axmltx.OpenLog("waldir", axmltx.WithLogSegments(axmltx.SegmentOptions{}))
-func OpenLog(path string, opts ...LogOption) (Log, error) {
-	var cfg logConfig
-	for _, o := range opts {
-		o.applyLog(&cfg)
+//	log, err := axmltx.OpenLog("waldir", axmltx.SegmentOptions{})
+func OpenLog(dir string, opts SegmentOptions) (Log, error) {
+	l, err := wal.OpenDir(dir, opts)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.segmented {
-		seg := cfg.seg
-		if cfg.syncSet {
-			seg.Sync = cfg.sync
-		}
-		return wal.OpenDir(path, seg)
-	}
-	return wal.OpenFileWith(path, wal.FileOptions{Sync: cfg.sync})
+	return l, nil
 }
 
 // SegmentedLog is a durable operation log split into rotated segment
@@ -601,8 +538,8 @@ func OpenLog(path string, opts ...LogOption) (Log, error) {
 // (see OpenLog / WithWALDir).
 type SegmentedLog = wal.SegmentedLog
 
-// SegmentOptions configure a SegmentedLog (rotation thresholds, automatic
-// checkpoint cadence, durability mode); the zero value uses defaults.
+// SegmentOptions configure a SegmentedLog (rotation threshold, automatic
+// checkpoint cadence); the zero value uses defaults.
 type SegmentOptions = wal.SegmentOptions
 
 // ListenTCP starts a TCP transport for a peer.

@@ -3,6 +3,7 @@ package axmltx_test
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -119,7 +120,7 @@ func TestPublicAPIFaultsAndHooks(t *testing.T) {
 
 func TestPublicAPIDurableLog(t *testing.T) {
 	dir := t.TempDir()
-	log, err := axmltx.OpenLog(dir+"/peer.wal", axmltx.WithLogSync(axmltx.SyncEach))
+	log, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestPublicAPIDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recovery sees the records.
-	re, err := axmltx.OpenLog(dir+"/peer.wal", axmltx.WithLogSync(axmltx.SyncEach))
+	re, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,7 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	net := axmltx.NewNetwork(0)
 	ap1 := newPeer(t, net.Join("AP1"),
 		axmltx.WithWALDir(dir),
-		axmltx.WithWALSegmentRecords(4),
-		axmltx.WithWALSync(axmltx.SyncEach),
+		axmltx.WithWALSegmentSize(100),
 		axmltx.WithTracer(ring),
 		axmltx.WithMetrics(reg))
 	if err := ap1.HostDocument("D.xml", `<D/>`); err != nil {
@@ -182,7 +182,7 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 		t.Fatalf("WithWALDir log is %T, want *SegmentedLog", ap1.Store().Log())
 	}
 	if seg.Segments() < 2 {
-		t.Fatalf("Segments() = %d after 6 txns at 4 records/segment", seg.Segments())
+		t.Fatalf("Segments() = %d after 6 txns at 100 bytes/segment", seg.Segments())
 	}
 	// Checkpoint with a transaction still in flight: its records are the
 	// live state the snapshot must carry across compaction and restart.
@@ -223,7 +223,7 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := axmltx.OpenLog(dir, axmltx.WithLogSegments(axmltx.SegmentOptions{}))
+	re, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,18 +233,47 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBadOption checks that NewPeer rejects invalid option values
-// with a typed error instead of constructing a misconfigured peer.
+// TestPublicAPIBadOption checks that NewPeer rejects invalid option values,
+// and WAL knobs it would ignore, with a typed error instead of constructing
+// a misconfigured peer.
 func TestPublicAPIBadOption(t *testing.T) {
-	net := axmltx.NewNetwork(0)
-	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithCallCache(0)); !errors.Is(err, axmltx.ErrBadOption) {
-		t.Fatalf("WithCallCache(0) err = %v, want ErrBadOption", err)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		opts []axmltx.Option
+	}{
+		{"WithCallCache(0)", []axmltx.Option{axmltx.WithCallCache(0)}},
+		{"WithCacheTTL(-1s)", []axmltx.Option{axmltx.WithCacheTTL(-time.Second)}},
+		{"WithLockTimeout(-1s)", []axmltx.Option{axmltx.WithLockTimeout(-time.Second)}},
+		{"WithWALSegmentSize without WithWALDir", []axmltx.Option{axmltx.WithWALSegmentSize(1 << 20)}},
+		{"WithWALCheckpointEvery without WithWALDir", []axmltx.Option{axmltx.WithWALCheckpointEvery(100)}},
+		{"WithWALSegmentSize(-1)", []axmltx.Option{axmltx.WithWALDir(dir), axmltx.WithWALSegmentSize(-1)}},
+		{"WithWALCheckpointEvery(-1)", []axmltx.Option{axmltx.WithWALDir(dir), axmltx.WithWALCheckpointEvery(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := axmltx.NewPeer(axmltx.NewNetwork(0).Join("AP1"), tc.opts...); !errors.Is(err, axmltx.ErrBadOption) {
+				t.Fatalf("err = %v, want ErrBadOption", err)
+			}
+		})
 	}
-	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithCacheTTL(-time.Second)); !errors.Is(err, axmltx.ErrBadOption) {
-		t.Fatalf("WithCacheTTL(-1s) err = %v, want ErrBadOption", err)
+	log, err := axmltx.OpenLog(t.TempDir(), axmltx.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := axmltx.NewPeer(net.Join("AP1"), axmltx.WithLockTimeout(-time.Second)); !errors.Is(err, axmltx.ErrBadOption) {
-		t.Fatalf("WithLockTimeout(-1s) err = %v, want ErrBadOption", err)
+	defer log.Close()
+	if _, err := axmltx.NewPeerWithLog(axmltx.NewNetwork(0).Join("AP1"), log, axmltx.WithWALDir(dir)); !errors.Is(err, axmltx.ErrBadOption) {
+		t.Fatalf("NewPeerWithLog(WithWALDir) err = %v, want ErrBadOption", err)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("a rejected configuration left files in the WAL directory: %v", files)
+	}
+	p, err := axmltx.NewPeer(axmltx.NewNetwork(0).Join("AP1"),
+		axmltx.WithWALSegmentSize(1<<20), axmltx.WithWALCheckpointEvery(100), axmltx.WithWALDir(dir))
+	if err != nil {
+		t.Fatalf("knobs given before WithWALDir: %v", err)
+	}
+	if err := p.Store().Log().Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -339,9 +339,9 @@ func runPerf(out string, quick bool) []sim.PerfResult {
 		}
 		return f / s
 	}
-	fmt.Printf("\nmaterialize speedup: %.2fx   wal group-commit speedup: %.2fx\n",
+	fmt.Printf("\nmaterialize speedup: %.2fx   wal group-commit scaling over one writer: %.2fx\n",
 		speedup("materialize_sequential", "materialize_parallel"),
-		speedup("wal_sync_each", "wal_group_commit"))
+		speedup("wal_group_commit_1w", "wal_group_commit"))
 	fmt.Printf("wal checkpointed-replay speedup: %.2fx (vs empty restart: %.2fx)\n",
 		speedup("wal_replay_history", "wal_replay_checkpointed"),
 		speedup("wal_replay_checkpointed", "wal_replay_empty"))

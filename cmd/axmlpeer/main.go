@@ -48,11 +48,9 @@ import (
 
 func main() {
 	configPath := flag.String("config", "", "peer configuration XML file (required)")
-	walPath := flag.String("wal", "", "durable operation-log file (default: in-memory)")
-	walDir := flag.String("waldir", "", "durable segmented operation-log directory with rotation, checkpoints and compaction (takes precedence over -wal)")
-	walSeg := flag.Int64("walseg", 0, "segment rotation threshold in bytes for -waldir (0: 4 MiB default)")
-	walCheckpoint := flag.Int("walcheckpoint", 0, "checkpoint the -waldir log automatically every N appends, compacting covered segments in the background (0 disables)")
-	walSync := flag.String("walsync", "each", "log durability; in every mode commit, abort and compensate-end records and each served reply wait for the disk: each (also fsync every other record), group (those waits share fsyncs: group commit), none (each wait runs its own fsync)")
+	walDir := flag.String("waldir", "", "durable operation-log directory (default: in-memory): commit, abort and compensate-end records and each served reply wait for the disk, concurrent waits share an fsync (group commit), and segments rotate, checkpoint and compact")
+	walSeg := flag.Int64("walseg", 0, "segment rotation threshold in bytes (0: 4 MiB default; needs -waldir)")
+	walCheckpoint := flag.Int("walcheckpoint", 0, "checkpoint the log automatically every N appends, compacting covered segments in the background (0 disables; needs -waldir)")
 	docsDir := flag.String("docs", "", "document checkpoint directory (loaded at startup, saved at shutdown)")
 	httpAddr := flag.String("http", "", `observability HTTP listen address, e.g. 127.0.0.1:9100 or :9100, serving /metrics (Prometheus text format), /trace/{txn} (span tree as JSON), /traces, /healthz and /debug/pprof/ (default: disabled)`)
 	sample := flag.Float64("sample", 0, "adaptive trace sampling keep-rate for fast clean commits, 0 < rate < 1 (0 disables sampling: every span is kept; errors/aborts/faults/slow transactions are always kept when sampling)")
@@ -68,16 +66,14 @@ func main() {
 	if *configPath == "" {
 		fatalUsage("the -config flag is required")
 	}
-	var syncMode wal.SyncMode
-	switch *walSync {
-	case "each":
-		syncMode = wal.SyncEach
-	case "group":
-		syncMode = wal.SyncGroup
-	case "none":
-		syncMode = wal.SyncNone
-	default:
-		fatalUsage(fmt.Sprintf("unknown -walsync mode %q (want each, group, or none)", *walSync))
+	if *walSeg < 0 {
+		fatalUsage(fmt.Sprintf("invalid -walseg %d (want 0 for the default, or a positive byte count)", *walSeg))
+	}
+	if *walCheckpoint < 0 {
+		fatalUsage(fmt.Sprintf("invalid -walcheckpoint %d (want 0 to disable, or a positive append count)", *walCheckpoint))
+	}
+	if (*walSeg > 0 || *walCheckpoint > 0) && *walDir == "" {
+		fatalUsage("-walseg and -walcheckpoint need -waldir to enable the durable log")
 	}
 	if *httpAddr != "" {
 		if _, err := net.ResolveTCPAddr("tcp", *httpAddr); err != nil {
@@ -119,7 +115,7 @@ func main() {
 		fatalUsage("-placement needs -gossip: migration handoff rides the gossiped replica catalog")
 	}
 	scfg := shardConfig{enabled: *shardDocs, threshold: *shardThreshold, placementEvery: *placement}
-	wcfg := walConfig{path: *walPath, dir: *walDir, segBytes: *walSeg, checkpointEvery: *walCheckpoint, sync: syncMode}
+	wcfg := walConfig{dir: *walDir, segBytes: *walSeg, checkpointEvery: *walCheckpoint}
 	ccfg := cacheConfig{capacity: *cache, ttl: *cacheTTL}
 	if err := run(*configPath, wcfg, ccfg, scfg, *docsDir, *httpAddr, *sample, *slowTxn, *gossip, sloCfg); err != nil {
 		log.Fatalf("axmlpeer: %v", err)
@@ -195,14 +191,12 @@ func fatalUsage(msg string) {
 	os.Exit(2)
 }
 
-// walConfig bundles the operation-log flags: a single file (-wal), or a
-// segmented directory (-waldir) with rotation/checkpoint knobs.
+// walConfig bundles the operation-log flags: the log directory (-waldir)
+// and its rotation/checkpoint knobs.
 type walConfig struct {
-	path            string
 	dir             string
 	segBytes        int64
 	checkpointEvery int
-	sync            wal.SyncMode
 }
 
 func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, docsDir string, httpAddr string, sample float64, slowTxn time.Duration, gossipEvery time.Duration, sloCfg obscluster.SLOConfig) error {
@@ -231,10 +225,8 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 	defer transport.Close()
 
 	var opLog wal.Log = wal.NewMemory()
-	switch {
-	case wcfg.dir != "":
+	if wcfg.dir != "" {
 		segLog, err := wal.OpenDir(wcfg.dir, wal.SegmentOptions{
-			FileOptions:     wal.FileOptions{Sync: wcfg.sync},
 			MaxSegmentBytes: wcfg.segBytes,
 			CheckpointEvery: wcfg.checkpointEvery,
 		})
@@ -243,13 +235,6 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 		}
 		defer segLog.Close()
 		opLog = segLog
-	case wcfg.path != "":
-		fileLog, err := wal.OpenFileWith(wcfg.path, wal.FileOptions{Sync: wcfg.sync})
-		if err != nil {
-			return err
-		}
-		defer fileLog.Close()
-		opLog = fileLog
 	}
 	// The observability pair: every transaction's span tree lands in the
 	// ring, the registry carries the protocol counters and latency
@@ -413,7 +398,7 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 
 	// Restart-time recovery: compensate transactions the log shows as in
 	// flight at crash time.
-	if wcfg.path != "" || wcfg.dir != "" {
+	if wcfg.dir != "" {
 		recovered, err := peer.RecoverPending()
 		if err != nil {
 			return fmt.Errorf("restart recovery: %w", err)

@@ -2,7 +2,6 @@ package axmltx
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,33 +43,25 @@ func BenchmarkParallelMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkWALGroupCommit compares concurrent transaction throughput of a
-// file-backed log with per-append fsync vs group commit. One op is one
-// durable transaction (sim.AppendDurableTxn: four effect records and a
-// commit). RunParallel spreads writers over GOMAXPROCS goroutines, the
-// multi-writer shape group commit amortizes.
+// BenchmarkWALGroupCommit measures concurrent transaction throughput of
+// the durable log. One op is one durable transaction (sim.AppendDurableTxn:
+// four effect records and a commit). RunParallel spreads writers over
+// GOMAXPROCS goroutines, the multi-writer shape group commit amortizes.
 func BenchmarkWALGroupCommit(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		mode wal.SyncMode
-	}{{"syncEach", wal.SyncEach}, {"groupCommit", wal.SyncGroup}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			log, err := wal.OpenFileWith(filepath.Join(b.TempDir(), "wal.log"), wal.FileOptions{Sync: cfg.mode})
-			if err != nil {
+	log, err := wal.OpenDir(b.TempDir(), wal.SegmentOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	b.ReportAllocs()
+	var txn atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := sim.AppendDurableTxn(log, fmt.Sprintf("T%d", txn.Add(1))); err != nil {
 				b.Fatal(err)
 			}
-			defer log.Close()
-			b.ReportAllocs()
-			var txn atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := sim.AppendDurableTxn(log, fmt.Sprintf("T%d", txn.Add(1))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSerializeAllocs measures MarshalString over a mid-sized document;

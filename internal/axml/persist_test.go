@@ -70,10 +70,10 @@ func TestCrashRecoveryAcrossCheckpointAndLog(t *testing.T) {
 	// mid-flight; after the "crash", LoadAll + the reopened log + the
 	// restart pass compensate them on the restored tree, by node ID.
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "peer.wal")
+	logDir := filepath.Join(dir, "wal")
 	docDir := filepath.Join(dir, "docs")
 
-	log, err := wal.OpenFile(logPath, true)
+	log, err := wal.OpenDir(logDir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCrashRecoveryAcrossCheckpointAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	relog, err := wal.OpenFile(logPath, true)
+	relog, err := wal.OpenDir(logDir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

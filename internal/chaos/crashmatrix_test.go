@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"axmltx/internal/axml"
@@ -12,44 +14,84 @@ import (
 	"axmltx/internal/xmldom"
 )
 
-// TestCrashRestartMatrix kills a peer mid-commit under every WAL sync mode
-// and at both sides of the commit record, then replays: the recovered
-// document bytes must equal the no-fault outcome — the pre-transaction
-// document when the decision record was not yet durable (presumed abort),
-// the fully updated document when it was. The reopened log also has to pass
-// the replay-consistency and compensation invariants, torn tail included.
+// syncPatterns are the write patterns the crash matrices sweep over the one
+// durable log. Each row keeps the subtest name of the deleted sync mode whose
+// forcing it reproduces: SyncNone forces only where the protocol does (the
+// decision records and the serve barrier), SyncEach adds a barrier after
+// every record, and SyncGroup runs concurrent barriers beside every append,
+// so followers join the appender's group commit. None adds a record, so
+// frame layout, rotation points and recovered state are the same in every
+// row.
+var syncPatterns = []struct {
+	name string
+	wrap func(wal.Log) wal.Log
+}{
+	{"SyncNone", func(l wal.Log) wal.Log { return l }},
+	{"SyncEach", func(l wal.Log) wal.Log { return syncEachLog{l} }},
+	{"SyncGroup", func(l wal.Log) wal.Log { return syncGroupLog{l} }},
+}
+
+// syncEachLog runs the Sync barrier after every append.
+type syncEachLog struct{ wal.Log }
+
+func (l syncEachLog) Append(r *wal.Record) (uint64, error) {
+	lsn, err := l.Log.Append(r)
+	if err != nil {
+		return lsn, err
+	}
+	return lsn, l.Log.Sync()
+}
+
+// syncGroupLog runs three Sync barriers concurrently with every append.
+type syncGroupLog struct{ wal.Log }
+
+func (l syncGroupLog) Append(r *wal.Record) (uint64, error) {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []error
+	)
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := l.Log.Sync(); err != nil {
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+			}
+		}()
+	}
+	lsn, err := l.Log.Append(r)
+	wg.Wait()
+	return lsn, errors.Join(append([]error{err}, errs...)...)
+}
+
+// TestCrashRestartMatrix kills a peer mid-commit under every write pattern
+// and at both sides of the commit record, then replays: the recovered document bytes must equal
+// the no-fault outcome — the pre-transaction document when the decision
+// record was not yet durable (presumed abort), the fully updated document
+// when it was. The reopened log also has to pass the replay-consistency
+// and compensation invariants, torn tail included.
 // One more row crashes after a serve barrier with buffered effect records
 // behind it: the crash loses exactly those, and recovery still compensates
 // back to the pre-transaction document.
 func TestCrashRestartMatrix(t *testing.T) {
-	modes := []struct {
-		name string
-		opts wal.FileOptions
-	}{
-		{"SyncNone", wal.FileOptions{Sync: wal.SyncNone}},
-		{"SyncEach", wal.FileOptions{Sync: wal.SyncEach}},
-		{"SyncGroup", wal.FileOptions{Sync: wal.SyncGroup}},
-	}
-	kills := []struct {
-		name      string
-		committed bool // the commit record was durable at the kill instant
-	}{
-		{"beforeCommit", false},
-		{"afterCommit", true},
-	}
 	type crashCase struct {
 		name      string
-		opts      wal.FileOptions
-		committed bool
-		unsynced  int // inserts appended after the barrier, lost in the crash
+		wrap      func(wal.Log) wal.Log
+		committed bool // the commit record was durable at the kill instant
+		unsynced  int  // inserts appended after the barrier, lost in the crash
 	}
 	var cases []crashCase
-	for _, mode := range modes {
-		for _, kill := range kills {
-			cases = append(cases, crashCase{mode.name + "/" + kill.name, mode.opts, kill.committed, 0})
-		}
+	for _, pat := range syncPatterns {
+		cases = append(cases,
+			crashCase{pat.name + "/beforeCommit", pat.wrap, false, 0},
+			crashCase{pat.name + "/afterCommit", pat.wrap, true, 0})
 	}
-	cases = append(cases, crashCase{"SyncGroup/afterServeBarrier", wal.FileOptions{Sync: wal.SyncGroup}, false, 2})
+	// Only a log with no extra barriers leaves records buffered behind the
+	// serve barrier.
+	cases = append(cases, crashCase{"afterServeBarrier", syncPatterns[0].wrap, false, 2})
 	const inserts = 3
 
 	// The no-fault outcomes, built once on an in-memory store.
@@ -77,11 +119,15 @@ func TestCrashRestartMatrix(t *testing.T) {
 
 	for _, kill := range cases {
 		t.Run(kill.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "peer.wal")
-			log, err := wal.OpenFileWith(path, kill.opts)
+			dir := t.TempDir()
+			// One segment holds the whole run: the active one, which a
+			// crash tears.
+			path := filepath.Join(dir, "00000001.seg")
+			seg, err := wal.OpenDir(dir, wal.SegmentOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			log := kill.wrap(seg)
 			store := axml.NewStore(log)
 			if _, err := store.AddParsed("D.xml", `<D><log/></D>`); err != nil {
 				t.Fatal(err)
@@ -133,7 +179,7 @@ func TestCrashRestartMatrix(t *testing.T) {
 
 			// Restart: the dirty document is the persistent state, the
 			// reopened log drives recovery.
-			relog, err := wal.OpenFileWith(path, kill.opts)
+			relog, err := wal.OpenDir(dir, wal.SegmentOptions{})
 			if err != nil {
 				t.Fatalf("reopen with torn tail: %v", err)
 			}

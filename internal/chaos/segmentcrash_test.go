@@ -13,16 +13,6 @@ import (
 	"axmltx/internal/xmldom"
 )
 
-// segModes are the durability modes the segment crash matrix sweeps.
-var segModes = []struct {
-	name string
-	sync wal.SyncMode
-}{
-	{"SyncNone", wal.SyncNone},
-	{"SyncEach", wal.SyncEach},
-	{"SyncGroup", wal.SyncGroup},
-}
-
 // segWorkload drives the shared crash workload against a store over log:
 // transaction C commits three inserts, transaction T leaves two more in
 // flight. Returns the dirty document snapshot at the kill instant.
@@ -63,6 +53,40 @@ func segWorkload(t *testing.T, log wal.Log) *xmldom.Document {
 	}
 	dirty, _ := store.Snapshot("D.xml")
 	return dirty
+}
+
+// frameSizes is a Log that records the on-disk frame size of each record
+// it appends: an 8-byte length and checksum header, then the encoding.
+type frameSizes struct {
+	wal.Log
+	sizes []int64
+}
+
+func (l *frameSizes) Append(r *wal.Record) (uint64, error) {
+	lsn, err := l.Log.Append(r)
+	l.sizes = append(l.sizes, 8+int64(len(wal.EncodeRecord(r))))
+	return lsn, err
+}
+
+// segOpts sizes segments for segWorkload's eight records: the threshold is
+// the last four frames' bytes, so the log rotates after the fourth record
+// and the second segment is exactly full at the kill instant.
+func segOpts(t *testing.T) wal.SegmentOptions {
+	t.Helper()
+	sizing := &frameSizes{Log: wal.NewMemory()}
+	segWorkload(t, sizing)
+	var first, second int64
+	for i, n := range sizing.sizes {
+		if i < 4 {
+			first += n
+		} else {
+			second += n
+		}
+	}
+	if len(sizing.sizes) != 8 || first < second || first-sizing.sizes[3] >= second {
+		t.Fatalf("frame sizes %v do not split into two full segments of four", sizing.sizes)
+	}
+	return wal.SegmentOptions{MaxSegmentBytes: second}
 }
 
 // segWant is the no-fault outcome of segWorkload after restart recovery:
@@ -119,25 +143,22 @@ func segRecover(t *testing.T, dir string, opts wal.SegmentOptions, dirty *xmldom
 // TestSegmentCrashTornTailAtBoundary kills the peer right as the active
 // segment fills to its rotation threshold, with a torn record fragment
 // dying in the write. Replay must truncate the tear and recover exactly
-// the no-fault state under every durability mode.
+// the no-fault state under every write pattern.
 func TestSegmentCrashTornTailAtBoundary(t *testing.T) {
 	want := segWant(t)
-	for _, mode := range segModes {
-		t.Run(mode.name, func(t *testing.T) {
+	opts := segOpts(t)
+	for _, pat := range syncPatterns {
+		t.Run(pat.name, func(t *testing.T) {
 			dir := t.TempDir()
-			// The workload appends 8 records; at 4 per segment the active
-			// segment is exactly full at the kill instant — the tear lands
-			// on a segment boundary.
-			opts := wal.SegmentOptions{
-				FileOptions:       wal.FileOptions{Sync: mode.sync},
-				MaxSegmentRecords: 4,
-			}
 			log, err := wal.OpenDir(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = log.Close() })
-			dirty := segWorkload(t, log)
+			dirty := segWorkload(t, pat.wrap(log))
+			if n := len(segFileNames(t, dir)); n != 2 {
+				t.Fatalf("workload left %d segments, want 2", n)
+			}
 			tornWrite(t, filepath.Join(dir, lastSegment(t, dir)), []byte("\x07torn-record-fragment"))
 			segRecover(t, dir, opts, dirty, want)
 		})
@@ -150,19 +171,16 @@ func TestSegmentCrashTornTailAtBoundary(t *testing.T) {
 // fall back to the fully durable prior segments.
 func TestSegmentCrashMidCheckpoint(t *testing.T) {
 	want := segWant(t)
-	for _, mode := range segModes {
-		t.Run(mode.name, func(t *testing.T) {
+	opts := segOpts(t)
+	for _, pat := range syncPatterns {
+		t.Run(pat.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := wal.SegmentOptions{
-				FileOptions:       wal.FileOptions{Sync: mode.sync},
-				MaxSegmentRecords: 4,
-			}
 			log, err := wal.OpenDir(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = log.Close() })
-			dirty := segWorkload(t, log)
+			dirty := segWorkload(t, pat.wrap(log))
 			// Rotation fsynced and closed the full segments; the dying write
 			// left the successor holding a frame header that promises more
 			// checkpoint bytes than ever reached the disk.
@@ -188,19 +206,16 @@ func TestSegmentCrashMidCheckpoint(t *testing.T) {
 // checkpoint, and the next compaction must reclaim them despite the hole.
 func TestSegmentCrashMidCompaction(t *testing.T) {
 	want := segWant(t)
-	for _, mode := range segModes {
-		t.Run(mode.name, func(t *testing.T) {
+	opts := segOpts(t)
+	for _, pat := range syncPatterns {
+		t.Run(pat.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := wal.SegmentOptions{
-				FileOptions:       wal.FileOptions{Sync: mode.sync},
-				MaxSegmentRecords: 3,
-			}
 			log, err := wal.OpenDir(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = log.Close() })
-			dirty := segWorkload(t, log)
+			dirty := segWorkload(t, pat.wrap(log))
 			if err := log.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}

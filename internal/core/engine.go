@@ -144,6 +144,9 @@ func NewPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
 	}
 	p.tracer = obs.NewTracer(string(p.id), opts.TraceSink)
 	p.sampler = obs.FindSampler(opts.TraceSink)
+	if seg, ok := log.(*wal.SegmentedLog); ok {
+		seg.SetOnCompact(p.noteCompact)
+	}
 	if reg := opts.MetricsRegistry; reg != nil {
 		p.RegisterObservability(reg)
 	}
@@ -218,16 +221,23 @@ func (p *Peer) RegisterObservability(reg *obs.Registry) {
 	}
 	p.store.SetApplyObserver(func(d time.Duration) { p.histMaterialize.Observe(d) })
 	if seg, ok := p.store.Log().(*wal.SegmentedLog); ok {
-		// Make log compaction visible on /metrics and in traces: a gauge for
-		// the current segment count and a wal-compact span per compaction.
+		// Make log compaction visible on /metrics: a gauge for the current
+		// segment count (noteCompact adds the spans).
 		reg.Gauge("axml_wal_segments", labels, func() int64 { return int64(seg.Segments()) })
-		seg.SetOnCompact(func(removed, remaining int) {
-			sp := p.tracer.Start("wal", "", obs.KindCompact, "")
-			sp.SetAttr("removed", strconv.Itoa(removed))
-			sp.SetAttr("segments", strconv.Itoa(remaining))
-			sp.End("", nil)
-		})
 	}
+}
+
+// noteCompact is the durable log's compaction hook: a wal-compact span per
+// compaction, and per failed background checkpoint or compaction a span
+// ending in the error and a CheckpointErrors count.
+func (p *Peer) noteCompact(removed, remaining int, err error) {
+	if err != nil {
+		p.metrics.CheckpointErrors.Add(1)
+	}
+	sp := p.tracer.Start("wal", "", obs.KindCompact, "")
+	sp.SetAttr("removed", strconv.Itoa(removed))
+	sp.SetAttr("segments", strconv.Itoa(remaining))
+	sp.End(ErrCode(err), err)
 }
 
 // Tracer returns the peer's span tracer (nil when tracing is disabled).

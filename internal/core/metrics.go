@@ -65,6 +65,9 @@ type Metrics struct {
 	// CommitErrors counts participant commits whose decision record could
 	// not be made durable.
 	CommitErrors atomic.Int64
+	// CheckpointErrors counts failed background checkpoints and
+	// compactions of the durable log.
+	CheckpointErrors atomic.Int64
 
 	// Materialization call-cache events. CacheHits counts results served
 	// from the local cache within their freshness window; CacheMisses
@@ -124,6 +127,7 @@ func (m *Metrics) Register(reg *obs.Registry, peer string) {
 		{"axml_comp_defs_rejected", &m.CompDefsRejected},
 		{"axml_abort_errors", &m.AbortErrors},
 		{"axml_commit_errors", &m.CommitErrors},
+		{"axml_wal_checkpoint_errors", &m.CheckpointErrors},
 		{"axml_cache_hits", &m.CacheHits},
 		{"axml_cache_misses", &m.CacheMisses},
 		{"axml_cache_waits", &m.CacheWaits},
@@ -149,7 +153,7 @@ type MetricsSnapshot struct {
 	NodesLost                                  int64
 	CompServicesBuilt, CompServicesRun         int64
 	CompDefsRejected, AbortErrors              int64
-	CommitErrors                               int64
+	CommitErrors, CheckpointErrors             int64
 	CacheHits, CacheMisses, CacheWaits         int64
 	CacheFetches, CacheInvalidations           int64
 	FragFetches, FragMigrations                int64
@@ -180,6 +184,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CompDefsRejected:    m.CompDefsRejected.Load(),
 		AbortErrors:         m.AbortErrors.Load(),
 		CommitErrors:        m.CommitErrors.Load(),
+		CheckpointErrors:    m.CheckpointErrors.Load(),
 		CacheHits:           m.CacheHits.Load(),
 		CacheMisses:         m.CacheMisses.Load(),
 		CacheWaits:          m.CacheWaits.Load(),
@@ -214,6 +219,7 @@ func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
 	s.CompDefsRejected += o.CompDefsRejected
 	s.AbortErrors += o.AbortErrors
 	s.CommitErrors += o.CommitErrors
+	s.CheckpointErrors += o.CheckpointErrors
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheWaits += o.CacheWaits

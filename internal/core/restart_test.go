@@ -1,18 +1,21 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/obs"
+	"axmltx/internal/p2p"
 	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
 
 func TestRecoverPendingCompensatesInFlightTxn(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "peer.wal")
-	log, err := wal.OpenFile(logPath, true)
+	log, err := wal.OpenDir(dir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestRecoverPendingCompensatesInFlightTxn(t *testing.T) {
 
 	// "Restart": the documents are the persistent state (they carry T2's
 	// uncommitted effects); the log is reopened and recovery runs.
-	relog, err := wal.OpenFile(logPath, true)
+	relog, err := wal.OpenDir(dir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +169,51 @@ func TestRecoverPendingViaPeer(t *testing.T) {
 	}
 	if entryCount(t, ap1, "D1.xml") != 0 {
 		t.Fatal("pending effects survived restart recovery")
+	}
+}
+
+// TestBackgroundCheckpointFailureCounted: a file where the checkpoint's
+// rotation would create the next segment makes the background checkpoint
+// fail. The peer counts it in CheckpointErrors (axml_wal_checkpoint_errors)
+// and ends a wal-compact span with the error.
+func TestBackgroundCheckpointFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.OpenDir(dir, wal.SegmentOptions{CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000002.seg"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ring := obs.NewRing(0)
+	reg := obs.NewRegistry()
+	p := NewPeer(p2p.NewNetwork(0).Join("AP1"), log, Options{TraceSink: ring, MetricsRegistry: reg})
+	for i := 0; i < 4; i++ {
+		if _, err := log.Append(&wal.Record{Txn: "T", Type: wal.TypeInsert}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close waits for the background checkpoint the fourth append kicked.
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metrics().CheckpointErrors.Load(); got != 1 {
+		t.Fatalf("CheckpointErrors = %d, want 1", got)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `axml_wal_checkpoint_errors{peer="AP1"} 1`) {
+		t.Fatalf("/metrics misses the checkpoint error count:\n%s", sb.String())
+	}
+	var failed int
+	for _, s := range ring.Spans() {
+		if s.Kind == obs.KindCompact && s.Outcome == obs.OutcomeError && strings.Contains(s.Err, "create segment") {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("wal-compact spans ending in the create error = %d, want 1", failed)
 	}
 }

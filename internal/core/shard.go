@@ -411,9 +411,11 @@ func (p *Peer) MigrateFragment(ctx context.Context, id axml.FragmentID, to p2p.P
 	ship := f.Clone()
 	ship.Version++
 	log := p.store.Log()
-	// Begin record carries the full before-image: crash recovery replays it
-	// to learn which fragment was in flight and at what version. Without it
-	// a crash mid-handoff could not be recovered, so no handoff is sent.
+	// The begin record carries the fragment's before-image and position.
+	// No recovery path reads it yet: restart recovery acts only on effect
+	// records, and a failed handoff is settled in memory (the abort record
+	// below, or ReconcileFragments re-promoting the shadow copy). A begin
+	// that cannot be appended still stops the handoff.
 	if _, err := log.Append(&wal.Record{
 		Txn: txn, Type: wal.TypeBegin, Doc: f.Doc,
 		NodeID: uint64(f.Root), ParentID: uint64(f.Parent), Pos: f.Pos,

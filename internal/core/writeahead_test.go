@@ -94,7 +94,7 @@ func (n *writeAheadNet) SetHandler(h p2p.Handler) {
 	})
 }
 
-// TestReplyNeverAheadOfLog runs Fig. 1 over on-disk SyncGroup logs, whose
+// TestReplyNeverAheadOfLog runs Fig. 1 over on-disk logs, whose
 // effect records do not wait for the disk, and fails if any peer lets a
 // result or a compensating-service definition for T leave while one of T's
 // records there is not yet durable. Every peer runs peer-independent
@@ -150,8 +150,7 @@ func TestReplyNeverAheadOfLog(t *testing.T) {
 			c := newCluster(t)
 			c.setup = func(id p2p.PeerID, tr p2p.Transport, opts *Options) (p2p.Transport, wal.Log) {
 				opts.PeerIndependent = true
-				seg, err := wal.OpenDir(filepath.Join(dir, string(id)),
-					wal.SegmentOptions{FileOptions: wal.FileOptions{Sync: wal.SyncGroup}})
+				seg, err := wal.OpenDir(filepath.Join(dir, string(id)), wal.SegmentOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

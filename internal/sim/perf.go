@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -134,17 +133,18 @@ func AppendDurableTxn(log wal.Log, txn string) error {
 	return err
 }
 
-// RunPerfWAL measures multi-writer transaction throughput of a file-backed
-// log under the given sync mode: writers goroutines each log perWriter
-// durable transactions (AppendDurableTxn) concurrently; one op is one
-// transaction.
-func RunPerfWAL(mode wal.SyncMode, writers, perWriter int) PerfResult {
+// RunPerfWAL measures multi-writer transaction throughput of the durable
+// log: writers goroutines each log perWriter durable transactions
+// (AppendDurableTxn) concurrently; one op is one transaction. The row is
+// wal_group_commit, or wal_group_commit_1w for a single writer: the
+// ratio of the two is how far concurrent commits share an fsync.
+func RunPerfWAL(writers, perWriter int) PerfResult {
 	dir, err := os.MkdirTemp("", "axmlperf")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	log, err := wal.OpenFileWith(filepath.Join(dir, "wal.log"), wal.FileOptions{Sync: mode})
+	log, err := wal.OpenDir(dir, wal.SegmentOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -173,9 +173,9 @@ func RunPerfWAL(mode wal.SyncMode, writers, perWriter int) PerfResult {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	name := "wal_sync_each"
-	if mode == wal.SyncGroup {
-		name = "wal_group_commit"
+	name := "wal_group_commit"
+	if writers == 1 {
+		name += "_1w"
 	}
 	return summarize(name, writers*perWriter, elapsed, lat, 0)
 }
@@ -225,8 +225,8 @@ func RunPerfSuite() []PerfResult {
 	rs := []PerfResult{
 		RunPerfMaterialize(calls, trials, delay, false),
 		RunPerfMaterialize(calls, trials, delay, true),
-		RunPerfWAL(wal.SyncEach, writers, perW),
-		RunPerfWAL(wal.SyncGroup, writers, perW),
+		RunPerfWAL(1, writers*perW),
+		RunPerfWAL(writers, perW),
 		RunPerfSerialize(200, 5000),
 	}
 	rs = append(rs, RunPerfWireCodec(50000)...)
@@ -257,8 +257,8 @@ func RunPerfSuiteQuick() []PerfResult {
 	rs := []PerfResult{
 		RunPerfMaterialize(4, 15, 2*time.Millisecond, false),
 		RunPerfMaterialize(4, 15, 2*time.Millisecond, true),
-		RunPerfWAL(wal.SyncEach, 8, 50),
-		RunPerfWAL(wal.SyncGroup, 8, 50),
+		RunPerfWAL(1, 400),
+		RunPerfWAL(8, 50),
 		RunPerfSerialize(50, 500),
 	}
 	rs = append(rs, RunPerfWireCodec(5000)...)

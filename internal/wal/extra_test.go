@@ -23,8 +23,8 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestFileLogCorruptMiddleFrameTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.wal")
-	l, err := OpenFile(path, false)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +38,7 @@ func TestFileLogCorruptMiddleFrameTruncates(t *testing.T) {
 	}
 	// Flip a byte inside the second frame's body: its CRC breaks, so
 	// recovery keeps only the first record.
+	path := filepath.Join(dir, segmentName(1))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func TestFileLogCorruptMiddleFrameTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenFile(path, false)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +61,8 @@ func TestFileLogCorruptMiddleFrameTruncates(t *testing.T) {
 }
 
 func TestFileLogImplausibleLengthTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "len.wal")
-	l, err := OpenFile(path, false)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFileLogImplausibleLengthTruncates(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestFileLogImplausibleLengthTruncates(t *testing.T) {
 	}
 	f.Close()
 
-	re, err := OpenFile(path, false)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,8 @@ func TestFileLogImplausibleLengthTruncates(t *testing.T) {
 }
 
 func TestFileLogConcurrentAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conc.wal")
-	l, err := OpenFile(path, false)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFileLogConcurrentAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFile(path, false)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +127,18 @@ func TestFileLogConcurrentAppends(t *testing.T) {
 }
 
 func TestFileLogOpenBadPath(t *testing.T) {
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.wal"), false); err == nil {
-		t.Fatal("open into missing directory succeeded")
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(filepath.Join(file, "dir"), SegmentOptions{}); err == nil {
+		t.Fatal("open below a regular file succeeded")
 	}
 }
 
 func TestFileLogTxnRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "txn.wal")
-	l, err := OpenFile(path, true)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,35 +150,5 @@ func TestFileLogTxnRecords(t *testing.T) {
 	}
 	if got := len(l.TxnRecords("a")); got != 2 {
 		t.Fatalf("txn a records = %d", got)
-	}
-}
-
-// TestFileLogNeverRotatesOrCheckpoints: a single-file log keeps every frame
-// in its one file however many records it holds, refuses Checkpoint, and
-// leaves no segment files beside it.
-func TestFileLogNeverRotatesOrCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "one.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 50; i++ {
-		if _, err := l.Append(&Record{Txn: "t", Type: TypeInsert, XML: "<node/>"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on a single-file log succeeded")
-	}
-	if n, err := l.Compact(); n != 0 || err != nil {
-		t.Fatalf("Compact = %d, %v; want 0, nil", n, err)
-	}
-	if got := l.Segments(); got != 1 {
-		t.Fatalf("Segments = %d, want 1", got)
-	}
-	if files := segFiles(t, dir); len(files) != 0 {
-		t.Fatalf("segment files beside a single-file log: %v", files)
 	}
 }

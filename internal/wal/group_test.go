@@ -2,20 +2,19 @@ package wal
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestGroupCommitDurable verifies that under SyncGroup every decision
-// Append that returned is on disk: concurrent writers append commit
+// TestGroupCommitDurable verifies that every decision Append that
+// returned is on disk: concurrent writers append commit
 // records, each waiting on the shared fsync, the log is closed, and a
 // reopen must see every record with intact framing.
 func TestGroupCommitDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "group.wal")
-	l, err := OpenFileWith(path, FileOptions{Sync: SyncGroup})
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestGroupCommitDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFile(path, false)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +53,55 @@ func TestGroupCommitDurable(t *testing.T) {
 	}
 }
 
-// TestSyncBarrier verifies the explicit Sync barrier works in every mode
-// and that appending after Close fails cleanly.
+// TestSyncBarrier verifies the explicit Sync barrier: a no-op on an empty
+// log, and after an append the record is durable when Sync returns;
+// appending or syncing after Close fails cleanly. Each row
+// keeps the subtest name, by number, of the deleted sync mode whose write
+// pattern it reproduces: mode=0 syncs after a decision record, which Append
+// already forced; mode=1 after an effect record, which only the barrier
+// forces; mode=2 from four concurrent callers, which share one flush.
 func TestSyncBarrier(t *testing.T) {
-	for _, mode := range []SyncMode{SyncNone, SyncEach, SyncGroup} {
-		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "barrier.wal")
-			l, err := OpenFileWith(path, FileOptions{Sync: mode})
+	rows := []struct {
+		typ     Type
+		callers int
+	}{
+		{TypeCommit, 1},
+		{TypeInsert, 1},
+		{TypeInsert, 4},
+	}
+	for i, row := range rows {
+		t.Run(fmt.Sprintf("mode=%d", i), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenDir(dir, SegmentOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Sync(); err != nil { // empty log: no-op barrier
 				t.Fatalf("empty sync: %v", err)
 			}
-			if _, err := l.Append(&Record{Txn: "T", Type: TypeCommit}); err != nil {
+			lsn, err := l.Append(&Record{Txn: "T", Type: row.typ})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Sync(); err != nil {
-				t.Fatalf("sync: %v", err)
+			synced := func() uint64 {
+				l.gmu.Lock()
+				defer l.gmu.Unlock()
+				return l.synced
+			}
+			if forced := synced() >= lsn; forced != row.typ.decision() {
+				t.Fatalf("%v record durable after Append: %v, want %v", row.typ, forced, row.typ.decision())
+			}
+			errs := make(chan error, row.callers)
+			for c := 0; c < row.callers; c++ {
+				go func() { errs <- l.Sync() }()
+			}
+			for c := 0; c < row.callers; c++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("sync: %v", err)
+				}
+			}
+			if got := synced(); got < lsn {
+				t.Fatalf("durable through LSN %d after the barrier, want %d", got, lsn)
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
@@ -90,8 +120,8 @@ func TestSyncBarrier(t *testing.T) {
 // wait on group commit; nothing may hang, and records that reported
 // success must survive.
 func TestGroupCommitCloseUnderLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "closing.wal")
-	l, err := OpenFileWith(path, FileOptions{Sync: SyncGroup})
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +145,7 @@ func TestGroupCommitCloseUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	re, err := OpenFile(path, false)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +163,15 @@ func TestGroupCommitCloseUnderLoad(t *testing.T) {
 }
 
 // TestGroupCommitBarrierCoversBufferedAppends hammers the buffered-append
-// contract under SyncGroup: 8 writers append effect records, which do not
-// wait, and decision records, which do, while Sync callers run beside
-// them, with segments of 16 records so rotation races every barrier. Each
+// contract: 8 writers append effect records, which do not wait, and
+// decision records, which do, while Sync callers run beside them, with
+// 400-byte segments (about 16 records) so rotation races every barrier. Each
 // returned decision acknowledges its own LSN; each returned Sync
 // acknowledges every LSN returned before it was called. After Close and
 // reopen, every LSN at or below the highest acknowledged one is present.
 func TestGroupCommitBarrierCoversBufferedAppends(t *testing.T) {
 	dir := t.TempDir()
-	opts := SegmentOptions{FileOptions: FileOptions{Sync: SyncGroup}, MaxSegmentRecords: 16}
+	opts := SegmentOptions{MaxSegmentBytes: 400}
 	l, err := OpenDir(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,8 @@ package wal
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,13 +14,11 @@ import (
 
 // SegmentOptions configure OpenDir.
 type SegmentOptions struct {
+	// Deprecated: read by no code; see SyncMode.
 	FileOptions
-	// MaxSegmentBytes rotates the active segment once it exceeds this many
-	// bytes; 0 means the 4 MiB default.
+	// MaxSegmentBytes rotates the active segment once it holds at least
+	// this many bytes; 0 means the 4 MiB default.
 	MaxSegmentBytes int64
-	// MaxSegmentRecords rotates the active segment once it holds this many
-	// records; 0 disables record-count rotation.
-	MaxSegmentRecords int
 	// CheckpointEvery runs an automatic checkpoint + compaction in the
 	// background after this many appends since the last checkpoint; 0 means
 	// checkpoints are taken only by explicit Checkpoint calls.
@@ -46,20 +42,18 @@ func parseSegmentName(name string) (uint64, bool) {
 	return n, true
 }
 
-// SegmentedLog is the durable Log. Its records are CRC frames
+// SegmentedLog is the durable Log: a directory of segment files holding
+// CRC frames
 //
 //	uint32 length | uint32 crc32(blob) | blob
 //
 // each blob encoded on its own (see DecodeRecord), so a file survives
 // process restarts (no cross-session encoder state) and a torn or corrupted
 // tail is detected by length/CRC mismatch and truncated away — the standard
-// write-ahead-log recovery contract.
+// write-ahead-log recovery contract. On top of the frames it adds:
 //
-// OpenFile keeps the frames in one file that is never rotated and never
-// checkpointed. OpenDir keeps them in a directory of segment files and adds:
-//
-//   - rotation: the active segment is closed and a new one started when it
-//     exceeds MaxSegmentBytes or MaxSegmentRecords;
+//   - rotation: the active segment is closed and a new one started once it
+//     holds MaxSegmentBytes;
 //   - checkpoints: a rotation that writes, as the first frame of the fresh
 //     segment, a snapshot of every live (unresolved) transaction's records
 //     plus the highest LSN, so replay restarts from the snapshot instead of
@@ -67,12 +61,12 @@ func parseSegmentName(name string) (uint64, bool) {
 //   - compaction: deleting every segment older than the latest durable
 //     checkpoint, whose state the checkpoint wholly covers.
 //
-// Append writes the frame and returns without waiting for the disk, with
-// two exceptions: under SyncEach every record is fsynced, and in every mode
-// a decision record (TypeCommit, TypeAbort, TypeCompensateEnd) returns only
-// once it and every earlier record are durable. Sync is the explicit
-// barrier. A Log decorator therefore sees a decision durable when its
-// Append returns.
+// Append writes the frame and returns without waiting for the disk, except
+// for a decision record (TypeCommit, TypeAbort, TypeCompensateEnd), which
+// returns only once it and every earlier record are durable. Sync is the
+// explicit barrier. Both wait through one group commit, so concurrent
+// waiters share an fsync. A Log decorator therefore sees a decision durable
+// when its Append returns.
 //
 // Only the last segment can have a torn tail: rotation fsyncs a segment
 // before opening its successor, so every non-last segment is fully durable.
@@ -80,13 +74,12 @@ func parseSegmentName(name string) (uint64, bool) {
 // transactions core.RecoverPending would still act on.
 type SegmentedLog struct {
 	mu       sync.Mutex
-	dir      string // segment directory; "" for a single-file log (OpenFile)
+	dir      string // segment directory
 	opts     SegmentOptions
 	f        *os.File // active segment
 	segnum   uint64   // active segment number
 	nsegs    int      // segment files on disk
 	segBytes int64    // bytes in the active segment
-	segRecs  int      // records in the active segment
 	next     uint64   // last assigned LSN
 	mem      *MemoryLog
 	sinceCk  int        // appends since the last checkpoint
@@ -95,13 +88,13 @@ type SegmentedLog struct {
 	ckBusy   bool       // background checkpoint in flight
 	ckDone   *sync.Cond // signals ckBusy clearing (Close waits on it)
 	closed   bool
-	onComp   func(removed, remaining int)
+	onComp   func(removed, remaining int, err error)
 
-	// Group commit (SyncGroup), leader/follower: the first waiter to find
-	// no fsync in flight becomes the leader and syncs on behalf of everyone
-	// whose frame is already in the file; waiters arriving meanwhile wait on
-	// gcond and are either covered by that fsync or elect the next leader.
-	// No dedicated goroutine, no handoff latency. A leader snapshots the
+	// Group commit, leader/follower: the first waiter to find no fsync in
+	// flight becomes the leader and syncs on behalf of everyone whose frame
+	// is already in the file; waiters arriving meanwhile wait on gcond and
+	// are either covered by that fsync or elect the next leader. No
+	// dedicated goroutine, no handoff latency. A leader snapshots the
 	// active file and the rotation generation gen under gmu; if rotation
 	// bumped gen while its fsync was in flight, the outcome is discarded
 	// (rotation's own fsync already covered the old segment, and an fsync
@@ -115,35 +108,6 @@ type SegmentedLog struct {
 	gerr    error    // sticky fsync failure; durability past it is unknown
 	syncing bool     // a leader's fsync is in flight
 	gclosed bool     // Close started; no further fsyncs
-}
-
-// OpenFile opens (creating if needed) a single-file log. With sync true,
-// every append is fsynced before returning (SyncEach); with sync false only
-// decision records and Sync wait for the disk (SyncNone).
-func OpenFile(path string, sync bool) (*SegmentedLog, error) {
-	mode := SyncNone
-	if sync {
-		mode = SyncEach
-	}
-	return OpenFileWith(path, FileOptions{Sync: mode})
-}
-
-// OpenFileWith opens (creating if needed) a single-file log with explicit
-// durability options: a SegmentedLog whose one segment is path, never
-// rotated and never checkpointed.
-func OpenFileWith(path string, opts FileOptions) (*SegmentedLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	l := newSegmentedLog(SegmentOptions{FileOptions: opts, MaxSegmentBytes: math.MaxInt64})
-	if err := l.replay(f, 1, true); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f, l.segnum, l.nsegs, l.minSeg = f, 1, 1, 1
-	l.startGroup()
-	return l, nil
 }
 
 // OpenDir opens (creating if needed) a segmented log in dir. Existing
@@ -169,8 +133,9 @@ func OpenDir(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
-	l := newSegmentedLog(opts)
-	l.dir = dir
+	l := &SegmentedLog{dir: dir, opts: opts, mem: NewMemory()}
+	l.ckDone = sync.NewCond(&l.mu)
+	l.gcond = sync.NewCond(&l.gmu)
 	for i, n := range segs {
 		// The last segment stays open as the active one.
 		last := i == len(segs)-1
@@ -192,44 +157,31 @@ func OpenDir(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 		}
 		l.f, l.segnum = f, n
 	}
-	l.nsegs = len(segs)
 	if len(segs) == 0 {
-		if err := l.openSegmentLocked(1); err != nil {
+		f, err := l.createSegment(1)
+		if err != nil {
 			return nil, err
 		}
-		l.nsegs = 1
-		l.minSeg = 1
-	} else {
-		l.minSeg = segs[0]
+		l.f, l.segnum = f, 1
+		segs = append(segs, 1)
 	}
-	l.startGroup()
-	return l, nil
-}
-
-func newSegmentedLog(opts SegmentOptions) *SegmentedLog {
-	l := &SegmentedLog{opts: opts, mem: NewMemory()}
-	l.ckDone = sync.NewCond(&l.mu)
-	l.gcond = sync.NewCond(&l.gmu)
-	return l
-}
-
-// startGroup hands the replayed state to group commit: everything replay
-// read is on disk, and the active file is the one to fsync.
-func (l *SegmentedLog) startGroup() {
+	l.nsegs, l.minSeg = len(segs), segs[0]
+	// Everything replay read is on disk, and the active file is the one
+	// group commit fsyncs.
 	l.gf = l.f
 	l.written, l.synced = l.next, l.next
+	return l, nil
 }
 
 // replay reads segment file f (number n) into the in-memory index. A
 // checkpoint frame at the head of a segment resets the index to the
 // snapshot. last marks the final segment, the only one allowed a torn tail;
 // when the tail is torn, the file is truncated to the valid prefix. For the
-// last segment, segBytes/segRecs describe the valid prefix afterwards and f
-// is positioned at its end, ready for appends.
+// last segment, segBytes describes the valid prefix afterwards and f is
+// positioned at its end, ready for appends.
 func (l *SegmentedLog) replay(f *os.File, n uint64, last bool) error {
 	br := bufio.NewReader(f)
 	var validEnd int64
-	recs := 0
 	first := true
 	var ferr error
 	for {
@@ -271,7 +223,6 @@ func (l *SegmentedLog) replay(f *os.File, n uint64, last bool) error {
 		}
 		first = false
 		validEnd += int64(nb)
-		recs++
 	}
 	if ferr != io.EOF {
 		if !last {
@@ -286,21 +237,20 @@ func (l *SegmentedLog) replay(f *os.File, n uint64, last bool) error {
 		if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
 			return fmt.Errorf("wal: seek: %w", err)
 		}
-		l.segBytes, l.segRecs = validEnd, recs
+		l.segBytes = validEnd
 	}
 	return nil
 }
 
-// openSegmentLocked creates segment n and makes it active. Caller holds
-// l.mu (or is still constructing l).
-func (l *SegmentedLog) openSegmentLocked(n uint64) error {
+// createSegment creates segment file n, refusing to overwrite one that
+// exists, and makes its directory entry durable.
+func (l *SegmentedLog) createSegment(n uint64) (*os.File, error) {
 	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(n)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
+		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
 	syncDir(l.dir)
-	l.f, l.segnum, l.segBytes, l.segRecs = f, n, 0, 0
-	return nil
+	return f, nil
 }
 
 // syncDir fsyncs a directory so freshly created or removed segment files
@@ -312,41 +262,51 @@ func syncDir(dir string) {
 	}
 }
 
-// rotateLocked fsyncs and closes the active segment and opens its
-// successor. Caller holds l.mu. After it returns, every record appended so
-// far is durable (rotation is itself a durability barrier), which is what
-// lets group commit release waiters on the closed segment and lets
-// non-last segments be trusted during replay.
+// rotateLocked fsyncs the active segment and swaps in its successor.
+// Caller holds l.mu. After it returns, every record appended so far is
+// durable (rotation is itself a durability barrier), which is what lets
+// non-last segments be trusted during replay. The successor is created
+// before anything is swapped, so a failed create leaves the old segment
+// active and intact, and the next Append retries the rotation.
 func (l *SegmentedLog) rotateLocked() error {
-	old := l.f
-	lastLSN := l.next
-	if err := old.Sync(); err != nil {
-		l.failGroupLocked(fmt.Errorf("%w: rotate: %w", ErrSync, err))
-		return fmt.Errorf("%w: rotate: %w", ErrSync, err)
+	if err := l.f.Sync(); err != nil {
+		err = fmt.Errorf("%w: rotate: %w", ErrSync, err)
+		l.failGroupLocked(err)
+		return err
 	}
-	// Hold gmu across close+reopen: a group-commit leader must never be
-	// able to snapshot the just-closed handle paired with a generation that
-	// is still current, or its doomed fsync would poison the group.
+	// Every record appended so far is durable now. Release its waiters
+	// before creating the successor, so none of them runs a redundant
+	// fsync beside the directory sync.
 	l.gmu.Lock()
-	defer l.gmu.Unlock()
+	if l.next > l.synced {
+		l.synced = l.next
+	}
+	l.gcond.Broadcast()
+	l.gmu.Unlock()
+	next, err := l.createSegment(l.segnum + 1)
+	if err != nil {
+		return err
+	}
+	// Swap under gmu: a group-commit leader must never be able to snapshot
+	// the old handle paired with the new generation, or its doomed fsync
+	// on the closed file would poison the group.
+	l.gmu.Lock()
+	old := l.f
+	l.f, l.gf = next, next
+	l.segnum++
+	l.segBytes = 0
+	l.nsegs++
+	l.gen++
+	l.gmu.Unlock()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("%w: rotate: %w", ErrClose, err)
 	}
-	if err := l.openSegmentLocked(l.segnum + 1); err != nil {
-		return err
-	}
-	l.nsegs++
-	l.gen++
-	l.gf = l.f
-	if lastLSN > l.synced {
-		l.synced = lastLSN
-	}
-	l.gcond.Broadcast()
 	return nil
 }
 
-// failGroupLocked poisons group commit after a rotation fsync failure so
-// waiters do not report durability that was never established.
+// failGroupLocked poisons group commit after a failure that leaves
+// durability unknown, so waiters do not report durability that was never
+// established.
 func (l *SegmentedLog) failGroupLocked(err error) {
 	l.gmu.Lock()
 	if l.gerr == nil {
@@ -356,9 +316,29 @@ func (l *SegmentedLog) failGroupLocked(err error) {
 	l.gmu.Unlock()
 }
 
+// writeLocked appends frame to the active segment. Caller holds l.mu. A
+// failed write can leave part of the frame in the file; it is cut off
+// again, because the next frame would otherwise land behind a tear and
+// replay, which stops at the first torn frame, would drop it and every
+// later record, durable or not. If the cut fails too, the log is poisoned
+// as after a failed fsync.
+func (l *SegmentedLog) writeLocked(frame []byte) error {
+	if _, err := l.f.Write(frame); err != nil {
+		err = fmt.Errorf("wal: write frame: %w", err)
+		if terr := l.f.Truncate(l.segBytes); terr != nil {
+			l.failGroupLocked(fmt.Errorf("%w: %w; cutting the torn frame: %w", ErrSync, err, terr))
+		} else if _, serr := l.f.Seek(l.segBytes, io.SeekStart); serr != nil {
+			l.failGroupLocked(fmt.Errorf("%w: %w; seeking past the cut: %w", ErrSync, err, serr))
+		}
+		return err
+	}
+	l.segBytes += int64(len(frame))
+	return nil
+}
+
 // Append implements Log. The frame is written under l.mu, in LSN order, so
 // a durable record implies every earlier one is durable too. Only decision
-// records (and, under SyncEach, every record) wait for the disk.
+// records wait for the disk.
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -368,29 +348,19 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if l.segBytes >= l.opts.MaxSegmentBytes ||
-		(l.opts.MaxSegmentRecords > 0 && l.segRecs >= l.opts.MaxSegmentRecords) {
+	if l.segBytes >= l.opts.MaxSegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
 			return 0, err
 		}
 	}
-	l.next++
-	r.LSN = l.next
+	r.LSN = l.next + 1
 	frame := appendFrame(w, func(w *codec.Writer) { appendRecordBinary(w, r) })
-	if _, err := l.f.Write(frame); err != nil {
+	if err := l.writeLocked(frame); err != nil {
 		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: write frame: %w", err)
+		return 0, err
 	}
-	l.segBytes += int64(len(frame))
-	l.segRecs++
-	mode, decision := l.opts.Sync, r.Type.decision()
-	if mode == SyncEach || (mode == SyncNone && decision) {
-		if err := l.f.Sync(); err != nil {
-			l.mu.Unlock()
-			return 0, fmt.Errorf("%w: %w", ErrSync, err)
-		}
-	}
+	l.next = r.LSN
 	if err := l.mem.appendExisting(r); err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -406,7 +376,7 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	if kick {
 		go l.backgroundCheckpoint()
 	}
-	if mode == SyncGroup && decision {
+	if r.Type.decision() {
 		if err := l.waitDurable(lsn); err != nil {
 			return 0, err
 		}
@@ -415,18 +385,26 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 }
 
 // backgroundCheckpoint is the compactor: checkpoint, then drop the
-// segments the checkpoint covers.
+// segments the checkpoint covers. A failure goes to the SetOnCompact hook,
+// and the next attempt waits for another CheckpointEvery appends.
 func (l *SegmentedLog) backgroundCheckpoint() {
-	defer func() {
-		l.mu.Lock()
-		l.ckBusy = false
-		l.ckDone.Broadcast()
-		l.mu.Unlock()
-	}()
-	if err := l.Checkpoint(); err != nil {
-		return
+	removed, err := 0, l.Checkpoint()
+	if err == nil {
+		removed, err = l.Compact()
 	}
-	_, _ = l.Compact()
+	if err != nil {
+		l.mu.Lock()
+		l.sinceCk = 0
+		cb, remaining := l.onComp, l.nsegs
+		l.mu.Unlock()
+		if cb != nil {
+			cb(removed, remaining, err)
+		}
+	}
+	l.mu.Lock()
+	l.ckBusy = false
+	l.ckDone.Broadcast()
+	l.mu.Unlock()
 }
 
 // waitDurable blocks until an fsync covering lsn completed (group commit;
@@ -497,7 +475,7 @@ func (l *SegmentedLog) liveRecordsLocked() []*Record {
 // once Checkpoint succeeds, every older segment is redundant and Compact
 // may delete it. Replay after a checkpoint is O(live transactions), not
 // O(history); the in-memory index is trimmed to the same view so memory is
-// bounded too. A single-file log (OpenFile) refuses it.
+// bounded too.
 func (l *SegmentedLog) Checkpoint() error {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -507,9 +485,6 @@ func (l *SegmentedLog) Checkpoint() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.dir == "" {
-		return errors.New("wal: a single-file log is never checkpointed")
-	}
 	live := l.liveRecordsLocked()
 	if err := l.rotateLocked(); err != nil {
 		return err
@@ -517,16 +492,15 @@ func (l *SegmentedLog) Checkpoint() error {
 	frame := appendFrame(w, func(w *codec.Writer) {
 		appendCheckpoint(w, &checkpoint{LastLSN: l.next, Live: live})
 	})
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: write checkpoint: %w", err)
+	if err := l.writeLocked(frame); err != nil {
+		return err
 	}
 	// The checkpoint must be durable before it can license compaction.
 	if err := l.f.Sync(); err != nil {
-		l.failGroupLocked(fmt.Errorf("%w: checkpoint: %w", ErrSync, err))
-		return fmt.Errorf("%w: checkpoint: %w", ErrSync, err)
+		err = fmt.Errorf("%w: checkpoint: %w", ErrSync, err)
+		l.failGroupLocked(err)
+		return err
 	}
-	l.segBytes += int64(len(frame))
-	l.segRecs++
 	l.ckSeg = l.segnum
 	l.sinceCk = 0
 
@@ -579,7 +553,7 @@ func (l *SegmentedLog) Compact() (int, error) {
 	if cb := l.onComp; cb != nil && removed > 0 {
 		remaining := l.nsegs
 		l.mu.Unlock()
-		cb(removed, remaining)
+		cb(removed, remaining, nil)
 		l.mu.Lock()
 	}
 	return removed, nil
@@ -593,10 +567,11 @@ func (l *SegmentedLog) Segments() int {
 }
 
 // SetOnCompact installs a hook invoked after each compaction that removed
-// at least one segment, with the removed and remaining counts. Used by the
-// engine to emit the wal-compact span and keep the segment gauge honest
-// without wal importing obs.
-func (l *SegmentedLog) SetOnCompact(fn func(removed, remaining int)) {
+// at least one segment, with the removed and remaining counts and a nil
+// error, and after each failed background checkpoint or compaction, with
+// the error. Used by the engine to emit the wal-compact span and count the
+// failures without wal importing obs.
+func (l *SegmentedLog) SetOnCompact(fn func(removed, remaining int, err error)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.onComp = fn
@@ -619,7 +594,7 @@ func (l *SegmentedLog) memSnapshot() *MemoryLog {
 }
 
 // Sync implements Log: the explicit durability barrier over every record
-// appended before the call. Under SyncGroup it shares the group fsync.
+// appended before the call. It shares the group fsync.
 func (l *SegmentedLog) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -627,18 +602,7 @@ func (l *SegmentedLog) Sync() error {
 		return ErrClosed
 	}
 	last := l.next
-	if l.opts.Sync != SyncGroup {
-		err := l.f.Sync()
-		l.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrSync, err)
-		}
-		return nil
-	}
 	l.mu.Unlock()
-	if last == 0 {
-		return nil
-	}
 	return l.waitDurable(last)
 }
 

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// appendTxn appends a begin/insert/commit (or not) triple for txn.
+// appendTxn appends a begin/insert/commit (or not) triple for txn. For a
+// single-digit suffix the three frames take 29, 33 and 24 bytes, so a
+// MaxSegmentBytes of 100 holds about four records, 80 three, 50 two.
 func appendTxn(t *testing.T, l Log, txn string, commit bool) {
 	t.Helper()
 	for _, r := range []*Record{
@@ -45,7 +48,7 @@ func segFiles(t *testing.T, dir string) []string {
 
 func TestSegmentedRotationAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 4})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +60,13 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 		t.Fatalf("records = %d, want 15", len(want))
 	}
 	if got := l.Segments(); got < 3 {
-		t.Fatalf("Segments = %d, want >= 3 after 15 records at 4/segment", got)
+		t.Fatalf("Segments = %d, want >= 3 after 15 records at about 4/segment", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 4})
+	re, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +193,15 @@ func TestSegmentedCheckpointKeepsReinvokedTxn(t *testing.T) {
 
 func TestSegmentedCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 3})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hookRemoved, hookRemaining int
-	l.SetOnCompact(func(removed, remaining int) { hookRemoved, hookRemaining = removed, remaining })
+	var hookErr error
+	l.SetOnCompact(func(removed, remaining int, err error) {
+		hookRemoved, hookRemaining, hookErr = removed, remaining, err
+	})
 	for i := 0; i < 6; i++ {
 		appendTxn(t, l, fmt.Sprintf("t-%d", i), true)
 	}
@@ -216,8 +222,8 @@ func TestSegmentedCompact(t *testing.T) {
 	if got := l.Segments(); got != 1 {
 		t.Fatalf("Segments after compact = %d, want 1", got)
 	}
-	if hookRemoved != removed || hookRemaining != 1 {
-		t.Fatalf("OnCompact got (%d,%d), want (%d,1)", hookRemoved, hookRemaining, removed)
+	if hookRemoved != removed || hookRemaining != 1 || hookErr != nil {
+		t.Fatalf("OnCompact got (%d,%d,%v), want (%d,1,nil)", hookRemoved, hookRemaining, hookErr, removed)
 	}
 	if len(segFiles(t, dir)) != 1 {
 		t.Fatalf("disk has %v, want 1 segment", segFiles(t, dir))
@@ -240,7 +246,7 @@ func TestSegmentedCompact(t *testing.T) {
 
 func TestSegmentedAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 4, CheckpointEvery: 8})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 100, CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +257,7 @@ func TestSegmentedAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The background compactor must have kept the directory bounded: without
-	// it 120 records at 4/segment is 30 segments.
+	// it 120 records at about 4/segment is 30 segments.
 	if n := len(segFiles(t, dir)); n >= 30 {
 		t.Fatalf("auto checkpoint never compacted: %d segments", n)
 	}
@@ -267,10 +273,7 @@ func TestSegmentedAutoCheckpoint(t *testing.T) {
 
 func TestSegmentedGroupCommitAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{
-		FileOptions:       FileOptions{Sync: SyncGroup},
-		MaxSegmentRecords: 5,
-	})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +315,7 @@ func TestSegmentedGroupCommitAcrossRotation(t *testing.T) {
 
 func TestSegmentedTornTailLastSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 3})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +337,7 @@ func TestSegmentedTornTailLastSegment(t *testing.T) {
 	}
 	f.Close()
 
-	re, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 3})
+	re, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +349,7 @@ func TestSegmentedTornTailLastSegment(t *testing.T) {
 
 func TestSegmentedCorruptEarlierSegmentFails(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenDir(dir, SegmentOptions{MaxSegmentRecords: 2})
+	l, err := OpenDir(dir, SegmentOptions{MaxSegmentBytes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,5 +391,60 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 		if _, ok := parseSegmentName(bad); ok {
 			t.Fatalf("parse(%q) accepted", bad)
 		}
+	}
+}
+
+// TestRotationFailureKeepsLogUsable puts a file where rotation would create
+// the next segment. Checkpoint and the Append that must rotate fail, but the
+// active segment stays in place: appends that need no rotation go on, and
+// once the obstacle is gone, appends, a commit, Sync and a reopen succeed.
+func TestRotationFailureKeepsLogUsable(t *testing.T) {
+	dir := t.TempDir()
+	opts := SegmentOptions{MaxSegmentBytes: 100}
+	l, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendTxn(t, l, "a", true)
+	obstacle := filepath.Join(dir, segmentName(2))
+	if err := os.WriteFile(obstacle, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint rotated onto an existing segment file")
+	}
+	// 86 bytes are below the threshold: this append needs no rotation.
+	if _, err := l.Append(&Record{Txn: "b", Type: TypeInsert, Doc: "d.xml", XML: "<b/>"}); err != nil {
+		t.Fatalf("append after the failed checkpoint: %v", err)
+	}
+	if _, err := l.Append(&Record{Txn: "b", Type: TypeInsert}); err == nil {
+		t.Fatal("an append rotated onto an existing segment file")
+	}
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	appendTxn(t, l, "c", true)
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync after the obstacle was removed: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	var got []string
+	for _, r := range re.Records() {
+		got = append(got, r.Txn+":"+r.Type.String())
+	}
+	want := "a:begin a:insert a:commit b:insert c:begin c:insert c:commit"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("reopened log = %v, want %s", got, want)
+	}
+	if n := len(segFiles(t, dir)); n != 2 {
+		t.Fatalf("segments on disk = %d, want 2", n)
 	}
 }

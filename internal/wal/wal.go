@@ -131,10 +131,10 @@ type Log interface {
 var (
 	// ErrClosed is returned by Append on a closed log.
 	ErrClosed = errors.New("wal: log is closed")
-	// ErrSync classes every fsync failure (a decision Append, any Append
-	// under SyncEach, the group commit leader, the explicit Sync barrier,
-	// rotation). Durability past a
-	// failed fsync is unknown, so these are sticky where it matters.
+	// ErrSync classes every fsync failure (the group commit leader that a
+	// decision Append or the Sync barrier waits on, rotation, checkpoint).
+	// Durability past a failed fsync is unknown, so it is sticky: every
+	// later decision Append and Sync returns it.
 	ErrSync = errors.New("wal: sync failed")
 	// ErrCorrupt classes every framing or decode failure: torn tails, CRC
 	// mismatches, malformed record bodies.
@@ -222,32 +222,23 @@ func (l *MemoryLog) Len() int {
 	return len(l.records)
 }
 
-// SyncMode selects a durable log's fsync strategy. In every mode a
-// decision record (TypeCommit, TypeAbort, TypeCompensateEnd) is durable,
-// with every record before it, when its Append returns, and Sync is a
-// barrier over everything appended before the call. The modes differ in
-// what the other records cost and in how fsyncs are shared.
+// SyncMode once selected among three fsync strategies. Group commit is
+// now the only one, so nothing reads it.
+//
+// Deprecated: read by no code. It stays until the last composite literal
+// naming FileOptions{Sync: SyncGroup} is gone.
 type SyncMode uint8
 
-const (
-	// SyncNone buffers other records: Append writes the frame and returns,
-	// and the next decision record or Sync makes it durable. Each decision
-	// record and each Sync runs an fsync of its own.
-	SyncNone SyncMode = iota
-	// SyncEach fsyncs every record before Append returns: per-record
-	// durability at the cost of one fsync per record.
-	SyncEach
-	// SyncGroup buffers other records as SyncNone does, and batches the
-	// waits (group commit): decision records and Sync calls arriving while
-	// an fsync is in flight share the next one, so concurrent writers
-	// amortize the fsync cost.
-	SyncGroup
-)
+// SyncGroup names group commit, the only durability behaviour.
+//
+// Deprecated: see SyncMode.
+const SyncGroup SyncMode = 2
 
-// FileOptions configure a durable log: OpenFileWith takes them directly,
-// OpenDir inside SegmentOptions.
+// FileOptions is embedded in SegmentOptions.
+//
+// Deprecated: read by no code; see SyncMode.
 type FileOptions struct {
-	// Sync selects the durability strategy; the zero value is SyncNone.
+	// Deprecated: ignored.
 	Sync SyncMode
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -102,8 +103,8 @@ func TestMemoryConcurrentAppends(t *testing.T) {
 }
 
 func TestFileLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := OpenFile(path, true)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestFileLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenFile(path, true)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +150,8 @@ func TestFileLogRoundTrip(t *testing.T) {
 }
 
 func TestFileLogTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.wal")
-	l, err := OpenFile(path, true)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: append garbage bytes.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenFile(path, true)
+	re, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenFile(path, true)
+	re2, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +201,8 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 }
 
 func TestFileLogClosedAppendFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "closed.wal")
-	l, err := OpenFile(path, false)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +218,12 @@ func TestFileLogClosedAppendFails(t *testing.T) {
 }
 
 func TestPropertyFileLogRecoversExactlyWhatWasAppended(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
 	i := 0
 	f := func(xmls []string) bool {
 		i++
-		path := filepath.Join(dir, "p", "")
-		_ = os.MkdirAll(path, 0o755)
-		path = filepath.Join(path, "log")
-		_ = os.Remove(path)
-		l, err := OpenFile(path, false)
+		dir := filepath.Join(root, strconv.Itoa(i))
+		l, err := OpenDir(dir, SegmentOptions{})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -240,7 +238,7 @@ func TestPropertyFileLogRecoversExactlyWhatWasAppended(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		re, err := OpenFile(path, false)
+		re, err := OpenDir(dir, SegmentOptions{})
 		if err != nil {
 			t.Log(err)
 			return false
