@@ -237,9 +237,9 @@ func (s *Store) applyReplace(txn string, e *docEntry, a *Action, mat Materialize
 }
 
 // deleteNode detaches n (keeping it indexed so compensation can restore it
-// by ID) and logs the deletion with its full before-image. When the record
-// cannot be appended, n is re-attached: an unlogged effect could never be
-// compensated.
+// by ID, until DropDeleted at commit) and logs the deletion with its full
+// before-image. When the record cannot be appended, n is re-attached: an
+// unlogged effect could never be compensated.
 func (s *Store) deleteNode(txn string, doc *xmldom.Document, n *xmldom.Node, res *Result) error {
 	parent, pos, err := doc.Detach(n)
 	if err != nil {
@@ -262,6 +262,7 @@ func (s *Store) deleteNode(txn string, doc *xmldom.Document, n *xmldom.Node, res
 		_ = doc.InsertChild(parent, n, pos) // back where Detach took it from
 		return err
 	}
+	s.noteDeleted(txn, n)
 	res.noteLSN(lsn)
 	res.DeletedXML = append(res.DeletedXML, rec.XML)
 	res.AffectedNodes += rec.Nodes

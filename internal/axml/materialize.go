@@ -68,6 +68,9 @@ const maxMaterializeRounds = 8
 // materialized is determined at run time — which is precisely why the
 // paper's compensation must be constructed dynamically.
 func (s *Store) materializeForQuery(txn string, e *docEntry, q *query.Query, mat Materializer, mode EvalMode, res *Result) error {
+	if e.doc.ServiceCallCount() == 0 {
+		return nil // the common case: a document without calls
+	}
 	needed := make(map[string]bool)
 	for _, n := range q.Names() {
 		needed[n] = true

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"axmltx/internal/xmldom"
@@ -16,7 +17,7 @@ import (
 
 // Element and attribute names of the AXML vocabulary.
 const (
-	ElemSC       = "axml:sc"
+	ElemSC       = xmldom.ServiceCallElement
 	ElemParams   = "axml:params"
 	ElemParam    = "axml:param"
 	ElemValue    = "axml:value"
@@ -261,7 +262,7 @@ func (sc *ServiceCall) HandlerFor(faultName string) (FaultHandler, bool) {
 // order, including calls nested inside parameters and results.
 func ServiceCalls(doc *xmldom.Document) []*ServiceCall {
 	var out []*ServiceCall
-	if doc.Root() == nil {
+	if doc.ServiceCallCount() == 0 {
 		return nil
 	}
 	doc.Root().Walk(func(n *xmldom.Node) bool {
@@ -277,14 +278,19 @@ func ServiceCalls(doc *xmldom.Document) []*ServiceCall {
 // nested inside another call's parameters (those are materialized as part
 // of evaluating the outer call) or fault handlers (those describe
 // alternative invocations for recovery, not data to materialize), in
-// document order. It visits elements only and does not descend into
+// document order. A document whose service-call count is 0 returns at
+// once; otherwise the walk visits elements only and does not descend into
 // parameters or handlers.
 func TopLevelServiceCalls(doc *xmldom.Document) []*ServiceCall {
-	if doc.Root() == nil {
+	if doc.ServiceCallCount() == 0 {
 		return nil
 	}
+	callScans.Add(1)
 	return appendTopLevelCalls(nil, doc.Root())
 }
+
+// callScans counts TopLevelServiceCalls' document walks, for tests.
+var callScans atomic.Uint64
 
 func appendTopLevelCalls(out []*ServiceCall, n *xmldom.Node) []*ServiceCall {
 	if sc, ok := AsServiceCall(n); ok {

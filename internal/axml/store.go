@@ -21,10 +21,10 @@ import (
 // respect to other operations on the same document while operations on
 // different documents run in parallel. The latch is released around every
 // Materializer invocation: the service may be local and re-enter the store.
-// s.mu guards only the maps (docs, frags, spines, manifests); the apply
-// observer is an atomic. Transaction-level isolation (waiting, holding
-// until commit) is the lock table's job in the transaction manager, not the
-// latch's.
+// s.mu guards only the maps (docs, frags, spines, manifests, deleted);
+// the apply observer is an atomic. Transaction-level isolation (waiting,
+// holding until commit) is the lock table's job in the transaction
+// manager, not the latch's.
 //
 // Lock order:
 //   - a latch holder may take s.mu briefly;
@@ -47,6 +47,10 @@ type Store struct {
 	manifests map[string][]FragmentID
 	log       wal.Log
 	eval      *query.Evaluator
+	// deleted lists, per transaction, the subtrees deleteNode detached and
+	// left indexed for compensation; DropDeleted or KeepDeleted clears a
+	// transaction's entry when it ends.
+	deleted map[string][]*xmldom.Node
 	// applyObserver, when set, receives the wall-clock duration of every
 	// Apply (action evaluation including its materialization rounds).
 	applyObserver atomic.Pointer[func(time.Duration)]
@@ -194,6 +198,57 @@ func (s *Store) Snapshot(name string) (*xmldom.Document, bool) {
 	defer e.latch.Unlock()
 	return e.doc.Clone(), true
 }
+
+// noteDeleted records that txn detached n; the caller holds n's document
+// latch and has logged the deletion.
+func (s *Store) noteDeleted(txn string, n *xmldom.Node) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.deleted == nil {
+		s.deleted = make(map[string][]*xmldom.Node)
+	}
+	s.deleted[txn] = append(s.deleted[txn], n)
+}
+
+// takeDeleted removes and returns the subtrees txn detached.
+func (s *Store) takeDeleted(txn string) []*xmldom.Node {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dels := s.deleted[txn]
+	delete(s.deleted, txn)
+	return dels
+}
+
+// DropDeleted un-indexes the subtrees txn deleted. A deleted subtree stays
+// indexed while its transaction may still be compensated, so that a
+// compensating insert re-attaches it with its IDs; once the transaction's
+// commit is durable nothing will, and the engine calls this. A subtree
+// attached again, or belonging to a document since replaced, is left
+// alone. A transaction that deleted nothing costs one map lookup.
+func (s *Store) DropDeleted(txn string) {
+	for _, n := range s.takeDeleted(txn) {
+		e, ok := s.latch(n.Document().Name())
+		if !ok {
+			continue
+		}
+		e.doc.Forget(n)
+		e.latch.Unlock()
+	}
+}
+
+// DeletedTxns returns how many transactions have deleted subtrees the store
+// still tracks, for tests: each is a transaction not yet committed or
+// compensated here.
+func (s *Store) DeletedTxns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.deleted)
+}
+
+// KeepDeleted forgets which subtrees txn deleted without un-indexing them:
+// its compensation has ended, having re-attached them or failed, and the
+// index keeps whatever a later retry needs.
+func (s *Store) KeepDeleted(txn string) { s.takeDeleted(txn) }
 
 // EvalMode selects between the two AXML query evaluation modes (§3.1).
 type EvalMode uint8

@@ -125,6 +125,8 @@ func (d *CompensationDef) Docs() []string {
 // context may receive "Abort TA" from several directions during
 // disconnection storms.
 func (d *CompensationDef) Execute(store *axml.Store) (int, error) {
+	// The transaction is over here; whatever it detached stays indexed.
+	defer store.KeepDeleted(d.Txn)
 	log := store.Log()
 	if wal.Fold(log.TxnRecords(d.Txn)).Compensated {
 		return 0, nil

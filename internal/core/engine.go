@@ -206,6 +206,7 @@ func (p *Peer) RegisterObservability(reg *obs.Registry) {
 	p.histInvoke = reg.Histogram("axml_invoke_seconds", labels)
 	p.histWALSync = reg.Histogram("axml_wal_sync_seconds", labels)
 	p.histCompensate = reg.Histogram("axml_compensate_seconds", labels)
+	p.locks.observeWaits(reg.Histogram("axml_lock_wait_seconds", labels))
 	if p.cache != nil {
 		reg.Gauge("axml_cache_entries", labels, p.cache.entryCount)
 		reg.Gauge("axml_cache_inflight", labels, p.cache.inflightCount)
@@ -545,6 +546,10 @@ func (p *Peer) Commit(ctx context.Context, txc *Context) error {
 		// in place.
 		_ = p.transport.Send(context.Background(), child.Peer,
 			&p2p.Message{Kind: p2p.KindCommit, Txn: txc.ID})
+	}
+	if err == nil {
+		// Committed: nothing will re-attach what txc deleted here.
+		p.store.DropDeleted(txc.ID)
 	}
 	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"axmltx/internal/obs"
 )
 
 // ErrLockTimeout is returned when a transaction cannot acquire a document
@@ -35,6 +37,9 @@ type LockTable struct {
 	cond    *sync.Cond
 	locks   map[string]*docLock
 	timeout time.Duration
+	// waits observes how long each contended Acquire waited (granted or
+	// timed out); nil until observeWaits.
+	waits *obs.Histogram
 }
 
 type docLock struct {
@@ -54,14 +59,25 @@ func NewLockTable(timeout time.Duration) *LockTable {
 // shared and requesting exclusive upgrades when no other holder exists.
 func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
 	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	if lt.grant(txn, doc, mode) {
+		lt.mu.Unlock()
 		return nil
 	}
+	// Contended. The wait is observed once lt.mu is released, outside the
+	// critical section every locker shares.
+	start, waits := time.Now(), lt.waits
+	err := lt.waitLocked(txn, doc, mode, start)
+	lt.mu.Unlock()
+	waits.Observe(time.Since(start))
+	return err
+}
 
-	// Contended. The condition-variable wait cannot time out by itself; a
-	// waker goroutine broadcasts at the deadline so waiters can re-check.
-	deadline := time.Now().Add(lt.timeout)
+// waitLocked waits from start until txn is granted doc or the table
+// timeout passes; the caller holds lt.mu. The condition-variable wait
+// cannot time out by itself, so a waker goroutine broadcasts at the
+// deadline and waiters re-check.
+func (lt *LockTable) waitLocked(txn, doc string, mode LockMode, start time.Time) error {
+	deadline := start.Add(lt.timeout)
 	timerFired := false
 	timer := time.AfterFunc(lt.timeout, func() {
 		lt.mu.Lock()
@@ -79,6 +95,14 @@ func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
 			return nil
 		}
 	}
+}
+
+// observeWaits installs the histogram contended acquisitions report their
+// wait to.
+func (lt *LockTable) observeWaits(h *obs.Histogram) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.waits = h
 }
 
 // grant records txn as a holder of doc in mode when the compatibility

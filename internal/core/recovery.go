@@ -1045,6 +1045,9 @@ func (p *Peer) handleCommit(msg *p2p.Message) {
 		_ = p.transport.Send(context.Background(), child.Peer,
 			&p2p.Message{Kind: p2p.KindCommit, Txn: msg.Txn})
 	}
+	if err == nil {
+		p.store.DropDeleted(msg.Txn)
+	}
 	p.mgr.Remove(msg.Txn)
 }
 

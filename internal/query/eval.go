@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"axmltx/internal/xmldom"
 )
@@ -58,7 +59,8 @@ func (r *Result) Strings() []string {
 }
 
 // Evaluator evaluates queries over a document. The zero value is a plain
-// XML evaluator; configure Transparent and Hidden for AXML semantics.
+// XML evaluator; configure Transparent and Hidden for AXML semantics,
+// before the first evaluation: later changes are not seen.
 type Evaluator struct {
 	// Transparent names elements whose children are addressed as if they
 	// were children of the element's own parent (the paper's <axml:sc>:
@@ -68,6 +70,10 @@ type Evaluator struct {
 	// Hidden names elements whose whole subtree is invisible to queries
 	// (<axml:params>: parameter values must not be confused with results).
 	Hidden map[string]bool
+
+	// sets holds Transparent and Hidden as the walk tests them, collected
+	// at the first Eval or EvalPath: configure both before that.
+	sets atomic.Pointer[evaluation]
 }
 
 // Eval evaluates q against doc. The query's document name must match the
@@ -178,36 +184,65 @@ func checkPath(path Path) error {
 	return nil
 }
 
-// evaluation is one Eval or EvalPath call's view of its Evaluator. The walk
-// asks whether each element it passes is hidden or transparent; a name
-// whose length no configured name has is answered without hashing it.
+// evaluation is the walk's view of an Evaluator's name sets. The walk asks
+// whether each element it passes is hidden or transparent; it compares the
+// name with the few configured ones instead of hashing it.
 type evaluation struct {
-	ev *Evaluator
-	// transparentLens and hiddenLens have bit min(len(name), 63) set for
-	// each configured name.
-	transparentLens, hiddenLens uint64
+	transparentNames, hiddenNames nameSet
 }
 
+// evaluation returns ev's name sets, collected at the first call and shared
+// read-only by every later one. Calls racing on the first collect equal
+// sets.
 func (ev *Evaluator) evaluation() *evaluation {
-	e := &evaluation{ev: ev}
-	for name := range ev.Transparent {
-		e.transparentLens |= lenBit(name)
+	if e := ev.sets.Load(); e != nil {
+		return e
 	}
-	for name := range ev.Hidden {
-		e.hiddenLens |= lenBit(name)
-	}
+	e := &evaluation{transparentNames: listNames(ev.Transparent), hiddenNames: listNames(ev.Hidden)}
+	ev.sets.Store(e)
 	return e
+}
+
+// nameSet is a configured name set as a list. A name whose length no
+// member has is rejected by a bit test, and otherwise compared with each
+// member: the walk asks about every element it passes, and a comparison
+// that fails at the length or the first differing byte is cheaper than
+// hashing the whole name.
+type nameSet struct {
+	// lens has bit min(len(name), 63) set for each member.
+	lens  uint64
+	names []string
+}
+
+// listNames collects the names m maps to true.
+func listNames(m map[string]bool) nameSet {
+	var s nameSet
+	for name, ok := range m {
+		if ok {
+			s.lens |= lenBit(name)
+			s.names = append(s.names, name)
+		}
+	}
+	return s
 }
 
 func lenBit(name string) uint64 { return 1 << min(len(name), 63) }
 
-func (e *evaluation) transparent(name string) bool {
-	return e.transparentLens&lenBit(name) != 0 && e.ev.Transparent[name]
+func (s *nameSet) has(name string) bool {
+	if s.lens&lenBit(name) == 0 {
+		return false
+	}
+	for _, member := range s.names {
+		if member == name {
+			return true
+		}
+	}
+	return false
 }
 
-func (e *evaluation) hidden(name string) bool {
-	return e.hiddenLens&lenBit(name) != 0 && e.ev.Hidden[name]
-}
+func (e *evaluation) transparent(name string) bool { return e.transparentNames.has(name) }
+
+func (e *evaluation) hidden(name string) bool { return e.hiddenNames.has(name) }
 
 // walk streams the items path reaches from ctx to emit until emit returns
 // false. The order is that of evaluating the path one step at a time over

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/query"
 	"axmltx/internal/xmldom"
 )
 
@@ -218,15 +219,25 @@ type QueryService struct {
 	desc     Descriptor
 	store    *axml.Store
 	template string
-	mat      axml.Materializer
-	mode     axml.EvalMode
+	// fixed is the parsed template when it has no $ placeholder: every
+	// invocation would parse the same text, so it is parsed once and
+	// shared read-only.
+	fixed *query.Query
+	mat   axml.Materializer
+	mode  axml.EvalMode
 }
 
 // NewQueryService builds a query service. mat supplies nested
 // materialization during evaluation and may be nil for static documents.
 func NewQueryService(desc Descriptor, store *axml.Store, template string, mat axml.Materializer, mode axml.EvalMode) *QueryService {
 	desc.Kind = KindQuery
-	return &QueryService{desc: desc, store: store, template: template, mat: mat, mode: mode}
+	s := &QueryService{desc: desc, store: store, template: template, mat: mat, mode: mode}
+	if !strings.Contains(template, "$") {
+		// A template that does not parse stays nil and fails at every
+		// Invoke, as a parameterized one does.
+		s.fixed, _ = axml.ParseQuery(template)
+	}
+	return s
 }
 
 // Descriptor implements Service.
@@ -235,10 +246,12 @@ func (s *QueryService) Descriptor() Descriptor { return s.desc }
 // Invoke implements Service: it evaluates the bound query inside the
 // caller's transaction and returns each result as a serialized fragment.
 func (s *QueryService) Invoke(ctx context.Context, req *Request) ([]string, error) {
-	src := substitute(s.template, req.Params, true)
-	q, err := axml.ParseQuery(src)
-	if err != nil {
-		return nil, fmt.Errorf("services: query %q: %w", s.desc.Name, err)
+	q := s.fixed
+	if q == nil {
+		var err error
+		if q, err = axml.ParseQuery(substitute(s.template, req.Params, true)); err != nil {
+			return nil, fmt.Errorf("services: query %q: %w", s.desc.Name, err)
+		}
 	}
 	res, err := s.store.Apply(req.Txn, axml.NewQuery(q), s.mat, s.mode)
 	if err != nil {
@@ -266,13 +279,22 @@ type UpdateService struct {
 	desc     Descriptor
 	store    *axml.Store
 	template string
-	mat      axml.Materializer
+	// fixed is the parsed template when it has no $ placeholder, shared
+	// read-only by every invocation (see QueryService.fixed).
+	fixed *axml.Action
+	mat   axml.Materializer
 }
 
 // NewUpdateService builds an update service from an <action> XML template.
 func NewUpdateService(desc Descriptor, store *axml.Store, template string, mat axml.Materializer) *UpdateService {
 	desc.Kind = KindUpdate
-	return &UpdateService{desc: desc, store: store, template: template, mat: mat}
+	s := &UpdateService{desc: desc, store: store, template: template, mat: mat}
+	if !strings.Contains(template, "$") {
+		// As in NewQueryService, a template that does not parse fails at
+		// every Invoke instead.
+		s.fixed, _ = axml.ParseAction(template)
+	}
+	return s
 }
 
 // Descriptor implements Service.
@@ -282,10 +304,12 @@ func (s *UpdateService) Descriptor() Descriptor { return s.desc }
 // fragment carrying the inserted node IDs (the paper: "we assume that the
 // [insert] operation returns the (unique) ID of the inserted node").
 func (s *UpdateService) Invoke(ctx context.Context, req *Request) ([]string, error) {
-	src := substitute(s.template, req.Params, false)
-	action, err := axml.ParseAction(src)
-	if err != nil {
-		return nil, fmt.Errorf("services: update %q: %w", s.desc.Name, err)
+	action := s.fixed
+	if action == nil {
+		var err error
+		if action, err = axml.ParseAction(substitute(s.template, req.Params, false)); err != nil {
+			return nil, fmt.Errorf("services: update %q: %w", s.desc.Name, err)
+		}
 	}
 	res, err := s.store.Apply(req.Txn, action, s.mat, axml.Lazy)
 	if err != nil {

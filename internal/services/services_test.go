@@ -3,6 +3,7 @@ package services
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,11 +65,16 @@ func TestQueryServiceAttributeResult(t *testing.T) {
 	}
 }
 
+// TestQueryServiceBadTemplate: a template that does not parse fails every
+// invocation with the same error, though a parameter-free one is parsed
+// at construction.
 func TestQueryServiceBadTemplate(t *testing.T) {
 	store := newStore(t)
 	svc := NewQueryService(Descriptor{Name: "bad"}, store, `Select nonsense !!`, nil, axml.Lazy)
-	if _, err := svc.Invoke(context.Background(), &Request{Txn: "T"}); err == nil {
-		t.Fatal("bad template accepted")
+	_, first := svc.Invoke(context.Background(), &Request{Txn: "T1"})
+	_, second := svc.Invoke(context.Background(), &Request{Txn: "T2"})
+	if first == nil || second == nil || first.Error() != second.Error() {
+		t.Fatalf("bad template: %v, then %v", first, second)
 	}
 }
 
@@ -259,11 +265,14 @@ func TestFaultErrorWithoutMessage(t *testing.T) {
 	}
 }
 
+// TestUpdateServiceBadTemplate: as TestQueryServiceBadTemplate.
 func TestUpdateServiceBadTemplate(t *testing.T) {
 	store := newStore(t)
 	svc := NewUpdateService(Descriptor{Name: "bad"}, store, `not xml at all`, nil)
-	if _, err := svc.Invoke(context.Background(), &Request{Txn: "T"}); err == nil {
-		t.Fatal("bad template accepted")
+	_, first := svc.Invoke(context.Background(), &Request{Txn: "T1"})
+	_, second := svc.Invoke(context.Background(), &Request{Txn: "T2"})
+	if first == nil || second == nil || first.Error() != second.Error() {
+		t.Fatalf("bad template: %v, then %v", first, second)
 	}
 }
 
@@ -273,5 +282,98 @@ func TestUpdateServiceApplyFailure(t *testing.T) {
 		`<action type="delete"><location>Select p/nothing from p in ATPList//player;</location></action>`, nil)
 	if _, err := svc.Invoke(context.Background(), &Request{Txn: "T"}); err == nil {
 		t.Fatal("no-target delete should fail")
+	}
+}
+
+// TestFixedTemplatesParsedOnce: a template without a $ placeholder is
+// parsed at construction and shared. Its invocations give what parsing it
+// on every call gives, with fewer allocations.
+func TestFixedTemplatesParsedOnce(t *testing.T) {
+	const update = `<action type="replace"><data><points>1</points></data>` +
+		`<location>Select p/points from p in ATPList//player where p/name/lastname = "Federer";</location></action>`
+	const read = `Select p/points from p in ATPList//player where p/name/lastname = "Federer"`
+	shared, perCall := newStore(t), newStore(t)
+	desc := Descriptor{Name: "setPoints"}
+	fixed := NewUpdateService(desc, shared, update, nil)
+	if fixed.fixed == nil {
+		t.Fatal("parameter-free update template not parsed at construction")
+	}
+	// The same service with the parse left to every call.
+	parsing := &UpdateService{desc: desc, store: perCall, template: update}
+	fixedRead := NewQueryService(Descriptor{Name: "getPoints"}, shared, read, nil, axml.Lazy)
+	if fixedRead.fixed == nil {
+		t.Fatal("parameter-free query template not parsed at construction")
+	}
+	parsingRead := &QueryService{desc: Descriptor{Name: "getPoints"}, store: perCall, template: read, mode: axml.Lazy}
+	ctx := context.Background()
+	for i, txn := range []string{"T1", "T2"} {
+		got, err := fixed.Invoke(ctx, &Request{Txn: txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := parsing.Invoke(ctx, &Request{Txn: txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, "") != strings.Join(want, "") {
+			t.Fatalf("invocation %d: shared template gave %v, per-call parse %v", i, got, want)
+		}
+		gotRead, err := fixedRead.Invoke(ctx, &Request{Txn: txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRead, err := parsingRead.Invoke(ctx, &Request{Txn: txn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(gotRead, "") != strings.Join(wantRead, "") {
+			t.Fatalf("query %d: shared template gave %v, per-call parse %v", i, gotRead, wantRead)
+		}
+	}
+	a, _ := shared.Get("ATPList.xml")
+	b, _ := perCall.Get("ATPList.xml")
+	if !a.Equal(b) {
+		t.Fatal("documents differ after the same invocations")
+	}
+	invoke := func(svc Service) func() {
+		return func() {
+			if _, err := svc.Invoke(ctx, &Request{Txn: "T3"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if once, each := testing.AllocsPerRun(20, invoke(fixed)), testing.AllocsPerRun(20, invoke(parsing)); once >= each {
+		t.Fatalf("update: %v allocations per call with the shared template, %v parsing per call", once, each)
+	}
+	if once, each := testing.AllocsPerRun(20, invoke(fixedRead)), testing.AllocsPerRun(20, invoke(parsingRead)); once >= each {
+		t.Fatalf("query: %v allocations per call with the shared template, %v parsing per call", once, each)
+	}
+}
+
+// TestFixedTemplateConcurrentInvocations shares one parsed template among
+// concurrent invocations (run it under -race).
+func TestFixedTemplateConcurrentInvocations(t *testing.T) {
+	store := newStore(t)
+	update := NewUpdateService(Descriptor{Name: "setPoints"}, store, `<action type="replace"><data><points>1</points></data>`+
+		`<location>Select p/points from p in ATPList//player where p/name/lastname = "Federer";</location></action>`, nil)
+	read := NewQueryService(Descriptor{Name: "getPoints"}, store,
+		`Select p/points from p in ATPList//player where p/name/lastname = "Federer"`, nil, axml.Lazy)
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			var err error
+			for i := 0; i < 50 && err == nil; i++ {
+				req := &Request{Txn: fmt.Sprintf("T%d-%d", g, i)}
+				if _, err = update.Invoke(context.Background(), req); err == nil {
+					_, err = read.Invoke(context.Background(), req)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -5,15 +5,27 @@ import (
 	"fmt"
 )
 
+// ServiceCallElement is the element name of an embedded service call
+// (<axml:sc>), the one element name a Document keeps a count of.
+const ServiceCallElement = "axml:sc"
+
 // Document owns a tree of nodes and the ID index over them. A document has
 // at most one root element; nodes created by the document but not yet
 // attached are "detached" and still indexed, so a deleted subtree can be
 // re-attached by a compensating insert with its original IDs intact.
+//
+// A document also counts its attached ServiceCallElement elements (see
+// ServiceCallCount). The count changes only where a subtree joins or
+// leaves the tree — SetRoot, InsertChild (and the Append/Insert helpers
+// built on it), Detach (and Remove), parsing and Clone — and each of those
+// walks just the moving subtree, and only when the other end is attached.
+// Nodes never change their names, so nothing else can move it.
 type Document struct {
 	name   string
 	root   *Node
 	nextID NodeID
 	index  map[NodeID]*Node
+	calls  int // attached ServiceCallElement elements
 }
 
 // Errors reported by tree mutations.
@@ -45,7 +57,8 @@ func (d *Document) Name() string { return d.name }
 func (d *Document) Root() *Node { return d.root }
 
 // SetRoot installs root as the document root. The node must belong to this
-// document and be detached.
+// document and be detached. The service calls in root's subtree join the
+// count.
 func (d *Document) SetRoot(root *Node) error {
 	if d.root != nil {
 		return ErrHasRoot
@@ -57,11 +70,45 @@ func (d *Document) SetRoot(root *Node) error {
 		return ErrAttached
 	}
 	d.root = root
+	d.calls = countCalls(root)
 	return nil
+}
+
+// ServiceCallCount returns the number of ServiceCallElement elements
+// attached to the tree, at any depth (inside parameters and results too).
+// It is kept up to date by every mutation, so a caller looking for service
+// calls can skip a walk of a document that has none.
+func (d *Document) ServiceCallCount() int { return d.calls }
+
+// attached reports whether n is reachable from the document root.
+func (d *Document) attached(n *Node) bool {
+	for n.parent != nil {
+		n = n.parent
+	}
+	return n == d.root
+}
+
+// countCalls returns the number of ServiceCallElement elements in the
+// subtree rooted at n.
+func countCalls(n *Node) int {
+	calls := 0
+	if n.kind == ElementNode && n.name == ServiceCallElement {
+		calls = 1
+	}
+	for _, c := range n.children {
+		if c.kind == ElementNode {
+			calls += countCalls(c)
+		}
+	}
+	return calls
 }
 
 // ByID returns the node with the given ID (attached or detached), or nil.
 func (d *Document) ByID(id NodeID) *Node { return d.index[id] }
+
+// IndexSize returns the number of nodes in the ID index: the attached ones
+// plus every detached subtree still kept for re-attachment.
+func (d *Document) IndexSize() int { return len(d.index) }
 
 // NodeCount returns the number of nodes currently attached to the tree.
 func (d *Document) NodeCount() int {
@@ -129,7 +176,8 @@ func (d *Document) AppendChild(parent, child *Node) error {
 // InsertChild attaches child under parent at position pos (0 ≤ pos ≤ number
 // of children). Positional insertion is what makes compensation of deletes
 // in ordered documents exact: the compensating insert restores the deleted
-// subtree at the position recorded in the log.
+// subtree at the position recorded in the log. When parent is attached, the
+// service calls in child's subtree join the count.
 func (d *Document) InsertChild(parent, child *Node, pos int) error {
 	if parent.doc != d || child.doc != d {
 		return ErrForeignNode
@@ -137,7 +185,7 @@ func (d *Document) InsertChild(parent, child *Node, pos int) error {
 	if parent.kind != ElementNode {
 		return ErrNotElement
 	}
-	if child.parent != nil {
+	if child.parent != nil || child == d.root {
 		return ErrAttached
 	}
 	if child == parent || child.IsAncestorOf(parent) {
@@ -150,6 +198,9 @@ func (d *Document) InsertChild(parent, child *Node, pos int) error {
 	copy(parent.children[pos+1:], parent.children[pos:])
 	parent.children[pos] = child
 	child.parent = parent
+	if d.attached(parent) {
+		d.calls += countCalls(child)
+	}
 	return nil
 }
 
@@ -174,19 +225,24 @@ func (d *Document) InsertAfter(ref, child *Node) error {
 // Detach removes n from its parent and returns its former position. The
 // subtree stays owned and indexed by the document so it can be re-attached
 // (compensating insert) with identical IDs. Detaching the root empties the
-// document.
+// document. When n was attached, the service calls in its subtree leave the
+// count.
 func (d *Document) Detach(n *Node) (parent *Node, pos int, err error) {
 	if n.doc != d {
 		return nil, 0, ErrForeignNode
 	}
 	if n == d.root {
 		d.root = nil
+		d.calls = 0
 		return nil, 0, nil
 	}
 	if n.parent == nil {
 		return nil, 0, ErrDetached
 	}
 	parent = n.parent
+	if d.attached(parent) {
+		d.calls -= countCalls(n)
+	}
 	pos = n.Index()
 	parent.children = append(parent.children[:pos], parent.children[pos+1:]...)
 	n.parent = nil
@@ -200,11 +256,27 @@ func (d *Document) Remove(n *Node) error {
 	if _, _, err := d.Detach(n); err != nil {
 		return err
 	}
-	n.Walk(func(m *Node) bool {
-		delete(d.index, m.id)
-		return true
-	})
+	d.unindex(n)
 	return nil
+}
+
+// Forget drops the detached subtree rooted at n from the ID index, for a
+// subtree nothing will re-attach (its deletion is committed), and reports
+// whether it did: the root, attached nodes and other documents' nodes are
+// left alone.
+func (d *Document) Forget(n *Node) bool {
+	if n.doc != d || n.parent != nil || n == d.root {
+		return false
+	}
+	d.unindex(n)
+	return true
+}
+
+func (d *Document) unindex(n *Node) {
+	delete(d.index, n.id)
+	for _, c := range n.children {
+		d.unindex(c)
+	}
 }
 
 // Clone returns a deep copy of the whole document, with node IDs preserved
@@ -213,7 +285,7 @@ func (d *Document) Remove(n *Node) error {
 // between peers.
 func (d *Document) Clone() *Document {
 	cp := NewDocument(d.name)
-	cp.nextID = d.nextID
+	cp.nextID, cp.calls = d.nextID, d.calls
 	if d.root != nil {
 		cp.root = cloneInto(cp, d.root, nil)
 	}
@@ -240,8 +312,8 @@ func (d *Document) Equal(other *Document) bool {
 }
 
 // Validate checks internal invariants (index consistency, parent/child
-// symmetry, ID uniqueness) and returns a descriptive error on violation.
-// It backs the property-based tests.
+// symmetry, ID uniqueness, the service-call count) and returns a
+// descriptive error on violation. It backs the property-based tests.
 func (d *Document) Validate() error {
 	seen := make(map[NodeID]bool)
 	var check func(n *Node, parent *Node) error
@@ -272,10 +344,15 @@ func (d *Document) Validate() error {
 		}
 		return nil
 	}
+	calls := 0
 	if d.root != nil {
 		if err := check(d.root, nil); err != nil {
 			return err
 		}
+		calls = countCalls(d.root)
+	}
+	if calls != d.calls {
+		return fmt.Errorf("service-call count %d, tree holds %d", d.calls, calls)
 	}
 	return nil
 }

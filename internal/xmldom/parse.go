@@ -77,7 +77,7 @@ func parseDocument(name, src, idAttr string) (*Document, error) {
 	if p.root == nil {
 		return nil, p.errorf("no root element")
 	}
-	doc.root = p.root
+	doc.root, doc.calls = p.root, countCalls(p.root)
 	// Persisted IDs are all known now; number the rest above them.
 	for _, n := range p.fresh {
 		doc.nextID++
