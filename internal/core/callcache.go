@@ -18,7 +18,7 @@
 //   - cluster-wide: completed and in-flight entries are advertised through
 //     the gossip replica catalog (internal/membership), and a peer about to
 //     invoke first fetches the cached result from the advertising owner
-//     over a KindCacheFetch message (recovery.go).
+//     over a KindCacheFetch message (fetchFromOwner, handleCacheFetch).
 //
 // Invalidation is best-effort on top of the window contract: local writes
 // and compensations touching a document drop every entry recorded against
@@ -33,6 +33,9 @@ import (
 	"time"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/obs"
+	"axmltx/internal/p2p"
+	"axmltx/internal/services"
 )
 
 // defaultCacheCapacity bounds completed entries when WithCallCache is
@@ -265,4 +268,166 @@ func (c *callCache) inflightCount() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return int64(len(c.flights))
+}
+
+// cacheSpec is the cache identity of one cacheable invocation: its key, the
+// freshness window the result may be served under, and the documents whose
+// writes invalidate it.
+type cacheSpec struct {
+	key    string
+	window time.Duration
+	docs   []string
+}
+
+// cacheSpecFor decides whether sc's invocation is cacheable. The frequency
+// attribute is the staleness contract (§3.1): a declared frequency is the
+// window; without one, Options.CacheTTL applies (zero = uncached). Calls to
+// locally-known update or continuous services are never cached — updates
+// have effects that must happen, streams are not a reusable value.
+func (p *Peer) cacheSpecFor(sc *axml.ServiceCall, params []axml.Param) (cacheSpec, bool) {
+	if p.cache == nil {
+		return cacheSpec{}, false
+	}
+	window, declared := sc.Frequency()
+	if !declared {
+		window = p.opts.CacheTTL
+	}
+	if window <= 0 {
+		return cacheSpec{}, false
+	}
+	service := sc.Service()
+	docs := make([]string, 0, 2)
+	if doc := sc.Node().Document(); doc != nil && doc.Name() != "" {
+		docs = append(docs, doc.Name())
+	}
+	if svc, ok := p.registry.Get(service); ok {
+		desc := svc.Descriptor()
+		switch desc.Kind {
+		case services.KindUpdate, services.KindContinuous:
+			return cacheSpec{}, false
+		}
+		if desc.TargetDocument != "" && (len(docs) == 0 || docs[0] != desc.TargetDocument) {
+			docs = append(docs, desc.TargetDocument)
+		}
+	}
+	return cacheSpec{key: cacheKey(service, params, window), window: window, docs: docs}, true
+}
+
+// cachePut stores a completed entry and keeps the gossip catalog in step:
+// the key is advertised (replacing any in-flight advertisement) and
+// capacity-evicted keys are withdrawn.
+func (p *Peer) cachePut(spec cacheSpec, e *cacheEntry) {
+	evicted := p.cache.put(spec.key, e)
+	if m := p.opts.Membership; m != nil {
+		m.AnnounceCall(spec.key, e.service, e.fetched, e.window)
+		for _, k := range evicted {
+			m.WithdrawCall(k)
+		}
+	}
+}
+
+// fetchFromOwner asks peers advertising spec.key in the gossip catalog for
+// their cached result (cluster-scope dedupe). The advertised fetch time is
+// re-checked against the local clock before the copy is trusted; a stale,
+// withdrawn or unreachable owner is skipped and the next one tried.
+func (p *Peer) fetchFromOwner(txc *Context, spec cacheSpec, service string) (*cacheEntry, bool) {
+	m := p.opts.Membership
+	if m == nil {
+		return nil, false
+	}
+	for _, owner := range m.CallOwners(spec.key) {
+		if owner == p.id {
+			continue
+		}
+		sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCacheFetch, service)
+		sp.SetTarget(string(owner))
+		reply, err := p.transport.Request(txc.ctxForCalls(), owner, &p2p.Message{
+			Kind: p2p.KindCacheFetch, Txn: txc.ID, Subject: service,
+			Payload: encode(&CacheFetchRequest{Key: spec.key, Service: service}),
+		})
+		if err != nil || reply == nil || reply.Err != "" {
+			sp.SetAttr("miss", "unreachable")
+			sp.End(ErrCode(err), err)
+			continue
+		}
+		var resp CacheFetchResponse
+		if derr := decode(reply.Payload, &resp); derr != nil || !resp.Found {
+			sp.SetAttr("miss", "not-found")
+			sp.End("", nil)
+			continue
+		}
+		fetched := time.Unix(0, resp.FetchedUnixNano)
+		window := time.Duration(resp.WindowNanos)
+		if window <= 0 || time.Since(fetched) > window {
+			sp.SetAttr("miss", "stale")
+			sp.End("", nil)
+			continue
+		}
+		p.metrics.CacheFetches.Add(1)
+		sp.End("", nil)
+		return &cacheEntry{
+			service: service, fragments: resp.Fragments,
+			fetched: fetched, window: window, docs: spec.docs,
+		}, true
+	}
+	return nil, false
+}
+
+// handleCacheFetch serves a cached materialization result to a peer that
+// found this peer's advertisement in the gossip catalog. A request racing
+// an in-flight invocation of the same key waits for it (bounded by the
+// lock timeout) instead of reporting a miss.
+func (p *Peer) handleCacheFetch(msg *p2p.Message) (*p2p.Message, error) {
+	var req CacheFetchRequest
+	if err := decode(msg.Payload, &req); err != nil {
+		return nil, err
+	}
+	resp := &CacheFetchResponse{Key: req.Key, Service: req.Service}
+	if p.cache != nil {
+		e, ok := p.cache.peek(req.Key, time.Now())
+		if !ok {
+			if fl, inflight := p.cache.inflight(req.Key); inflight {
+				ctx, cancel := context.WithTimeout(context.Background(), p.opts.LockTimeout)
+				_, _, _ = p.cache.wait(ctx, fl, p.opts.LockTimeout)
+				cancel()
+				e, ok = p.cache.peek(req.Key, time.Now())
+			}
+		}
+		if ok {
+			resp.Found = true
+			resp.Fragments = e.fragments
+			resp.FetchedUnixNano = e.fetched.UnixNano()
+			resp.WindowNanos = int64(e.window)
+		}
+	}
+	return &p2p.Message{Kind: p2p.KindCacheFetch, Txn: msg.Txn, Subject: req.Service,
+		Payload: encode(resp)}, nil
+}
+
+// invalidateDocCache drops cache entries recorded against the named
+// documents and withdraws their gossip advertisements. Remote copies are
+// not chased: their staleness stays bounded by the freshness window the
+// calls themselves declared.
+func (p *Peer) invalidateDocCache(docs ...string) {
+	if p.cache == nil {
+		return
+	}
+	m := p.opts.Membership
+	for _, doc := range docs {
+		if doc == "" {
+			continue
+		}
+		// Actions reference documents by query root ("A") while the cache
+		// indexes entries under the stored name ("A.xml"); canonicalize so
+		// both forms hit the same index.
+		if d, ok := p.store.Get(doc); ok {
+			doc = d.Name()
+		}
+		for _, key := range p.cache.invalidateDoc(doc) {
+			p.metrics.CacheInvalidations.Add(1)
+			if m != nil {
+				m.WithdrawCall(key)
+			}
+		}
+	}
 }

@@ -631,7 +631,7 @@ func TestHasCommitted(t *testing.T) {
 		t.Fatal("commit record not seen")
 	}
 	ap1.mgr.Remove(txc.ID)
-	ap1.handleAbort(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP2"})
+	ap1.handleDecision(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP2"})
 	if entryCount(t, ap1, "D1.xml") != 1 {
 		t.Fatal("a stray abort compensated committed work")
 	}

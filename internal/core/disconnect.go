@@ -12,7 +12,7 @@ import (
 //
 //	(a) leaf disconnection, detected by the parent: the synchronous
 //	    invocation (or the ping detector) surfaces ErrUnreachable, which
-//	    the nested recovery machinery in recovery.go treats as the
+//	    the nested recovery machinery in invoke.go treats as the
 //	    "disconnected" fault — handlers/replica retry, else abort.
 //	(b) parent disconnection, detected by the child returning results:
 //	    runAsync's push fails; redirectPastDeadParent walks the chain to
@@ -110,12 +110,7 @@ func (p *Peer) handleRedirect(msg *p2p.Message) (*p2p.Message, error) {
 		}
 	}
 	p.noteDisconnection(rr.Txn, rr.Dead, p.id)
-	p.mu.Lock()
-	cb := p.onResult
-	p.mu.Unlock()
-	if cb != nil {
-		cb(rr.Txn, &rr.Response)
-	}
+	p.deliverResult(rr.Txn, &rr.Response)
 	return &p2p.Message{Kind: "redirect-ack"}, nil
 }
 
@@ -205,14 +200,14 @@ func (p *Peer) noteDisconnection(txn string, dead p2p.PeerID, detectedBy p2p.Pee
 	if chain == nil || p.opts.DisableChaining || !chain.Contains(dead) {
 		// Without chaining the only safe reaction is the nested recovery
 		// protocol from our own position: abort.
-		_ = p.abortContext(txc, "", true)
+		_ = p.decide(txc, event{kind: evAbort, txn: txc.ID})
 		return
 	}
 	// Descendant of the dead peer: stop work, discard local effects.
 	for _, anc := range chain.AncestorsOf(p.id) {
 		if anc == dead {
 			p.metrics.NodesLost.Add(int64(workNodesSince(p.store.Log(), txn, 0)))
-			_ = p.abortContext(txc, "", false)
+			_ = p.decide(txc, event{kind: evAbortSilent, txn: txc.ID})
 			return
 		}
 	}
@@ -247,7 +242,7 @@ func (p *Peer) recoverDeadChild(txc *Context, chain *Chain, dead p2p.PeerID) {
 
 	service := chain.ServiceAt(dead)
 	if service == "" {
-		_ = p.abortContext(txc, "", true)
+		_ = p.decide(txc, event{kind: evAbort, txn: txc.ID})
 		return
 	}
 	if alt, ok := p.replicas.Alternative(service, dead); ok && txc.Status() == StatusActive {
@@ -281,12 +276,7 @@ func (p *Peer) recoverDeadChild(txc *Context, chain *Chain, dead p2p.PeerID) {
 				p.metrics.ForwardRecoveries.Add(1)
 				setSpanChain(rsp, txc.Chain())
 				rsp.End("", nil)
-				p.mu.Lock()
-				cb := p.onResult
-				p.mu.Unlock()
-				if cb != nil {
-					cb(txc.ID, &resp)
-				}
+				p.deliverResult(txc.ID, &resp)
 				return
 			}
 		}
@@ -297,7 +287,7 @@ func (p *Peer) recoverDeadChild(txc *Context, chain *Chain, dead p2p.PeerID) {
 		rsp.End(code, err)
 	}
 	p.metrics.BackwardRecoveries.Add(1)
-	_ = p.abortContext(txc, "", true)
+	_ = p.decide(txc, event{kind: evAbort, txn: txc.ID})
 }
 
 // StreamTo pushes one continuous-service batch directly to a sibling

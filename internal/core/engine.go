@@ -289,7 +289,7 @@ func (p *Peer) checkCtx(ctx context.Context, txc *Context) error {
 	if ctx == nil || ctx.Err() == nil {
 		return nil
 	}
-	_ = p.abortContext(txc, "", true)
+	_ = p.decide(txc, event{kind: evAbort, txn: txc.ID})
 	return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 }
 
@@ -471,6 +471,26 @@ func lockModeFor(a *axml.Action) LockMode {
 // otherwise. It returns the result fragments. An expired ctx aborts the
 // transaction with compensation (ErrTimeout).
 func (p *Peer) Call(ctx context.Context, txc *Context, target p2p.PeerID, service string, params map[string]string) ([]string, error) {
+	resp, err := p.call(ctx, txc, target, service, params, false)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Fragments, nil
+}
+
+// CallAsync invokes a remote service within the transaction without
+// waiting for the result: the callee acknowledges, executes, and pushes the
+// result back as a KindResult message (delivered to the OnResult callback
+// and recorded as a child invocation). This is the data-flow of the
+// disconnection scenarios: a child returning results may find its parent
+// gone (§3.3 case b).
+func (p *Peer) CallAsync(ctx context.Context, txc *Context, target p2p.PeerID, service string, params map[string]string) error {
+	_, err := p.call(ctx, txc, target, service, params, true)
+	return err
+}
+
+// call is one top-level invocation under a call span, for Call and CallAsync.
+func (p *Peer) call(ctx context.Context, txc *Context, target p2p.PeerID, service string, params map[string]string, async bool) (*InvokeResponse, error) {
 	if txc.Status() != StatusActive {
 		return nil, errStatus(txc)
 	}
@@ -485,102 +505,28 @@ func (p *Peer) Call(ctx context.Context, txc *Context, target p2p.PeerID, servic
 		txc.swapCallCtx(prevCtx)
 		txc.swapSpanID(prevSpan)
 	}()
-	resp, err := p.invokeOnce(txc, target, service, params, false)
+	resp, err := p.invokeOnce(txc, target, service, params, async)
 	setSpanChain(sp, txc.Chain())
 	sp.End(ErrCode(err), err)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Fragments, nil
-}
-
-// CallAsync invokes a remote service within the transaction without
-// waiting for the result: the callee acknowledges, executes, and pushes the
-// result back as a KindResult message (delivered to the OnResult callback
-// and recorded as a child invocation). This is the data-flow of the
-// disconnection scenarios: a child returning results may find its parent
-// gone (§3.3 case b).
-func (p *Peer) CallAsync(ctx context.Context, txc *Context, target p2p.PeerID, service string, params map[string]string) error {
-	if txc.Status() != StatusActive {
-		return errStatus(txc)
-	}
-	if err := p.checkCtx(ctx, txc); err != nil {
-		return err
-	}
-	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCall, service)
-	sp.SetTarget(string(target))
-	prevCtx := txc.swapCallCtx(ctx)
-	prevSpan := txc.swapSpanID(sp.ID())
-	defer func() {
-		txc.swapCallCtx(prevCtx)
-		txc.swapSpanID(prevSpan)
-	}()
-	_, err := p.invokeOnce(txc, target, service, params, true)
-	setSpanChain(sp, txc.Chain())
-	sp.End(ErrCode(err), err)
-	return err
+	return resp, err
 }
 
 // Commit makes the transaction's effects permanent everywhere: the local
 // commit record is written, locks released, and commit notifications
-// cascade to every participant. An expired ctx aborts instead (backward
-// recovery) and returns ErrTimeout.
+// cascade to every participant; one the transport cannot reach never learns
+// of it (DecisionSendErrors counts it). An expired ctx aborts instead
+// (backward recovery) and returns ErrTimeout.
 func (p *Peer) Commit(ctx context.Context, txc *Context) error {
 	if err := p.checkCtx(ctx, txc); err != nil {
 		return err
 	}
-	if !txc.transition(StatusCommitted) {
-		return fmt.Errorf("core: commit of %s transaction %s", txc.Status(), txc.ID)
-	}
-	sp := p.tracer.Start(txc.ID, txc.SpanID(), obs.KindCommit, "")
-	// A decision record: Append returns once it, and every effect record
-	// before it, is on disk, so commit notifications never run ahead of it.
-	_, err := p.store.Log().Append(&wal.Record{Txn: txc.ID, Type: wal.TypeCommit})
-	p.locks.ReleaseAll(txc.ID)
-	if txc.Self == txc.Origin {
-		p.metrics.TxnsCommitted.Add(1)
-	}
-	for _, child := range txc.Children() {
-		// Best effort: a participant that vanished after completing its
-		// work simply never learns of the commit; its effects are already
-		// in place.
-		_ = p.transport.Send(context.Background(), child.Peer,
-			&p2p.Message{Kind: p2p.KindCommit, Txn: txc.ID})
-	}
-	if err == nil {
-		// Committed: nothing will re-attach what txc deleted here.
-		p.store.DropDeleted(txc.ID)
-	}
-	setSpanChain(sp, txc.Chain())
-	sp.End(ErrCode(err), err)
-	p.noteSlowTxn(txc, "committed")
-	setSpanChain(txc.rootSpan, txc.Chain())
-	txc.rootSpan.End(ErrCode(err), err)
-	return err
-}
-
-// noteSlowTxn applies the slow-transaction hook at an origin terminal:
-// transactions slower than Options.SlowTxn are force-kept by the sampler
-// (before the root span flushes the buffer) and reported to SlowTxnLog.
-// Must run before the root span's End.
-func (p *Peer) noteSlowTxn(txc *Context, outcome string) {
-	if p.opts.SlowTxn <= 0 || txc.began.IsZero() {
-		return
-	}
-	d := time.Since(txc.began)
-	if d < p.opts.SlowTxn {
-		return
-	}
-	p.sampler.ForceKeep(txc.ID)
-	if p.opts.SlowTxnLog != nil {
-		p.opts.SlowTxnLog(txc.ID, d, outcome)
-	}
+	return p.decide(txc, event{kind: evCommit, txn: txc.ID})
 }
 
 // Abort rolls the transaction back: local effects are compensated and
 // abort/compensation messages propagate to the participants (§3.2).
 func (p *Peer) Abort(ctx context.Context, txc *Context) error {
-	return p.abortContext(txc, "", true)
+	return p.decide(txc, event{kind: evAbort, txn: txc.ID})
 }
 
 // handle dispatches incoming protocol messages.
@@ -588,14 +534,8 @@ func (p *Peer) handle(ctx context.Context, msg *p2p.Message) (*p2p.Message, erro
 	switch msg.Kind {
 	case p2p.KindInvoke:
 		return p.handleInvoke(msg)
-	case p2p.KindAbort:
-		p.handleAbort(msg)
-		return &p2p.Message{Kind: "abort-ack"}, nil
-	case p2p.KindCommit:
-		p.handleCommit(msg)
-		return &p2p.Message{Kind: "commit-ack"}, nil
-	case p2p.KindCompensate:
-		return p.handleCompensate(msg)
+	case p2p.KindAbort, p2p.KindCommit, p2p.KindCompensate:
+		return p.handleDecision(msg)
 	case p2p.KindResult:
 		p.handleResult(msg)
 		return &p2p.Message{Kind: "result-ack"}, nil

@@ -168,7 +168,7 @@ func TestRemoteInvokeCommitCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The participant context is finished and a late abort is refused.
-	ap2.handleAbort(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP1"})
+	ap2.handleDecision(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP1"})
 	if entryCount(t, ap2, "D2.xml") != 1 {
 		t.Fatal("stray abort undid committed work")
 	}

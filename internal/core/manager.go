@@ -133,12 +133,6 @@ func (c *Context) ctxForCalls() context.Context {
 	return context.Background()
 }
 
-func (c *Context) markCompensated() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.compensated = true
-}
-
 func (c *Context) wasCompensated() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,10 +255,12 @@ func (c *Context) MergeChain(other *Chain) *Chain {
 	return c.chain.update(func(ch *Chain) *Chain { return ch.Merge(other) })
 }
 
-// AddUndoNodes accumulates compensation cost.
+// AddUndoNodes records that compensation ran under this context, undoing n
+// nodes, and accumulates the cost.
 func (c *Context) AddUndoNodes(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.compensated = true
 	c.undoNodes += n
 }
 
@@ -298,7 +294,9 @@ func (m *Manager) NewTxnID() string {
 func (m *Manager) Begin(id string, super bool) *Context {
 	ctx := &Context{ID: id, Origin: m.self, Self: m.self, status: StatusActive, began: time.Now()}
 	ctx.SetChain(NewChain(m.self, super))
-	m.put(ctx)
+	m.mu.Lock()
+	m.ctxs[id] = ctx
+	m.mu.Unlock()
 	return ctx
 }
 
@@ -334,12 +332,6 @@ func (m *Manager) BeginParticipant(id string, origin, parent p2p.PeerID, service
 	}
 	m.ctxs[id] = ctx
 	return ctx
-}
-
-func (m *Manager) put(ctx *Context) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ctxs[ctx.ID] = ctx
 }
 
 // Get returns the context for a transaction, if present.

@@ -62,9 +62,12 @@ type Metrics struct {
 	// compensation failed, and fragment-shadow promotions whose
 	// compensation records failed to append.
 	AbortErrors atomic.Int64
-	// CommitErrors counts participant commits whose decision record could
-	// not be made durable.
+	// CommitErrors counts commits, at the origin and at participants, whose
+	// decision record could not be made durable.
 	CommitErrors atomic.Int64
+	// DecisionSendErrors counts commit and abort messages the transport
+	// refused: a participant that never hears the decision.
+	DecisionSendErrors atomic.Int64
 	// CheckpointErrors counts failed background checkpoints and
 	// compactions of the durable log.
 	CheckpointErrors atomic.Int64
@@ -93,6 +96,51 @@ type Metrics struct {
 	FragPromotions atomic.Int64
 }
 
+// counter is one protocol counter: its metric name, its atomic, and the
+// MetricsSnapshot field that copies it.
+type counter struct {
+	name string
+	v    *atomic.Int64
+	s    *int64
+}
+
+// counters lists every counter of m, each paired with its field in s.
+func (m *Metrics) counters(s *MetricsSnapshot) []counter {
+	return []counter{
+		{"axml_txns_begun", &m.TxnsBegun, &s.TxnsBegun},
+		{"axml_txns_committed", &m.TxnsCommitted, &s.TxnsCommitted},
+		{"axml_txns_aborted", &m.TxnsAborted, &s.TxnsAborted},
+		{"axml_invocations_served", &m.InvocationsServed, &s.InvocationsServed},
+		{"axml_invocations_made", &m.InvocationsMade, &s.InvocationsMade},
+		{"axml_compensations", &m.Compensations, &s.Compensations},
+		{"axml_nodes_undone", &m.NodesUndone, &s.NodesUndone},
+		{"axml_forward_recoveries", &m.ForwardRecoveries, &s.ForwardRecoveries},
+		{"axml_backward_recoveries", &m.BackwardRecoveries, &s.BackwardRecoveries},
+		{"axml_retries_attempted", &m.RetriesAttempted, &s.RetriesAttempted},
+		{"axml_aborts_sent", &m.AbortsSent, &s.AbortsSent},
+		{"axml_aborts_received", &m.AbortsReceived, &s.AbortsReceived},
+		{"axml_disconnects_detected", &m.DisconnectsDetected, &s.DisconnectsDetected},
+		{"axml_redirects", &m.Redirects, &s.Redirects},
+		{"axml_work_reused", &m.WorkReused, &s.WorkReused},
+		{"axml_nodes_lost", &m.NodesLost, &s.NodesLost},
+		{"axml_comp_services_built", &m.CompServicesBuilt, &s.CompServicesBuilt},
+		{"axml_comp_services_run", &m.CompServicesRun, &s.CompServicesRun},
+		{"axml_comp_defs_rejected", &m.CompDefsRejected, &s.CompDefsRejected},
+		{"axml_abort_errors", &m.AbortErrors, &s.AbortErrors},
+		{"axml_commit_errors", &m.CommitErrors, &s.CommitErrors},
+		{"axml_decision_send_errors", &m.DecisionSendErrors, &s.DecisionSendErrors},
+		{"axml_wal_checkpoint_errors", &m.CheckpointErrors, &s.CheckpointErrors},
+		{"axml_cache_hits", &m.CacheHits, &s.CacheHits},
+		{"axml_cache_misses", &m.CacheMisses, &s.CacheMisses},
+		{"axml_cache_waits", &m.CacheWaits, &s.CacheWaits},
+		{"axml_cache_fetches", &m.CacheFetches, &s.CacheFetches},
+		{"axml_cache_invalidations", &m.CacheInvalidations, &s.CacheInvalidations},
+		{"axml_frag_fetches", &m.FragFetches, &s.FragFetches},
+		{"axml_frag_migrations", &m.FragMigrations, &s.FragMigrations},
+		{"axml_frag_promotions", &m.FragPromotions, &s.FragPromotions},
+	}
+}
+
 // Register exports every counter into an obs.Registry as a function-backed
 // gauge labeled with the peer ID. The atomics stay the single source of
 // truth; the registry reads them at scrape time, so peers, benchmarks and
@@ -102,41 +150,7 @@ func (m *Metrics) Register(reg *obs.Registry, peer string) {
 		return
 	}
 	labels := obs.Labels{"peer": peer}
-	for _, c := range []struct {
-		name string
-		v    *atomic.Int64
-	}{
-		{"axml_txns_begun", &m.TxnsBegun},
-		{"axml_txns_committed", &m.TxnsCommitted},
-		{"axml_txns_aborted", &m.TxnsAborted},
-		{"axml_invocations_served", &m.InvocationsServed},
-		{"axml_invocations_made", &m.InvocationsMade},
-		{"axml_compensations", &m.Compensations},
-		{"axml_nodes_undone", &m.NodesUndone},
-		{"axml_forward_recoveries", &m.ForwardRecoveries},
-		{"axml_backward_recoveries", &m.BackwardRecoveries},
-		{"axml_retries_attempted", &m.RetriesAttempted},
-		{"axml_aborts_sent", &m.AbortsSent},
-		{"axml_aborts_received", &m.AbortsReceived},
-		{"axml_disconnects_detected", &m.DisconnectsDetected},
-		{"axml_redirects", &m.Redirects},
-		{"axml_work_reused", &m.WorkReused},
-		{"axml_nodes_lost", &m.NodesLost},
-		{"axml_comp_services_built", &m.CompServicesBuilt},
-		{"axml_comp_services_run", &m.CompServicesRun},
-		{"axml_comp_defs_rejected", &m.CompDefsRejected},
-		{"axml_abort_errors", &m.AbortErrors},
-		{"axml_commit_errors", &m.CommitErrors},
-		{"axml_wal_checkpoint_errors", &m.CheckpointErrors},
-		{"axml_cache_hits", &m.CacheHits},
-		{"axml_cache_misses", &m.CacheMisses},
-		{"axml_cache_waits", &m.CacheWaits},
-		{"axml_cache_fetches", &m.CacheFetches},
-		{"axml_cache_invalidations", &m.CacheInvalidations},
-		{"axml_frag_fetches", &m.FragFetches},
-		{"axml_frag_migrations", &m.FragMigrations},
-		{"axml_frag_promotions", &m.FragPromotions},
-	} {
+	for _, c := range m.counters(new(MetricsSnapshot)) {
 		reg.Gauge(c.name, labels, c.v.Load)
 	}
 }
@@ -154,6 +168,7 @@ type MetricsSnapshot struct {
 	CompServicesBuilt, CompServicesRun         int64
 	CompDefsRejected, AbortErrors              int64
 	CommitErrors, CheckpointErrors             int64
+	DecisionSendErrors                         int64
 	CacheHits, CacheMisses, CacheWaits         int64
 	CacheFetches, CacheInvalidations           int64
 	FragFetches, FragMigrations                int64
@@ -162,70 +177,18 @@ type MetricsSnapshot struct {
 
 // Snapshot copies the current counter values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		TxnsBegun:           m.TxnsBegun.Load(),
-		TxnsCommitted:       m.TxnsCommitted.Load(),
-		TxnsAborted:         m.TxnsAborted.Load(),
-		InvocationsServed:   m.InvocationsServed.Load(),
-		InvocationsMade:     m.InvocationsMade.Load(),
-		Compensations:       m.Compensations.Load(),
-		NodesUndone:         m.NodesUndone.Load(),
-		ForwardRecoveries:   m.ForwardRecoveries.Load(),
-		BackwardRecoveries:  m.BackwardRecoveries.Load(),
-		RetriesAttempted:    m.RetriesAttempted.Load(),
-		AbortsSent:          m.AbortsSent.Load(),
-		AbortsReceived:      m.AbortsReceived.Load(),
-		DisconnectsDetected: m.DisconnectsDetected.Load(),
-		Redirects:           m.Redirects.Load(),
-		WorkReused:          m.WorkReused.Load(),
-		NodesLost:           m.NodesLost.Load(),
-		CompServicesBuilt:   m.CompServicesBuilt.Load(),
-		CompServicesRun:     m.CompServicesRun.Load(),
-		CompDefsRejected:    m.CompDefsRejected.Load(),
-		AbortErrors:         m.AbortErrors.Load(),
-		CommitErrors:        m.CommitErrors.Load(),
-		CheckpointErrors:    m.CheckpointErrors.Load(),
-		CacheHits:           m.CacheHits.Load(),
-		CacheMisses:         m.CacheMisses.Load(),
-		CacheWaits:          m.CacheWaits.Load(),
-		CacheFetches:        m.CacheFetches.Load(),
-		CacheInvalidations:  m.CacheInvalidations.Load(),
-		FragFetches:         m.FragFetches.Load(),
-		FragMigrations:      m.FragMigrations.Load(),
-		FragPromotions:      m.FragPromotions.Load(),
+	var s MetricsSnapshot
+	for _, c := range m.counters(&s) {
+		*c.s = c.v.Load()
 	}
+	return s
 }
 
 // Add accumulates another snapshot into s (for cluster-wide totals).
 func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
-	s.TxnsBegun += o.TxnsBegun
-	s.TxnsCommitted += o.TxnsCommitted
-	s.TxnsAborted += o.TxnsAborted
-	s.InvocationsServed += o.InvocationsServed
-	s.InvocationsMade += o.InvocationsMade
-	s.Compensations += o.Compensations
-	s.NodesUndone += o.NodesUndone
-	s.ForwardRecoveries += o.ForwardRecoveries
-	s.BackwardRecoveries += o.BackwardRecoveries
-	s.RetriesAttempted += o.RetriesAttempted
-	s.AbortsSent += o.AbortsSent
-	s.AbortsReceived += o.AbortsReceived
-	s.DisconnectsDetected += o.DisconnectsDetected
-	s.Redirects += o.Redirects
-	s.WorkReused += o.WorkReused
-	s.NodesLost += o.NodesLost
-	s.CompServicesBuilt += o.CompServicesBuilt
-	s.CompServicesRun += o.CompServicesRun
-	s.CompDefsRejected += o.CompDefsRejected
-	s.AbortErrors += o.AbortErrors
-	s.CommitErrors += o.CommitErrors
-	s.CheckpointErrors += o.CheckpointErrors
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheWaits += o.CacheWaits
-	s.CacheFetches += o.CacheFetches
-	s.CacheInvalidations += o.CacheInvalidations
-	s.FragFetches += o.FragFetches
-	s.FragMigrations += o.FragMigrations
-	s.FragPromotions += o.FragPromotions
+	var m Metrics
+	theirs := m.counters(&o)
+	for i, c := range m.counters(s) {
+		*c.s += *theirs[i].s
+	}
 }

@@ -14,7 +14,7 @@ import (
 func TestStrayAbortUnknownTxnHarmless(t *testing.T) {
 	c := newCluster(t)
 	ap1 := c.add("AP1", Options{})
-	ap1.handleAbort(&p2p.Message{Kind: p2p.KindAbort, Txn: "ghost", From: "AP9"})
+	ap1.handleDecision(&p2p.Message{Kind: p2p.KindAbort, Txn: "ghost", From: "AP9"})
 	if ap1.Metrics().Compensations.Load() != 0 {
 		t.Fatal("compensated a transaction that never ran")
 	}
@@ -34,7 +34,7 @@ func TestInvokeUnknownServiceIsFault(t *testing.T) {
 func TestHandleCompensateGarbage(t *testing.T) {
 	c := newCluster(t)
 	ap1 := c.add("AP1", Options{})
-	if _, err := ap1.handleCompensate(&p2p.Message{Kind: p2p.KindCompensate, Payload: []byte{1, 2}}); err == nil {
+	if _, err := ap1.handleDecision(&p2p.Message{Kind: p2p.KindCompensate, Payload: []byte{1, 2}}); err == nil {
 		t.Fatal("garbage compensation accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestCommitNotifiesMultiLevelParticipants(t *testing.T) {
 		}
 	}
 	// A very late abort at a leaf changes nothing.
-	f.peers["AP6"].handleAbort(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP5"})
+	f.peers["AP6"].handleDecision(&p2p.Message{Kind: p2p.KindAbort, Txn: txc.ID, From: "AP5"})
 	if n := entryCount(t, f.peers["AP6"], "D6.xml"); n != 1 {
 		t.Fatalf("late abort destroyed committed work: entries=%d", n)
 	}

@@ -117,4 +117,21 @@ func TestMetricsSnapshotAndAdd(t *testing.T) {
 	if total.TxnsBegun != 4 || total.NodesUndone != 14 {
 		t.Fatalf("total = %+v", total)
 	}
+	// Register, Snapshot and Add share one counter list: every snapshot
+	// field has exactly one counter.
+	var all Metrics
+	cs := all.counters(&total)
+	if n := reflect.TypeOf(total).NumField(); len(cs) != n {
+		t.Fatalf("%d counters for %d snapshot fields", len(cs), n)
+	}
+	for i, c := range cs {
+		c.v.Store(int64(i + 1))
+	}
+	got := all.Snapshot()
+	got.Add(got)
+	for i, c := range all.counters(&got) {
+		if *c.s != 2*int64(i+1) {
+			t.Errorf("%s: snapshot plus itself = %d, want %d", c.name, *c.s, 2*(i+1))
+		}
+	}
 }

@@ -188,7 +188,7 @@ func (l *commitFailLog) Append(r *wal.Record) (uint64, error) {
 }
 
 // TestParticipantCommitFailureCounted: when a participant's commit record
-// cannot be made durable, handleCommit counts it in CommitErrors and ends
+// cannot be made durable, the commit decision counts it in CommitErrors and ends
 // its commit span with the error; the cascade below it still runs, since
 // the origin has decided.
 func TestParticipantCommitFailureCounted(t *testing.T) {
