@@ -291,7 +291,7 @@ var NewSampler = obs.NewSampler
 // Typed errors returned by the engine; match with errors.Is.
 var (
 	// ErrBadOption reports an Option carrying an invalid value, returned by
-	// NewPeer / NewPeerWithLog before any resources are opened.
+	// NewPeer / Open before any resources are opened.
 	ErrBadOption = errors.New("axmltx: invalid option")
 	// ErrPeerDown reports an unreachable / disconnected peer.
 	ErrPeerDown = core.ErrPeerDown
@@ -312,15 +312,14 @@ var (
 	ErrWALClose = wal.ErrClose
 )
 
-// Option configures a peer assembled by NewPeer or NewPeerWithLog.
+// Option configures a peer assembled by NewPeer or Open.
 type Option interface{ apply(*peerConfig) }
 
 // peerConfig is the resolved construction state options apply to.
 type peerConfig struct {
 	opts   core.Options
-	walDir string
-	walSeg wal.SegmentOptions
-	// err is the first invalid-option report; NewPeer returns it (wrapped
+	walSeg wal.SegmentOptions // Open's log only
+	// err is the first invalid-option report; Open returns it (wrapped
 	// in ErrBadOption) instead of constructing the peer.
 	err error
 }
@@ -371,18 +370,8 @@ func WithMetrics(reg *Registry) Option {
 	return optionFunc(func(c *peerConfig) { c.opts.MetricsRegistry = reg })
 }
 
-// WithWALDir gives the peer a durable operation log in directory dir:
-// group commit (commit, abort and compensate-end records are durable when
-// their append returns, concurrent waits share an fsync, and a served
-// invocation's reply waits for the log), size-triggered segment rotation,
-// checkpoint snapshots and background compaction of covered segments.
-// NewPeer only; without it the log is in memory.
-func WithWALDir(dir string) Option {
-	return optionFunc(func(c *peerConfig) { c.walDir = dir })
-}
-
-// WithWALSegmentSize caps a WithWALDir segment's size in bytes before
-// rotation (zero keeps the 4 MiB default). It needs WithWALDir.
+// WithWALSegmentSize caps an Open log segment's size in bytes before
+// rotation (zero keeps the 4 MiB default). It needs Open's dir.
 func WithWALSegmentSize(n int64) Option {
 	return optionFunc(func(c *peerConfig) {
 		if n < 0 {
@@ -393,12 +382,12 @@ func WithWALSegmentSize(n int64) Option {
 	})
 }
 
-// WithWALCheckpointEvery checkpoints a WithWALDir log automatically after
+// WithWALCheckpointEvery checkpoints an Open log automatically after
 // every n appends since the last checkpoint: a snapshot of the live
 // transactions is written and covered segments are compacted away in the
 // background, keeping restart replay proportional to live work rather
 // than history (zero disables automatic checkpoints; call
-// SegmentedLog.Checkpoint/Compact manually). It needs WithWALDir.
+// SegmentedLog.Checkpoint/Compact manually). It needs Open's dir.
 func WithWALCheckpointEvery(n int) Option {
 	return optionFunc(func(c *peerConfig) {
 		if n < 0 {
@@ -477,70 +466,37 @@ func WithSlowTxnLog(threshold time.Duration, fn func(txn string, d time.Duration
 // latency (0 for fastest simulation).
 func NewNetwork(latency time.Duration) *Network { return p2p.NewNetwork(latency) }
 
-// NewPeer assembles a peer with an in-memory operation log, or a durable
-// one when WithWALDir is given. An option carrying an invalid value, or a
-// segment knob without WithWALDir, yields an error matching ErrBadOption;
-// a durable log that cannot be opened yields the open error.
-func NewPeer(t Transport, opts ...Option) (*Peer, error) {
-	cfg := resolve(opts)
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	opLog := Log(wal.NewMemory())
-	if cfg.walDir != "" {
-		segLog, err := wal.OpenDir(cfg.walDir, cfg.walSeg)
-		if err != nil {
-			return nil, fmt.Errorf("axmltx: open WAL dir %s: %w", cfg.walDir, err)
-		}
-		opLog = segLog
-	} else if cfg.walSeg != (wal.SegmentOptions{}) {
-		return nil, fmt.Errorf("%w: WithWALSegmentSize and WithWALCheckpointEvery need WithWALDir", ErrBadOption)
-	}
-	return core.NewPeer(t, opLog, cfg.opts), nil
-}
+// NewPeer assembles a peer with an in-memory operation log: Open without a
+// directory or a setup, so the WAL knobs are refused.
+func NewPeer(t Transport, opts ...Option) (*Peer, error) { return Open("", t, nil, opts...) }
 
-// NewPeerWithLog assembles a peer over an explicit log (e.g. one from
-// OpenLog). The WAL options configure NewPeer's own log, so they yield an
-// error matching ErrBadOption here.
-func NewPeerWithLog(t Transport, log Log, opts ...Option) (*Peer, error) {
-	cfg := resolve(opts)
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if cfg.walDir != "" || cfg.walSeg != (wal.SegmentOptions{}) {
-		return nil, fmt.Errorf("%w: WithWALDir and its knobs do not apply to an explicit log", ErrBadOption)
-	}
-	return core.NewPeer(t, log, cfg.opts), nil
-}
-
-func resolve(opts []Option) *peerConfig {
+// Open opens the durable peer whose state lives in directory dir, creating
+// it if needed: dir/wal holds the operation log (group commit: commit,
+// abort and compensate-end records are durable when their append returns,
+// and a served invocation's reply waits for the log) and dir/docs the
+// document checkpoints. setup hosts the peer's configured documents and
+// services; the checkpoints of the last Peer.Close override them, what the
+// log shows in flight is compensated, and only then does the peer serve.
+// An invalid option, or a WAL knob without dir, yields an error matching
+// ErrBadOption.
+func Open(dir string, t Transport, setup func(*Peer) error, opts ...Option) (*Peer, error) {
 	cfg := &peerConfig{}
 	for _, o := range opts {
 		o.apply(cfg)
 	}
-	return cfg
-}
-
-// OpenLog opens (creating if needed) the durable operation log in
-// directory dir, configured by opts (the zero value uses defaults):
-//
-//	log, err := axmltx.OpenLog("waldir", axmltx.SegmentOptions{})
-func OpenLog(dir string, opts SegmentOptions) (Log, error) {
-	l, err := wal.OpenDir(dir, opts)
-	if err != nil {
-		return nil, err
+	if dir == "" && cfg.walSeg != (wal.SegmentOptions{}) {
+		cfg.fail("WithWALSegmentSize and WithWALCheckpointEvery need a directory")
 	}
-	return l, nil
+	if cfg.err != nil {
+		return nil, cfg.err
+	}
+	return core.Open(dir, t, cfg.opts, cfg.walSeg, setup)
 }
 
-// SegmentedLog is a durable operation log split into rotated segment
-// files, with checkpoint snapshots and compaction of covered segments
-// (see OpenLog / WithWALDir).
+// SegmentedLog is the durable operation log of a peer from Open, split into
+// rotated segment files, with checkpoint snapshots and compaction of
+// covered segments.
 type SegmentedLog = wal.SegmentedLog
-
-// SegmentOptions configure a SegmentedLog (rotation threshold, automatic
-// checkpoint cadence); the zero value uses defaults.
-type SegmentOptions = wal.SegmentOptions
 
 // ListenTCP starts a TCP transport for a peer.
 func ListenTCP(self PeerID, addr string) (*TCPTransport, error) { return p2p.ListenTCP(self, addr) }

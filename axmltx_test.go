@@ -120,16 +120,9 @@ func TestPublicAPIFaultsAndHooks(t *testing.T) {
 
 func TestPublicAPIDurableLog(t *testing.T) {
 	dir := t.TempDir()
-	log, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
+	setup := func(p *axmltx.Peer) error { return p.HostDocument("D.xml", `<D/>`) }
+	ap1, err := axmltx.Open(dir, axmltx.NewNetwork(0).Join("AP1"), setup)
 	if err != nil {
-		t.Fatal(err)
-	}
-	net := axmltx.NewNetwork(0)
-	ap1, err := axmltx.NewPeerWithLog(net.Join("AP1"), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ap1.HostDocument("D.xml", `<D/>`); err != nil {
 		t.Fatal(err)
 	}
 	tx := ap1.Begin()
@@ -140,17 +133,24 @@ func TestPublicAPIDurableLog(t *testing.T) {
 	if err := ap1.Commit(bg, tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil {
+	if err := ap1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Recovery sees the records.
-	re, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
+	// The reopened peer holds the records and the committed document.
+	re, err := axmltx.Open(dir, axmltx.NewNetwork(0).Join("AP1"), setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if recs := re.TxnRecords(tx.ID); len(recs) < 3 { // begin, insert, commit
+	if recs := re.Store().Log().TxnRecords(tx.ID); len(recs) < 3 { // begin, insert, commit
 		t.Fatalf("recovered %d records", len(recs))
+	}
+	res, err := re.Exec(bg, re.Begin(), axmltx.NewQueryAction(axmltx.MustQuery(`Select d/x from d in D`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Query.Items); n != 1 {
+		t.Fatalf("reopened D.xml has %d committed <x/>, want 1", n)
 	}
 }
 
@@ -158,13 +158,12 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	dir := t.TempDir()
 	ring := axmltx.NewRing(0)
 	reg := axmltx.NewRegistry()
-	net := axmltx.NewNetwork(0)
-	ap1 := newPeer(t, net.Join("AP1"),
-		axmltx.WithWALDir(dir),
+	ap1, err := axmltx.Open(dir, axmltx.NewNetwork(0).Join("AP1"),
+		func(p *axmltx.Peer) error { return p.HostDocument("D.xml", `<D/>`) },
 		axmltx.WithWALSegmentSize(100),
 		axmltx.WithTracer(ring),
 		axmltx.WithMetrics(reg))
-	if err := ap1.HostDocument("D.xml", `<D/>`); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -179,7 +178,7 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	}
 	seg, ok := ap1.Store().Log().(*axmltx.SegmentedLog)
 	if !ok {
-		t.Fatalf("WithWALDir log is %T, want *SegmentedLog", ap1.Store().Log())
+		t.Fatalf("Open's log is %T, want *SegmentedLog", ap1.Store().Log())
 	}
 	if seg.Segments() < 2 {
 		t.Fatalf("Segments() = %d after 6 txns at 100 bytes/segment", seg.Segments())
@@ -220,59 +219,58 @@ func TestPublicAPISegmentedLog(t *testing.T) {
 	if err := ap1.Abort(bg, live); err != nil {
 		t.Fatal(err)
 	}
-	if err := seg.Close(); err != nil {
+	if err := ap1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := axmltx.OpenLog(dir, axmltx.SegmentOptions{})
+	re, err := axmltx.Open(dir, axmltx.NewNetwork(0).Join("AP1"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if recs := re.TxnRecords(live.ID); len(recs) == 0 {
+	if recs := re.Store().Log().TxnRecords(live.ID); len(recs) == 0 {
 		t.Fatal("reopened segmented log lost the in-flight transaction")
 	}
 }
 
-// TestPublicAPIBadOption checks that NewPeer rejects invalid option values,
-// and WAL knobs it would ignore, with a typed error instead of constructing
-// a misconfigured peer.
+// TestPublicAPIBadOption checks that NewPeer and Open reject invalid option
+// values, and WAL knobs without a directory, with a typed error instead of
+// constructing a misconfigured peer.
 func TestPublicAPIBadOption(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name string
+		dir  string // Open's; "" is NewPeer
 		opts []axmltx.Option
 	}{
-		{"WithCallCache(0)", []axmltx.Option{axmltx.WithCallCache(0)}},
-		{"WithCacheTTL(-1s)", []axmltx.Option{axmltx.WithCacheTTL(-time.Second)}},
-		{"WithLockTimeout(-1s)", []axmltx.Option{axmltx.WithLockTimeout(-time.Second)}},
-		{"WithWALSegmentSize without WithWALDir", []axmltx.Option{axmltx.WithWALSegmentSize(1 << 20)}},
-		{"WithWALCheckpointEvery without WithWALDir", []axmltx.Option{axmltx.WithWALCheckpointEvery(100)}},
-		{"WithWALSegmentSize(-1)", []axmltx.Option{axmltx.WithWALDir(dir), axmltx.WithWALSegmentSize(-1)}},
-		{"WithWALCheckpointEvery(-1)", []axmltx.Option{axmltx.WithWALDir(dir), axmltx.WithWALCheckpointEvery(-1)}},
+		{"WithCallCache(0)", "", []axmltx.Option{axmltx.WithCallCache(0)}},
+		{"WithCacheTTL(-1s)", "", []axmltx.Option{axmltx.WithCacheTTL(-time.Second)}},
+		{"WithLockTimeout(-1s)", "", []axmltx.Option{axmltx.WithLockTimeout(-time.Second)}},
+		{"WithWALSegmentSize without a dir", "", []axmltx.Option{axmltx.WithWALSegmentSize(1 << 20)}},
+		{"WithWALCheckpointEvery without a dir", "", []axmltx.Option{axmltx.WithWALCheckpointEvery(100)}},
+		{"WithWALSegmentSize(-1)", dir, []axmltx.Option{axmltx.WithWALSegmentSize(-1)}},
+		{"WithWALCheckpointEvery(-1)", dir, []axmltx.Option{axmltx.WithWALCheckpointEvery(-1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := axmltx.NewPeer(axmltx.NewNetwork(0).Join("AP1"), tc.opts...); !errors.Is(err, axmltx.ErrBadOption) {
+			var err error
+			if tc.dir == "" {
+				_, err = axmltx.NewPeer(axmltx.NewNetwork(0).Join("AP1"), tc.opts...)
+			} else {
+				_, err = axmltx.Open(tc.dir, axmltx.NewNetwork(0).Join("AP1"), nil, tc.opts...)
+			}
+			if !errors.Is(err, axmltx.ErrBadOption) {
 				t.Fatalf("err = %v, want ErrBadOption", err)
 			}
 		})
 	}
-	log, err := axmltx.OpenLog(t.TempDir(), axmltx.SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	if _, err := axmltx.NewPeerWithLog(axmltx.NewNetwork(0).Join("AP1"), log, axmltx.WithWALDir(dir)); !errors.Is(err, axmltx.ErrBadOption) {
-		t.Fatalf("NewPeerWithLog(WithWALDir) err = %v, want ErrBadOption", err)
-	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Fatalf("a rejected configuration left files in the WAL directory: %v", files)
+		t.Fatalf("a rejected configuration left files in the directory: %v", files)
 	}
-	p, err := axmltx.NewPeer(axmltx.NewNetwork(0).Join("AP1"),
-		axmltx.WithWALSegmentSize(1<<20), axmltx.WithWALCheckpointEvery(100), axmltx.WithWALDir(dir))
+	p, err := axmltx.Open(dir, axmltx.NewNetwork(0).Join("AP1"), nil,
+		axmltx.WithWALSegmentSize(1<<20), axmltx.WithWALCheckpointEvery(100))
 	if err != nil {
-		t.Fatalf("knobs given before WithWALDir: %v", err)
+		t.Fatalf("Open with both WAL knobs: %v", err)
 	}
-	if err := p.Store().Log().Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

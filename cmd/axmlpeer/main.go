@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,79 +48,95 @@ import (
 )
 
 func main() {
-	configPath := flag.String("config", "", "peer configuration XML file (required)")
-	walDir := flag.String("waldir", "", "durable operation-log directory (default: in-memory): commit, abort and compensate-end records and each served reply wait for the disk, concurrent waits share an fsync (group commit), and segments rotate, checkpoint and compact")
-	walSeg := flag.Int64("walseg", 0, "segment rotation threshold in bytes (0: 4 MiB default; needs -waldir)")
-	walCheckpoint := flag.Int("walcheckpoint", 0, "checkpoint the log automatically every N appends, compacting covered segments in the background (0 disables; needs -waldir)")
-	docsDir := flag.String("docs", "", "document checkpoint directory (loaded at startup, saved at shutdown)")
-	httpAddr := flag.String("http", "", `observability HTTP listen address, e.g. 127.0.0.1:9100 or :9100, serving /metrics (Prometheus text format), /trace/{txn} (span tree as JSON), /traces, /healthz and /debug/pprof/ (default: disabled)`)
-	sample := flag.Float64("sample", 0, "adaptive trace sampling keep-rate for fast clean commits, 0 < rate < 1 (0 disables sampling: every span is kept; errors/aborts/faults/slow transactions are always kept when sampling)")
-	slowTxn := flag.Duration("slowtxn", 0, "log origin transactions slower than this and force-keep their traces, e.g. 250ms (0 disables)")
-	gossip := flag.Duration("gossip", 0, "enable SWIM gossip membership with this probe interval, e.g. 1s: the configured neighbors become gossip seeds, the replica catalog is maintained by announcements instead of static <replica> entries alone, failure detection feeds recovery, and /members reports the live view (0 disables; replaces the static neighbor pinger)")
-	cache := flag.Int("cache", 0, "semantic materialization-cache capacity in entries: identical service calls within their frequency-derived freshness window are served from cache, with singleflight dedupe of concurrent calls and — with -gossip — cluster-wide dedupe through call advertisements (0 disables)")
-	cacheTTL := flag.Duration("cachettl", 0, "freshness window for cacheable calls that declare no frequency attribute, e.g. 30s (0: such calls stay uncached; needs -cache)")
+	var s settings
+	flag.StringVar(&s.config, "config", "", "peer configuration XML file (required)")
+	flag.StringVar(&s.dir, "dir", "", "durable state directory (default: in-memory). DIR/wal holds the operation log: commit, abort and compensate-end records and each served reply wait for the disk, concurrent waits share an fsync (group commit), and segments rotate, checkpoint and compact. DIR/docs holds the document checkpoints: loaded over the configured documents at startup, before in-flight transactions are compensated and the peer serves, and saved at shutdown")
+	flag.Int64Var(&s.wal.MaxSegmentBytes, "walseg", 0, "segment rotation threshold in bytes (0: 4 MiB default; needs -dir)")
+	flag.IntVar(&s.wal.CheckpointEvery, "walcheckpoint", 0, "checkpoint the log automatically every N appends, compacting covered segments in the background (0 disables; needs -dir)")
+	flag.StringVar(&s.httpAddr, "http", "", `observability HTTP listen address, e.g. 127.0.0.1:9100 or :9100, serving /metrics (Prometheus text format), /trace/{txn} (span tree as JSON), /traces, /healthz and /debug/pprof/ (default: disabled)`)
+	flag.Float64Var(&s.sample, "sample", 0, "adaptive trace sampling keep-rate for fast clean commits, 0 < rate < 1 (0 disables sampling: every span is kept; errors/aborts/faults/slow transactions are always kept when sampling)")
+	flag.DurationVar(&s.slowTxn, "slowtxn", 0, "log origin transactions slower than this and force-keep their traces, e.g. 250ms (0 disables)")
+	flag.DurationVar(&s.gossip, "gossip", 0, "enable SWIM gossip membership with this probe interval, e.g. 1s: the configured neighbors become gossip seeds, the replica catalog is maintained by announcements instead of static <replica> entries alone, failure detection feeds recovery, and /members reports the live view (0 disables; replaces the static neighbor pinger)")
+	flag.IntVar(&s.cache, "cache", 0, "semantic materialization-cache capacity in entries: identical service calls within their frequency-derived freshness window are served from cache, with singleflight dedupe of concurrent calls and — with -gossip — cluster-wide dedupe through call advertisements (0 disables)")
+	flag.DurationVar(&s.cacheTTL, "cachettl", 0, "freshness window for cacheable calls that declare no frequency attribute, e.g. 30s (0: such calls stay uncached; needs -cache)")
 	slo := flag.String("slo", "", `cluster SLO targets for the observability plane as comma-separated key=value pairs, e.g. "p99=50ms,avail=0.999,window=5m" (keys: p99 latency target, avail commit-fraction target, window burn-rate window, family histogram family; needs -gossip, which carries the metric summaries the plane merges)`)
-	shardDocs := flag.Bool("shard", false, "split hosted documents into subtree fragments at startup: fragments get stable IDs, are announced into the replica catalog (with -gossip), and are served to remote assemblers over fragment-fetch messages")
-	shardThreshold := flag.Int("shardthreshold", 0, "minimum subtree node count for a child of the root to become its own fragment (0: built-in default; needs -shard)")
-	placement := flag.Duration("placement", 0, "run the heat-driven placement loop with this tick interval, e.g. 2s: fragments whose access heat is dominated by one remote caller migrate to that caller, with catalog-versioned handoff (0 disables; needs -shard and -gossip)")
+	flag.BoolVar(&s.shard, "shard", false, "split hosted documents into subtree fragments at startup: fragments get stable IDs, are announced into the replica catalog (with -gossip), and are served to remote assemblers over fragment-fetch messages")
+	flag.IntVar(&s.shardThreshold, "shardthreshold", 0, "minimum subtree node count for a child of the root to become its own fragment (0: built-in default; needs -shard)")
+	flag.DurationVar(&s.placement, "placement", 0, "run the heat-driven placement loop with this tick interval, e.g. 2s: fragments whose access heat is dominated by one remote caller migrate to that caller, with catalog-versioned handoff (0 disables; needs -shard and -gossip)")
 	flag.Parse()
-	if *configPath == "" {
+	if s.config == "" {
 		fatalUsage("the -config flag is required")
 	}
-	if *walSeg < 0 {
-		fatalUsage(fmt.Sprintf("invalid -walseg %d (want 0 for the default, or a positive byte count)", *walSeg))
+	if s.wal.MaxSegmentBytes < 0 {
+		fatalUsage(fmt.Sprintf("invalid -walseg %d (want 0 for the default, or a positive byte count)", s.wal.MaxSegmentBytes))
 	}
-	if *walCheckpoint < 0 {
-		fatalUsage(fmt.Sprintf("invalid -walcheckpoint %d (want 0 to disable, or a positive append count)", *walCheckpoint))
+	if s.wal.CheckpointEvery < 0 {
+		fatalUsage(fmt.Sprintf("invalid -walcheckpoint %d (want 0 to disable, or a positive append count)", s.wal.CheckpointEvery))
 	}
-	if (*walSeg > 0 || *walCheckpoint > 0) && *walDir == "" {
-		fatalUsage("-walseg and -walcheckpoint need -waldir to enable the durable log")
+	if s.wal != (wal.SegmentOptions{}) && s.dir == "" {
+		fatalUsage("-walseg and -walcheckpoint need -dir to enable the durable log")
 	}
-	if *httpAddr != "" {
-		if _, err := net.ResolveTCPAddr("tcp", *httpAddr); err != nil {
-			fatalUsage(fmt.Sprintf("invalid -http address %q: %v (want host:port or :port)", *httpAddr, err))
+	if s.httpAddr != "" {
+		if _, err := net.ResolveTCPAddr("tcp", s.httpAddr); err != nil {
+			fatalUsage(fmt.Sprintf("invalid -http address %q: %v (want host:port or :port)", s.httpAddr, err))
 		}
 	}
-	if *sample < 0 || *sample >= 1 {
-		fatalUsage(fmt.Sprintf("invalid -sample rate %v (want 0 to disable, or 0 < rate < 1)", *sample))
+	if s.sample < 0 || s.sample >= 1 {
+		fatalUsage(fmt.Sprintf("invalid -sample rate %v (want 0 to disable, or 0 < rate < 1)", s.sample))
 	}
-	if *cache < 0 {
-		fatalUsage(fmt.Sprintf("invalid -cache capacity %d (want 0 to disable, or a positive entry count)", *cache))
+	if s.cache < 0 {
+		fatalUsage(fmt.Sprintf("invalid -cache capacity %d (want 0 to disable, or a positive entry count)", s.cache))
 	}
-	if *cacheTTL < 0 {
-		fatalUsage(fmt.Sprintf("invalid -cachettl %v (want 0 to disable, or a positive duration)", *cacheTTL))
+	if s.cacheTTL < 0 {
+		fatalUsage(fmt.Sprintf("invalid -cachettl %v (want 0 to disable, or a positive duration)", s.cacheTTL))
 	}
-	if *cacheTTL > 0 && *cache == 0 {
+	if s.cacheTTL > 0 && s.cache == 0 {
 		fatalUsage("-cachettl needs -cache to enable the materialization cache")
 	}
-	sloCfg, err := parseSLO(*slo)
-	if err != nil {
+	var err error
+	if s.slo, err = parseSLO(*slo); err != nil {
 		fatalUsage(err.Error())
 	}
-	if *slo != "" && *gossip == 0 {
+	if *slo != "" && s.gossip == 0 {
 		fatalUsage("-slo needs -gossip: the cluster plane rides on gossiped metric summaries")
 	}
-	if *shardThreshold < 0 {
-		fatalUsage(fmt.Sprintf("invalid -shardthreshold %d (want 0 for the default, or a positive node count)", *shardThreshold))
+	if s.shardThreshold < 0 {
+		fatalUsage(fmt.Sprintf("invalid -shardthreshold %d (want 0 for the default, or a positive node count)", s.shardThreshold))
 	}
-	if *shardThreshold > 0 && !*shardDocs {
+	if s.shardThreshold > 0 && !s.shard {
 		fatalUsage("-shardthreshold needs -shard to enable document sharding")
 	}
-	if *placement < 0 {
-		fatalUsage(fmt.Sprintf("invalid -placement interval %v (want 0 to disable, or a positive duration)", *placement))
+	if s.placement < 0 {
+		fatalUsage(fmt.Sprintf("invalid -placement interval %v (want 0 to disable, or a positive duration)", s.placement))
 	}
-	if *placement > 0 && !*shardDocs {
+	if s.placement > 0 && !s.shard {
 		fatalUsage("-placement needs -shard: only fragment owners run the placement loop")
 	}
-	if *placement > 0 && *gossip == 0 {
+	if s.placement > 0 && s.gossip == 0 {
 		fatalUsage("-placement needs -gossip: migration handoff rides the gossiped replica catalog")
 	}
-	scfg := shardConfig{enabled: *shardDocs, threshold: *shardThreshold, placementEvery: *placement}
-	wcfg := walConfig{dir: *walDir, segBytes: *walSeg, checkpointEvery: *walCheckpoint}
-	ccfg := cacheConfig{capacity: *cache, ttl: *cacheTTL}
-	if err := run(*configPath, wcfg, ccfg, scfg, *docsDir, *httpAddr, *sample, *slowTxn, *gossip, sloCfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, s); err != nil {
 		log.Fatalf("axmlpeer: %v", err)
 	}
+}
+
+// settings are the parsed flags a peer runs with.
+type settings struct {
+	config         string
+	dir            string // "": the log and the documents stay in memory
+	wal            wal.SegmentOptions
+	httpAddr       string
+	sample         float64
+	slowTxn        time.Duration
+	gossip         time.Duration
+	cache          int
+	cacheTTL       time.Duration
+	slo            obscluster.SLOConfig
+	shard          bool // split hosted documents into fragments at startup
+	shardThreshold int
+	placement      time.Duration // the heat-driven placement loop's tick
 }
 
 // parseSLO turns the -slo flag ("p99=50ms,avail=0.999,window=5m") into the
@@ -168,21 +185,6 @@ func parseSLO(s string) (obscluster.SLOConfig, error) {
 	return cfg, nil
 }
 
-// cacheConfig bundles the materialization-cache flags.
-type cacheConfig struct {
-	capacity int
-	ttl      time.Duration
-}
-
-// shardConfig bundles the document-sharding flags: split hosted documents
-// into fragments at startup and optionally run the heat-driven placement
-// loop.
-type shardConfig struct {
-	enabled        bool
-	threshold      int
-	placementEvery time.Duration
-}
-
 // fatalUsage reports a flag error together with the full usage text, so
 // a bad invocation never fails silently.
 func fatalUsage(msg string) {
@@ -191,20 +193,13 @@ func fatalUsage(msg string) {
 	os.Exit(2)
 }
 
-// walConfig bundles the operation-log flags: the log directory (-waldir)
-// and its rotation/checkpoint knobs.
-type walConfig struct {
-	dir             string
-	segBytes        int64
-	checkpointEvery int
-}
-
-func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, docsDir string, httpAddr string, sample float64, slowTxn time.Duration, gossipEvery time.Duration, sloCfg obscluster.SLOConfig) error {
-	raw, err := os.ReadFile(configPath)
+// run serves one peer until ctx is done, then closes it.
+func run(ctx context.Context, s settings) (err error) {
+	raw, err := os.ReadFile(s.config)
 	if err != nil {
 		return err
 	}
-	cfg, err := xmldom.ParseString(configPath, string(raw))
+	cfg, err := xmldom.ParseString(s.config, string(raw))
 	if err != nil {
 		return err
 	}
@@ -224,18 +219,6 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 	}
 	defer transport.Close()
 
-	var opLog wal.Log = wal.NewMemory()
-	if wcfg.dir != "" {
-		segLog, err := wal.OpenDir(wcfg.dir, wal.SegmentOptions{
-			MaxSegmentBytes: wcfg.segBytes,
-			CheckpointEvery: wcfg.checkpointEvery,
-		})
-		if err != nil {
-			return err
-		}
-		defer segLog.Close()
-		opLog = segLog
-	}
 	// The observability pair: every transaction's span tree lands in the
 	// ring, the registry carries the protocol counters and latency
 	// histograms. Both also answer the "metrics"/"trace" admin subjects used
@@ -247,8 +230,8 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 	registry := obs.NewRegistry()
 	var sink obs.Sink = ring
 	var sampler *obs.Sampler
-	if sample > 0 {
-		sampler = obs.NewSampler(ring, obs.SamplerConfig{KeepRate: sample})
+	if s.sample > 0 {
+		sampler = obs.NewSampler(ring, obs.SamplerConfig{KeepRate: s.sample})
 		sampler.Register(registry, string(id))
 		sink = sampler
 	}
@@ -257,7 +240,7 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 	// sits in the peer's message chain and hosted documents/services are
 	// announced into the shared replica catalog.
 	var member *membership.Gossip
-	if gossipEvery > 0 {
+	if s.gossip > 0 {
 		var seeds []p2p.PeerID
 		for _, el := range root.Elements() {
 			if el.Name() == "neighbor" {
@@ -266,7 +249,7 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 		}
 		member = membership.New(transport, membership.Config{
 			Seeds:         seeds,
-			ProbeInterval: gossipEvery,
+			ProbeInterval: s.gossip,
 			AdvertiseAddr: transport.Addr(),
 			Sink:          sink,
 			Registry:      registry,
@@ -275,146 +258,130 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 			log.Printf("gossip: peer %s declared dead", dead)
 		})
 	}
-	peer := core.NewPeer(transport, opLog, core.Options{
+	opts := core.Options{
 		Super:           root.AttrDefault("super", "false") == "true",
 		TraceSink:       sink,
 		MetricsRegistry: registry,
-		SlowTxn:         slowTxn,
+		SlowTxn:         s.slowTxn,
 		SlowTxnLog: func(txn string, d time.Duration, outcome string) {
 			log.Printf("slow transaction %s: %s (%s)", txn, d, outcome)
 		},
 		Membership:        member,
-		CallCacheCapacity: ccfg.capacity,
-		CacheTTL:          ccfg.ttl,
-		SLO:               sloCfg,
-	})
-	if ccfg.capacity > 0 {
-		log.Printf("materialization cache on (%d entries, default window %s)", ccfg.capacity, ccfg.ttl)
-	}
-	if plane := peer.Cluster(); plane != nil && (sloCfg.LatencyTarget > 0 || sloCfg.Availability > 0) {
-		window := sloCfg.Window
-		if window == 0 {
-			window = 5 * time.Minute // the engine's default
-		}
-		log.Printf("cluster SLO targets: p99<=%s avail>=%.4f (window %s)",
-			sloCfg.LatencyTarget, sloCfg.Availability, window)
+		CallCacheCapacity: s.cache,
+		CacheTTL:          s.cacheTTL,
+		SLO:               s.slo,
 	}
 	// ready flips once startup (config, checkpoint load, restart recovery)
 	// finished; until then /healthz answers 503 so orchestrators hold
 	// traffic during WAL replay.
 	var ready atomic.Bool
-	if httpAddr != "" {
-		hcfg := obs.HandlerConfig{
-			Registry: registry,
-			Ring:     ring,
-			Sampler:  sampler,
-			Pprof:    true,
-			Ready: func() error {
-				if !ready.Load() {
-					return fmt.Errorf("peer %s still starting", id)
-				}
-				return nil
-			},
-		}
-		if member != nil {
-			hcfg.Members = func() any { return member.Info() }
-		}
-		if plane := peer.Cluster(); plane != nil {
-			hcfg.Cluster = func() any { return plane.View() }
-			hcfg.ClusterMetrics = func(w io.Writer) error { return plane.WritePrometheus(w) }
-		}
-		handler := obs.NewOpsHandler(hcfg)
-		srv := &http.Server{Addr: httpAddr, Handler: handler}
-		httpLn, err := net.Listen("tcp", httpAddr)
-		if err != nil {
-			return fmt.Errorf("observability HTTP listener: %w", err)
-		}
-		defer srv.Close()
-		go func() {
-			if err := srv.Serve(httpLn); err != nil && err != http.ErrServerClosed {
-				log.Printf("observability HTTP server: %v", err)
-			}
-		}()
-		extra := ""
-		if member != nil {
-			extra = " /members"
-		}
-		if peer.Cluster() != nil {
-			extra += " /cluster /cluster/metrics"
-		}
-		log.Printf("ops endpoints on http://%s: /metrics /trace/{txn} /traces /healthz%s /debug/pprof/", httpLn.Addr(), extra)
-	}
-
+	var ops http.Server // serves with -http, from setup on
+	defer ops.Close()
 	var hosted []string
-	for _, el := range root.Elements() {
-		switch el.Name() {
-		case "neighbor":
-			transport.AddPeer(p2p.PeerID(el.AttrDefault("id", "")), el.AttrDefault("addr", ""))
-		case "document":
-			name := el.AttrDefault("name", "")
-			var content string
-			if file, ok := el.Attr("file"); ok {
-				b, err := os.ReadFile(file)
-				if err != nil {
+	setup := func(peer *core.Peer) error {
+		if s.httpAddr != "" {
+			hcfg := obs.HandlerConfig{
+				Registry: registry,
+				Ring:     ring,
+				Sampler:  sampler,
+				Pprof:    true,
+				Ready: func() error {
+					if !ready.Load() {
+						return fmt.Errorf("peer %s still starting", id)
+					}
+					return nil
+				},
+			}
+			if member != nil {
+				hcfg.Members = func() any { return member.Info() }
+			}
+			if plane := peer.Cluster(); plane != nil {
+				hcfg.Cluster = func() any { return plane.View() }
+				hcfg.ClusterMetrics = func(w io.Writer) error { return plane.WritePrometheus(w) }
+			}
+			httpLn, err := net.Listen("tcp", s.httpAddr)
+			if err != nil {
+				return fmt.Errorf("observability HTTP listener: %w", err)
+			}
+			ops.Handler = obs.NewOpsHandler(hcfg)
+			go func() {
+				if err := ops.Serve(httpLn); err != nil && err != http.ErrServerClosed {
+					log.Printf("observability HTTP server: %v", err)
+				}
+			}()
+			extra := ""
+			if member != nil {
+				extra = " /members"
+			}
+			if peer.Cluster() != nil {
+				extra += " /cluster /cluster/metrics"
+			}
+			log.Printf("ops endpoints on http://%s: /metrics /trace/{txn} /traces /healthz%s /debug/pprof/", httpLn.Addr(), extra)
+		}
+		for _, el := range root.Elements() {
+			switch el.Name() {
+			case "neighbor":
+				transport.AddPeer(p2p.PeerID(el.AttrDefault("id", "")), el.AttrDefault("addr", ""))
+			case "document":
+				name := el.AttrDefault("name", "")
+				var content string
+				if file, ok := el.Attr("file"); ok {
+					b, err := os.ReadFile(file)
+					if err != nil {
+						return fmt.Errorf("document %s: %w", name, err)
+					}
+					content = string(b)
+				} else if first := el.Elements(); len(first) == 1 {
+					content = xmldom.MarshalString(first[0])
+				} else {
+					content = strings.TrimSpace(el.TextContent())
+				}
+				if err := peer.HostDocument(name, content); err != nil {
 					return fmt.Errorf("document %s: %w", name, err)
 				}
-				content = string(b)
-			} else if first := el.Elements(); len(first) == 1 {
-				content = xmldom.MarshalString(first[0])
-			} else {
-				content = strings.TrimSpace(el.TextContent())
+				hosted = append(hosted, name)
+				log.Printf("hosting document %s", name)
+			case "queryService":
+				desc := descriptorOf(el)
+				peer.HostQueryService(desc, strings.TrimSpace(el.TextContent()))
+				log.Printf("hosting query service %s over %s", desc.Name, desc.TargetDocument)
+			case "updateService":
+				desc := descriptorOf(el)
+				peer.HostUpdateService(desc, strings.TrimSpace(el.TextContent()))
+				log.Printf("hosting update service %s over %s", desc.Name, desc.TargetDocument)
+			case "replica":
+				peer.Replicas().AddService(el.AttrDefault("service", ""), p2p.PeerID(el.AttrDefault("peer", "")))
 			}
-			if err := peer.HostDocument(name, content); err != nil {
-				return fmt.Errorf("document %s: %w", name, err)
-			}
-			hosted = append(hosted, name)
-			log.Printf("hosting document %s", name)
-		case "queryService":
-			desc := descriptorOf(el)
-			peer.HostQueryService(desc, strings.TrimSpace(el.TextContent()))
-			log.Printf("hosting query service %s over %s", desc.Name, desc.TargetDocument)
-		case "updateService":
-			desc := descriptorOf(el)
-			peer.HostUpdateService(desc, strings.TrimSpace(el.TextContent()))
-			log.Printf("hosting update service %s over %s", desc.Name, desc.TargetDocument)
-		case "replica":
-			peer.Replicas().AddService(el.AttrDefault("service", ""), p2p.PeerID(el.AttrDefault("peer", "")))
 		}
+		return nil
 	}
-
-	// Documents checkpointed by a previous run override the config's
-	// initial content (they carry the committed state, with node IDs).
-	if docsDir != "" {
-		if _, err := os.Stat(docsDir); err == nil {
-			loaded, err := peer.Store().LoadAll(docsDir)
-			if err != nil {
-				return fmt.Errorf("load checkpoint: %w", err)
-			}
-			for _, name := range loaded {
-				log.Printf("restored document %s from checkpoint", name)
-			}
-		}
+	// Documents checkpointed by the last run override the configured ones,
+	// and transactions the log shows in flight are compensated, before the
+	// peer serves.
+	peer, err := core.Open(s.dir, transport, opts, s.wal, setup)
+	if err != nil {
+		return err
 	}
-
-	// Restart-time recovery: compensate transactions the log shows as in
-	// flight at crash time.
-	if wcfg.dir != "" {
-		recovered, err := peer.RecoverPending()
-		if err != nil {
-			return fmt.Errorf("restart recovery: %w", err)
+	defer func() { err = errors.Join(err, peer.Close()) }()
+	if s.cache > 0 {
+		log.Printf("materialization cache on (%d entries, default window %s)", s.cache, s.cacheTTL)
+	}
+	if plane := peer.Cluster(); plane != nil && (s.slo.LatencyTarget > 0 || s.slo.Availability > 0) {
+		window := s.slo.Window
+		if window == 0 {
+			window = 5 * time.Minute // the engine's default
 		}
-		for _, txn := range recovered {
-			log.Printf("restart recovery: compensated in-flight transaction %s", txn)
-		}
+		log.Printf("cluster SLO targets: p99<=%s avail>=%.4f (window %s)",
+			s.slo.LatencyTarget, s.slo.Availability, window)
 	}
 
 	// Sharding runs after checkpoint load and restart recovery so fragments
 	// are cut from the committed state. With -gossip the fragment ads spread
 	// through the replica catalog, so remote peers can assemble the document
 	// from its parts.
-	if scfg.enabled {
+	if s.shard {
 		for _, name := range hosted {
-			if err := peer.ShardHostedDocument(name, scfg.threshold); err != nil {
+			if err := peer.ShardHostedDocument(name, s.shardThreshold); err != nil {
 				return fmt.Errorf("shard %s: %w", name, err)
 			}
 			if manifest, ok := peer.Store().Manifest(name); ok {
@@ -432,11 +399,11 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 		// verdicts already feed peer.OnPeerDown through the engine wiring.
 		member.Start()
 		defer member.Stop()
-		log.Printf("gossip membership on (probe every %s, %d seed(s))", gossipEvery, len(member.Members())-1)
-		if scfg.placementEvery > 0 {
-			stopPlacement := peer.StartPlacement(context.Background(), scfg.placementEvery)
+		log.Printf("gossip membership on (probe every %s, %d seed(s))", s.gossip, len(member.Members())-1)
+		if s.placement > 0 {
+			stopPlacement := peer.StartPlacement(context.Background(), s.placement)
 			defer stopPlacement()
-			log.Printf("placement loop on (tick every %s): hot fragments migrate toward their dominant callers", scfg.placementEvery)
+			log.Printf("placement loop on (tick every %s): hot fragments migrate toward their dominant callers", s.placement)
 		}
 	} else {
 		// Keep-alive probing of neighbors: disconnections feed the recovery
@@ -454,16 +421,7 @@ func run(configPath string, wcfg walConfig, ccfg cacheConfig, scfg shardConfig, 
 		defer pinger.Stop()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	if docsDir != "" {
-		if err := peer.Store().SaveAll(docsDir); err != nil {
-			log.Printf("checkpoint failed: %v", err)
-		} else {
-			log.Printf("documents checkpointed to %s", docsDir)
-		}
-	}
+	<-ctx.Done()
 	log.Printf("peer %s shutting down", id)
 	return nil
 }

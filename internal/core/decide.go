@@ -60,7 +60,7 @@ func next(st state, ev eventKind) actions {
 	case ev == evRestart && live:
 		return actions{release: true, drop: true}
 	case ev == evRestart && st.effects && !st.committed,
-		ev == evAbortMsg && !live && !st.committed && !st.compensated:
+		ev == evAbortMsg && !live && st.effects && !st.committed && !st.compensated:
 		return actions{undo: true, release: true}
 	case active && (ev == evCommit || ev == evCommitMsg):
 		return actions{to: StatusCommitted, record: wal.TypeCommit, release: true, drop: true}
@@ -188,7 +188,7 @@ func (p *Peer) decide(txc *Context, ev event) error {
 	sp.End(ErrCode(err), err)
 	if ev.kind == evCommit {
 		p.endRoot(txc, "committed", ErrCode(err), err)
-	} else if a.record == wal.TypeAbort && txc.rootSpan != nil {
+	} else if a.record == wal.TypeAbort && txc.Self == txc.Origin {
 		p.endRoot(txc, "aborted", CodeCompensated, nil)
 	}
 	return err

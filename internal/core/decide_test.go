@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,10 +113,12 @@ func TestDecisionTable(t *testing.T) {
 			return st.ctx == 0 && ev == evCommitMsg
 		}, rowNone},
 		{"an abort compensates the log", func(st state, ev eventKind) bool {
-			return st.ctx == 0 && ev == evAbortMsg && !st.committed && !st.compensated
+			return st.ctx == 0 && ev == evAbortMsg && st.effects && !st.committed && !st.compensated
 		}, rowUndoLogged},
-		{"an abort leaves a committed or compensated transaction", func(st state, ev eventKind) bool {
-			return st.ctx == 0 && ev == evAbortMsg && (st.committed || st.compensated)
+		// A stray abort, for a transaction the log holds no effects of,
+		// writes nothing: no empty compensation bracket, no forced record.
+		{"an abort leaves a committed, compensated or effect-free transaction", func(st state, ev eventKind) bool {
+			return st.ctx == 0 && ev == evAbortMsg && (st.committed || st.compensated || !st.effects)
 		}, rowNone},
 		{"local events need a context", func(st state, ev eventKind) bool {
 			return st.ctx == 0 && (ev == evCommit || ev == evAbort || ev == evAbortSilent)
@@ -407,5 +411,63 @@ func TestFailedCommitKeepsDeletedSubtrees(t *testing.T) {
 		if n := pd.p.Metrics().CommitErrors.Load(); n != 1 {
 			t.Errorf("%s: CommitErrors = %d, want 1", id, n)
 		}
+	}
+}
+
+// TestStrayAbortWritesNothing: an abort for a transaction this peer never
+// saw has no effects to undo, so it appends no record, in particular no
+// empty compensation bracket whose end record waits for the disk.
+func TestStrayAbortWritesNothing(t *testing.T) {
+	log, err := wal.OpenDir(t.TempDir(), wal.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	net := p2p.NewNetwork(0)
+	ap1 := NewPeer(net.Join("AP1"), log, Options{})
+	sender := net.Join("AP2")
+	for i := 0; i < 10000; i++ {
+		if _, err := sender.Request(bg, "AP1", &p2p.Message{Kind: p2p.KindAbort, Txn: fmt.Sprintf("stray-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(log.Records()); n != 0 {
+		t.Fatalf("10000 stray aborts appended %d records, want 0", n)
+	}
+	if n := ap1.Metrics().AbortsReceived.Load(); n != 10000 {
+		t.Fatalf("AbortsReceived = %d, want 10000", n)
+	}
+}
+
+// TestSlowTxnLogWithoutTracing: the slow-transaction hook sees aborts as
+// well as commits when the peer traces nothing.
+func TestSlowTxnLogWithoutTracing(t *testing.T) {
+	var mu sync.Mutex
+	var outcomes []string
+	p := NewPeer(p2p.NewNetwork(0).Join("AP1"), wal.NewMemory(), Options{
+		SlowTxn: time.Nanosecond,
+		SlowTxnLog: func(_ string, _ time.Duration, outcome string) {
+			mu.Lock()
+			defer mu.Unlock()
+			outcomes = append(outcomes, outcome)
+		},
+	})
+	if err := p.HostDocument("D.xml", `<D/>`); err != nil {
+		t.Fatal(err)
+	}
+	aborted := p.Begin()
+	execInsert(t, p, aborted, `<x/>`)
+	if err := p.Abort(bg, aborted); err != nil {
+		t.Fatal(err)
+	}
+	committed := p.Begin()
+	execInsert(t, p, committed, `<x/>`)
+	if err := p.Commit(bg, committed); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"aborted", "committed"}; !slices.Equal(outcomes, want) {
+		t.Fatalf("SlowTxnLog saw %v, want %v", outcomes, want)
 	}
 }

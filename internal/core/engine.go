@@ -116,11 +116,21 @@ type Peer struct {
 	// Document-sharding state (shard.go): access-heat scores, shadow copies
 	// retained across migration handoffs, and the placement loop.
 	frag fragState
+
+	dir     string      // Open's directory; "" for an in-memory peer
+	handler p2p.Handler // what the transport serves, once installed
 }
 
 // NewPeer assembles a peer on the given transport and installs its message
-// handler (wrapped to answer pings).
+// handler at once; Open serves only once it recovered.
 func NewPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
+	p := newPeer(transport, log, opts)
+	transport.SetHandler(p.handler)
+	return p
+}
+
+// newPeer assembles a peer whose handler is not installed yet.
+func newPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
 	if opts.EvalMode == 0 {
 		opts.EvalMode = axml.Lazy
 	}
@@ -174,7 +184,7 @@ func NewPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
 		}
 		handler = m.Intercept(handler)
 	}
-	transport.SetHandler(p2p.AnswerPings(handler))
+	p.handler = p2p.AnswerPings(handler)
 	return p
 }
 
