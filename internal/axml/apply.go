@@ -78,7 +78,7 @@ func (s *Store) locate(txn string, e *docEntry, a *Action, mat Materializer, mod
 	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return nil, err
 	}
-	qres, err := s.eval.Eval(doc, a.Location)
+	qres, err := s.evalQuery(doc, a.Location)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func (s *Store) applyQuery(txn string, e *docEntry, a *Action, mat Materializer,
 	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return err
 	}
-	qres, err := s.eval.Eval(e.doc, a.Location)
+	qres, err := s.evalQuery(e.doc, a.Location)
 	if err != nil {
 		return err
 	}
@@ -176,7 +176,7 @@ func (s *Store) locateInsertParents(txn string, e *docEntry, a *Action, mat Mate
 	if err := s.materializeForQuery(txn, e, a.Location, mat, mode, res); err != nil {
 		return nil, err
 	}
-	qres, err := s.eval.Eval(e.doc, a.Location)
+	qres, err := s.evalQuery(e.doc, a.Location)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package axml
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"axmltx/internal/wal"
@@ -79,5 +80,56 @@ func TestLazyQueryOnCallFreeDocumentScansNothing(t *testing.T) {
 		}
 	}); scans == 0 {
 		t.Fatal("no walk counted for a document with calls")
+	}
+}
+
+// TestConcurrentQueriesShareOneIndex: reads and replaces from several
+// goroutines on one call-free document, the equality indexes' first builds
+// among them, all answer right, and the document ends with one index per
+// key, each matching a fresh build. It is meant for the race detector.
+func TestConcurrentQueriesShareOneIndex(t *testing.T) {
+	s := NewStore(wal.NewMemory())
+	doc, err := s.AddParsed("ATP.xml", playersXML(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ParseQuery(`Select p/name/lastname, p/points from p in ATPList//player where p/citizenship = C7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				txn := fmt.Sprintf("T%d.%d", g, i)
+				if i%2 == 0 {
+					res, err := s.Apply(txn, NewQuery(read), nil, Lazy)
+					if err != nil || len(res.Query.Items) != 2*10 {
+						t.Errorf("read: %v, %v; want 20 items", res, err)
+						return
+					}
+					continue
+				}
+				write, err := ParseQuery(fmt.Sprintf(`Select p/points from p in ATPList//player where p/name/lastname = L%d`, 100*g+i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := s.Apply(txn, NewReplace(write, fmt.Sprintf(`<points>%d</points>`, i)), nil, Lazy)
+				if err != nil || len(res.InsertedIDs) != 1 {
+					t.Errorf("replace: %v, %v; want one insert", res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(doc.Indexes()); n != 2 {
+		t.Fatalf("%d indexes after queries on two keys, want 2", n)
+	}
+	if err := doc.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,6 +27,13 @@ import (
 // fragment roots are elements).
 const idAttr = "axml:nodeid"
 
+// nameAttr carries the document's repository name on the checkpoint's root
+// element, stripped on load like idAttr: the file name is the name made
+// safe for a file system (sanitizeFileName), and "D" would come back as
+// "D.xml". A file without it, as checkpoints written before it existed, is
+// named after the file.
+const nameAttr = "axml:docname"
+
 // SaveAll checkpoints every document to dir as <name>.xml files with node
 // IDs embedded. It obeys the write-ahead rule: the log is synced before any
 // document is written, so a checkpoint never holds an effect whose record
@@ -80,6 +87,7 @@ func saveDoc(dir, name string, doc *xmldom.Document) error {
 			}
 			return true
 		})
+		cp.Root().SetAttr(nameAttr, name)
 	}
 	path := filepath.Join(dir, sanitizeFileName(name))
 	tmp := path + ".tmp"
@@ -108,8 +116,9 @@ func saveDoc(dir, name string, doc *xmldom.Document) error {
 	return nil
 }
 
-// LoadAll reads every *.xml checkpoint in dir into the store, keyed by file
-// name, restoring persisted node IDs. It returns the loaded document names.
+// LoadAll reads every *.xml checkpoint in dir into the store, restoring
+// persisted node IDs, keyed by the name the checkpoint carries (by the file
+// name if it carries none). It returns the loaded document names.
 func (s *Store) LoadAll(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -128,8 +137,12 @@ func (s *Store) LoadAll(dir string) ([]string, error) {
 		if err != nil {
 			return names, err
 		}
+		if name, ok := doc.Root().Attr(nameAttr); ok {
+			doc.Root().RemoveAttr(nameAttr)
+			doc.SetName(name)
+		}
 		s.Add(doc)
-		names = append(names, e.Name())
+		names = append(names, doc.Name())
 	}
 	return names, nil
 }

@@ -54,6 +54,9 @@ type Store struct {
 	// applyObserver, when set, receives the wall-clock duration of every
 	// Apply (action evaluation including its materialization rounds).
 	applyObserver atomic.Pointer[func(time.Duration)]
+	// queryEvals and queryVisited count the query evaluations Apply ran
+	// and the elements they visited (query.Result.Visited).
+	queryEvals, queryVisited atomic.Int64
 }
 
 // docEntry is one document and the latch that serializes the operations on
@@ -93,6 +96,23 @@ func (s *Store) SetApplyObserver(fn func(time.Duration)) {
 
 // Evaluator returns the AXML-configured query evaluator.
 func (s *Store) Evaluator() *query.Evaluator { return s.eval }
+
+// QueryStats returns how many query evaluations Apply has run, for queries
+// and for the locations of updates, and the elements they visited in all.
+func (s *Store) QueryStats() (evals, visited int64) {
+	return s.queryEvals.Load(), s.queryVisited.Load()
+}
+
+// evalQuery evaluates q on doc, whose latch the caller holds, and counts
+// the evaluation.
+func (s *Store) evalQuery(doc *xmldom.Document, q *query.Query) (*query.Result, error) {
+	res, err := s.eval.Eval(doc, q)
+	if err == nil {
+		s.queryEvals.Add(1)
+		s.queryVisited.Add(int64(res.Visited))
+	}
+	return res, err
+}
 
 // Add registers a document under its name; it replaces any previous
 // document with the same name.

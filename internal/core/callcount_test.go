@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,5 +247,77 @@ func TestLockWaitHistogram(t *testing.T) {
 	}
 	if n := waits.Count(); n != 1 {
 		t.Fatalf("an uncontended acquisition after the release observed a wait (%d)", n)
+	}
+}
+
+// TestQueryElementsVisited: axml_query_elements_visited counts what finding
+// a query's bindings cost. On local_rw's shape of document, the first read
+// and the first replace by key each walk all of it to build their index;
+// every later one visits no more than its rows.
+func TestQueryElementsVisited(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := NewPeer(p2p.NewNetwork(0).Join("AP1"), wal.NewMemory(), Options{MetricsRegistry: reg})
+	const players = 5000
+	var b strings.Builder
+	b.WriteString(`<ATPList>`)
+	for i := 0; i < players; i++ {
+		fmt.Fprintf(&b, `<player rank="%d"><name><firstname>F%d</firstname><lastname>L%d</lastname></name>`+
+			`<citizenship>C%d</citizenship><points>%d</points></player>`, i+1, i, i, i%50, 100+i)
+	}
+	b.WriteString(`</ATPList>`)
+	if err := p.HostDocument("ATP0.xml", b.String()); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(name string) int64 {
+		for _, s := range reg.Export() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("no %s series", name)
+		return 0
+	}
+	read, err := axml.ParseQuery(`Select p/name/lastname, p/points from p in ATP0//player where p/citizenship = C7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// visits runs one local_rw transaction and returns the elements its
+	// query evaluation visited.
+	visits := func(action *axml.Action) int64 {
+		evals, visited := gauge("axml_query_evals"), gauge("axml_query_elements_visited")
+		txc := p.Begin()
+		if _, err := p.Exec(bg, txc, action); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(bg, txc); err != nil {
+			t.Fatal(err)
+		}
+		if n := gauge("axml_query_evals") - evals; n != 1 {
+			t.Fatalf("%d query evaluations for one action, want 1", n)
+		}
+		return gauge("axml_query_elements_visited") - visited
+	}
+	replace := func(k int) *axml.Action {
+		q, err := axml.ParseQuery(fmt.Sprintf(`Select p/points from p in ATP0//player where p/name/lastname = L%d`, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return axml.NewReplace(q, `<points>1</points>`)
+	}
+	const elements = 6 * players // below the root
+	for i, c := range []struct {
+		action   *axml.Action
+		min, max int64
+		what     string
+	}{
+		{axml.NewQuery(read), elements, elements + 100, "first read builds its index"},
+		{axml.NewQuery(read), 0, 100, "later read"},
+		{replace(7), elements, elements + 1, "first replace builds its index"},
+		{replace(8), 0, 1, "later replace"},
+		{axml.NewQuery(read), 0, 100, "read after replaces"},
+	} {
+		if n := visits(c.action); n < c.min || n > c.max {
+			t.Fatalf("step %d (%s): %d elements visited, want %d to %d", i, c.what, n, c.min, c.max)
+		}
 	}
 }

@@ -217,6 +217,11 @@ func (p *Peer) RegisterObservability(reg *obs.Registry) {
 	p.histWALSync = reg.Histogram("axml_wal_sync_seconds", labels)
 	p.histCompensate = reg.Histogram("axml_compensate_seconds", labels)
 	p.locks.observeWaits(reg.Histogram("axml_lock_wait_seconds", labels))
+	// Elements visited over evaluations is the cost of finding a query's
+	// bindings as a count: the walk's elements, or an equality index's
+	// candidates.
+	reg.Gauge("axml_query_evals", labels, func() int64 { n, _ := p.store.QueryStats(); return n })
+	reg.Gauge("axml_query_elements_visited", labels, func() int64 { _, n := p.store.QueryStats(); return n })
 	if p.cache != nil {
 		reg.Gauge("axml_cache_entries", labels, p.cache.entryCount)
 		reg.Gauge("axml_cache_inflight", labels, p.cache.inflightCount)

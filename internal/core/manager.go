@@ -277,6 +277,9 @@ type Manager struct {
 	mu   sync.Mutex
 	ctxs map[string]*Context
 	seq  atomic.Uint64
+	// inc is the peer's incarnation: 0 in memory, else the count of Opens
+	// of its directory. Open sets it before the peer mints an ID.
+	inc uint64
 }
 
 // NewManager returns a manager for the given peer.
@@ -285,9 +288,13 @@ func NewManager(self p2p.PeerID) *Manager {
 }
 
 // NewTxnID mints a globally unique transaction ID at the origin:
-// "T<seq>@<peer>".
+// "T<seq>@<peer>" in memory, "T<seq>.<inc>@<peer>" for a peer opened on a
+// directory, whose sequence starts again at every Open.
 func (m *Manager) NewTxnID() string {
-	return fmt.Sprintf("T%d@%s", m.seq.Add(1), m.self)
+	if m.inc == 0 {
+		return fmt.Sprintf("T%d@%s", m.seq.Add(1), m.self)
+	}
+	return fmt.Sprintf("T%d.%d@%s", m.seq.Add(1), m.inc, m.self)
 }
 
 // Begin creates the origin context for a new transaction.

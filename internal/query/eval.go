@@ -36,6 +36,11 @@ type Result struct {
 	// Items is the deduplicated union of all selections, in the order
 	// discovered (document order within each binding).
 	Items []Item
+	// Visited counts the elements the evaluation passed to find its
+	// bindings: those the source path's walk went through, or the equality
+	// index's candidates (plus the walk that built the index, on the query
+	// that built it). The where clause and the selects are not counted.
+	Visited int
 }
 
 // Nodes returns the distinct non-attribute result nodes.
@@ -82,7 +87,10 @@ type Evaluator struct {
 //
 // Bindings stream from the source path one at a time: the where predicate
 // runs on each as it is reached, and the selects run only for the bindings
-// that pass, appending straight into the result.
+// that pass, appending straight into the result. On a document without
+// service calls, a where clause with an `=` conjunct takes its bindings
+// from an equality index of doc instead (see eqIndex), which Eval builds on
+// the first such query: like a mutation, Eval needs doc to itself.
 func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 	root := doc.Root()
 	if root == nil {
@@ -108,8 +116,7 @@ func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 		// its own.
 		selected []Item
 	)
-	e.walk(root, q.Source, func(it Item) bool {
-		b := it.Node
+	bind := func(b *xmldom.Node) bool {
 		var ok bool
 		if ok, err = e.evalExpr(b, q.Where); err != nil || !ok {
 			return err == nil
@@ -137,7 +144,17 @@ func (ev *Evaluator) Eval(doc *xmldom.Document, q *Query) (*Result, error) {
 			}
 		}
 		return true
-	})
+	}
+	if cands, visited, ok := e.indexed(doc, q); ok {
+		res.Visited = visited
+		for _, b := range cands {
+			if !bind(b) {
+				break
+			}
+		}
+	} else {
+		res.Visited = e.walk(root, q.Source, func(it Item) bool { return bind(it.Node) })
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +268,9 @@ func (e *evaluation) hidden(name string) bool { return e.hiddenNames.has(name) }
 // carried to the end of the path before the next one is reached, that order
 // needs no intermediate node sets; only steps that can reach one node from
 // two contexts (see repeats) remember what they have passed on. An
-// attribute step must be last (checkPath).
-func (e *evaluation) walk(ctx *xmldom.Node, path Path, emit func(Item) bool) {
+// attribute step must be last (checkPath). walk returns the number of
+// elements it went through.
+func (e *evaluation) walk(ctx *xmldom.Node, path Path, emit func(Item) bool) int {
 	w := pathWalker{e: e, path: path}
 	for i := range path {
 		if e.repeats(path, i) {
@@ -261,6 +279,7 @@ func (e *evaluation) walk(ctx *xmldom.Node, path Path, emit func(Item) bool) {
 		}
 	}
 	w.from(0, ctx, emit)
+	return w.visited
 }
 
 // repeats reports whether step i of path can reach one node from two of its
@@ -292,9 +311,10 @@ func (e *evaluation) repeats(path Path, i int) bool {
 // emit travels as a parameter rather than a field so that escape analysis
 // keeps the variables its closure captures on the caller's stack.
 type pathWalker struct {
-	e    *evaluation
-	path Path
-	seen []map[*xmldom.Node]bool
+	e       *evaluation
+	path    Path
+	seen    []map[*xmldom.Node]bool
+	visited int // elements children and descendants went through
 }
 
 // from applies step i to ctx. It returns false once emit has asked to stop.
@@ -342,7 +362,11 @@ func (w *pathWalker) reach(i int, n *xmldom.Node, emit func(Item) bool) bool {
 func (w *pathWalker) children(i int, ctx *xmldom.Node, emit func(Item) bool) bool {
 	name := w.path[i].Name
 	for _, c := range ctx.Children() {
-		if c.Kind() != xmldom.ElementNode || w.e.hidden(c.Name()) {
+		if c.Kind() != xmldom.ElementNode {
+			continue
+		}
+		w.visited++
+		if w.e.hidden(c.Name()) {
 			continue
 		}
 		if (name == "*" || c.Name() == name) && !w.reach(i, c, emit) {
@@ -360,7 +384,11 @@ func (w *pathWalker) children(i int, ctx *xmldom.Node, emit func(Item) bool) boo
 func (w *pathWalker) descendants(i int, ctx *xmldom.Node, emit func(Item) bool) bool {
 	name := w.path[i].Name
 	for _, c := range ctx.Children() {
-		if c.Kind() != xmldom.ElementNode || w.e.hidden(c.Name()) {
+		if c.Kind() != xmldom.ElementNode {
+			continue
+		}
+		w.visited++
+		if w.e.hidden(c.Name()) {
 			continue
 		}
 		if (name == "*" || c.Name() == name) && !w.reach(i, c, emit) {

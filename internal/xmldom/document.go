@@ -20,13 +20,36 @@ const ServiceCallElement = "axml:sc"
 // built on it), Detach (and Remove), parsing and Clone — and each of those
 // walks just the moving subtree, and only when the other end is attached.
 // Nodes never change their names, so nothing else can move it.
+//
+// A call-free document may also carry a few Indexes over its attached tree,
+// which a reader adds (the query evaluator's equality index) and the
+// document keeps current at the same hooks; see Index.
 type Document struct {
-	name   string
-	root   *Node
-	nextID NodeID
-	index  map[NodeID]*Node
-	calls  int // attached ServiceCallElement elements
+	name    string
+	root    *Node
+	nextID  NodeID
+	index   map[NodeID]*Node
+	calls   int     // attached ServiceCallElement elements
+	indexes []Index // nil on a document with calls or without a root
 }
+
+// An Index is a structure over a document's attached tree that the document
+// keeps current. Only a subtree joining or leaving the tree reaches it:
+// anything else that could change what it holds (a text or attribute edit
+// on an attached node, the first service call, the loss of the root) drops
+// every index of the document instead, and Clone copies none.
+type Index interface {
+	// Attached runs after the subtree rooted at n joined the tree.
+	Attached(n *Node)
+	// Detached runs after the subtree rooted at n left the tree from under
+	// parent.
+	Detached(n, parent *Node)
+	// Check compares the index with one built afresh; Validate runs it.
+	Check() error
+}
+
+// MaxIndexes bounds the indexes one document keeps.
+const MaxIndexes = 8
 
 // Errors reported by tree mutations.
 var (
@@ -53,6 +76,10 @@ func NewDocument(name string) *Document {
 // Name returns the document's repository name.
 func (d *Document) Name() string { return d.name }
 
+// SetName renames the document, for checkpoint restore, which learns the
+// name from the file's content; rename a document before it is shared.
+func (d *Document) SetName(name string) { d.name = name }
+
 // Root returns the root element, or nil for an empty document.
 func (d *Document) Root() *Node { return d.root }
 
@@ -71,7 +98,31 @@ func (d *Document) SetRoot(root *Node) error {
 	}
 	d.root = root
 	d.calls = countCalls(root)
+	// Indexes went with the previous root, so none can be stale here.
 	return nil
+}
+
+// Indexes returns the document's indexes; the slice is the document's own.
+func (d *Document) Indexes() []Index { return d.indexes }
+
+// AddIndex attaches ix, built over the current tree. A document with
+// service calls, without a root or already holding MaxIndexes indexes does
+// not keep it.
+func (d *Document) AddIndex(ix Index) {
+	if d.calls == 0 && d.root != nil && len(d.indexes) < MaxIndexes {
+		d.indexes = append(d.indexes, ix)
+	}
+}
+
+// dropIndexes discards every index, for a change the hooks do not follow.
+func (d *Document) dropIndexes() { d.indexes = nil }
+
+// touched drops the document's indexes when n, about to change in place, is
+// attached: its text or attributes may be what an index holds.
+func (n *Node) touched() {
+	if d := n.doc; d != nil && d.indexes != nil && d.attached(n) {
+		d.dropIndexes()
+	}
 }
 
 // ServiceCallCount returns the number of ServiceCallElement elements
@@ -177,7 +228,8 @@ func (d *Document) AppendChild(parent, child *Node) error {
 // of children). Positional insertion is what makes compensation of deletes
 // in ordered documents exact: the compensating insert restores the deleted
 // subtree at the position recorded in the log. When parent is attached, the
-// service calls in child's subtree join the count.
+// service calls in child's subtree join the count, and the document's
+// indexes take the subtree in (or are dropped, by its first call).
 func (d *Document) InsertChild(parent, child *Node, pos int) error {
 	if parent.doc != d || child.doc != d {
 		return ErrForeignNode
@@ -200,6 +252,14 @@ func (d *Document) InsertChild(parent, child *Node, pos int) error {
 	child.parent = parent
 	if d.attached(parent) {
 		d.calls += countCalls(child)
+		if d.indexes != nil {
+			if d.calls > 0 {
+				d.dropIndexes()
+			}
+			for _, ix := range d.indexes {
+				ix.Attached(child)
+			}
+		}
 	}
 	return nil
 }
@@ -225,8 +285,8 @@ func (d *Document) InsertAfter(ref, child *Node) error {
 // Detach removes n from its parent and returns its former position. The
 // subtree stays owned and indexed by the document so it can be re-attached
 // (compensating insert) with identical IDs. Detaching the root empties the
-// document. When n was attached, the service calls in its subtree leave the
-// count.
+// document and drops its indexes. When n was attached, the service calls in
+// its subtree leave the count and the indexes let the subtree go.
 func (d *Document) Detach(n *Node) (parent *Node, pos int, err error) {
 	if n.doc != d {
 		return nil, 0, ErrForeignNode
@@ -234,18 +294,25 @@ func (d *Document) Detach(n *Node) (parent *Node, pos int, err error) {
 	if n == d.root {
 		d.root = nil
 		d.calls = 0
+		d.dropIndexes()
 		return nil, 0, nil
 	}
 	if n.parent == nil {
 		return nil, 0, ErrDetached
 	}
 	parent = n.parent
-	if d.attached(parent) {
+	attached := d.attached(parent)
+	if attached {
 		d.calls -= countCalls(n)
 	}
 	pos = n.Index()
 	parent.children = append(parent.children[:pos], parent.children[pos+1:]...)
 	n.parent = nil
+	if attached {
+		for _, ix := range d.indexes {
+			ix.Detached(n, parent)
+		}
+	}
 	return parent, pos, nil
 }
 
@@ -312,8 +379,9 @@ func (d *Document) Equal(other *Document) bool {
 }
 
 // Validate checks internal invariants (index consistency, parent/child
-// symmetry, ID uniqueness, the service-call count) and returns a
-// descriptive error on violation. It backs the property-based tests.
+// symmetry, ID uniqueness, the service-call count, every index against a
+// fresh build) and returns a descriptive error on violation. It backs the
+// property-based tests.
 func (d *Document) Validate() error {
 	seen := make(map[NodeID]bool)
 	var check func(n *Node, parent *Node) error
@@ -353,6 +421,14 @@ func (d *Document) Validate() error {
 	}
 	if calls != d.calls {
 		return fmt.Errorf("service-call count %d, tree holds %d", d.calls, calls)
+	}
+	if d.indexes != nil && (d.calls > 0 || d.root == nil) {
+		return fmt.Errorf("%d indexes on a document with %d calls (root %v)", len(d.indexes), d.calls, d.root != nil)
+	}
+	for _, ix := range d.indexes {
+		if err := ix.Check(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -83,11 +83,13 @@ func (n *Node) Name() string { return n.name }
 // elements. Use TextContent for the concatenated text below an element.
 func (n *Node) Text() string { return n.text }
 
-// SetText replaces the character data of a text or comment node.
+// SetText replaces the character data of a text or comment node. On an
+// attached node it drops the document's indexes.
 func (n *Node) SetText(s string) {
 	if n.kind == ElementNode {
 		panic("xmldom: SetText on element node")
 	}
+	n.touched()
 	n.text = s
 }
 
@@ -149,8 +151,10 @@ func (n *Node) AttrDefault(name, def string) string {
 }
 
 // SetAttr sets or replaces the named attribute, preserving position when the
-// attribute already exists.
+// attribute already exists. On an attached node it drops the document's
+// indexes.
 func (n *Node) SetAttr(name, value string) {
+	n.touched()
 	for i := range n.attrs {
 		if n.attrs[i].Name == name {
 			n.attrs[i].Value = value
@@ -161,8 +165,9 @@ func (n *Node) SetAttr(name, value string) {
 }
 
 // RemoveAttr deletes the named attribute if present and reports whether it
-// was present.
+// was present. On an attached node it drops the document's indexes.
 func (n *Node) RemoveAttr(name string) bool {
+	n.touched()
 	for i := range n.attrs {
 		if n.attrs[i].Name == name {
 			n.attrs = append(n.attrs[:i], n.attrs[i+1:]...)
