@@ -398,11 +398,6 @@ func WithWALCheckpointEvery(n int) Option {
 	})
 }
 
-// WithEvalMode selects Lazy or Eager materialization.
-func WithEvalMode(mode EvalMode) Option {
-	return optionFunc(func(c *peerConfig) { c.opts.EvalMode = mode })
-}
-
 // WithLockTimeout bounds document lock waits (zero keeps the default).
 func WithLockTimeout(d time.Duration) Option {
 	return optionFunc(func(c *peerConfig) {

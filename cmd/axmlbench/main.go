@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -31,6 +32,24 @@ import (
 	"axmltx/internal/obs"
 	"axmltx/internal/sim"
 )
+
+// experimentIDs lists every experiment ID main dispatches.
+var experimentIDs = []string{
+	"f1", "f2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "e8", "m1", "c1",
+	"perf", "obs", "chaos", "s1", "l1", "sh1",
+}
+
+// unknownIDs returns the selected IDs that name no experiment, sorted.
+func unknownIDs(selected map[string]bool) []string {
+	var out []string
+	for id := range selected {
+		if !slices.Contains(experimentIDs, id) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 func main() {
 	run := flag.String("run", "", "comma-separated experiment IDs to run (same as positional args)")
@@ -65,6 +84,11 @@ func main() {
 		if a = strings.TrimSpace(a); a != "" {
 			selected[strings.ToLower(a)] = true
 		}
+	}
+	if bad := unknownIDs(selected); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "axmlbench: unknown experiment %s; valid IDs: %s\n",
+			strings.Join(bad, ", "), strings.Join(experimentIDs, " "))
+		os.Exit(2)
 	}
 	// -compare alone means "gate only": don't fall into the run-everything
 	// default.

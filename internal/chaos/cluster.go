@@ -50,9 +50,9 @@ func NewCluster(inj *Injector) *Cluster {
 }
 
 // Add joins a peer with a fresh in-memory WAL behind a chaos-wrapped
-// transport. Super peers are protected from crash faults (the paper's super
-// peers "do not disconnect", §3.3); every peer gets a restart hook running
-// core.Peer.Restart — drop volatile transaction state, WAL-replay recovery.
+// transport, with a restart hook running core.Peer.Restart — drop volatile
+// transaction state, WAL-replay recovery. Add sets no fault policy: which
+// peers a schedule may not crash is the caller's choice (Injector.Protect).
 func (c *Cluster) Add(id p2p.PeerID, opts core.Options) *core.Peer {
 	if opts.TraceSink == nil {
 		opts.TraceSink = c.Sink
@@ -73,9 +73,6 @@ func (c *Cluster) Add(id p2p.PeerID, opts core.Options) *core.Peer {
 	c.Peers[id] = p
 	c.Logs[id] = log
 	c.Inj.OnRestart(id, func() { _, _ = p.Restart() })
-	if opts.Super {
-		c.Inj.Protect(id)
-	}
 	return p
 }
 
@@ -148,36 +145,57 @@ func (c *Cluster) HostComposite(id p2p.PeerID, svc, doc, root string, calls [][2
 	}, fmt.Sprintf("Select d/updateResult from d in %s", root))
 }
 
-// SnapshotAll records every hosted document's pre-transaction state, the
-// baseline the global-abort invariant compares against.
+// Snapshot records one document's current state as the baseline the
+// global-abort invariant compares against.
+func (c *Cluster) Snapshot(id p2p.PeerID, doc string) {
+	if snap, ok := c.Peers[id].Store().Snapshot(doc); ok {
+		c.snaps[string(id)+"/"+doc] = snap
+	}
+}
+
+// SnapshotAll records every hosted document's current state.
 func (c *Cluster) SnapshotAll() {
 	for id, p := range c.Peers {
 		for _, name := range p.Store().Names() {
-			if snap, ok := p.Store().Snapshot(name); ok {
-				c.snaps[string(id)+"/"+name] = snap
-			}
+			c.Snapshot(id, name)
 		}
 	}
 }
 
-// RestoredViolations returns one message per document whose live state
-// differs from its snapshot — empty when a global abort restored everything.
-func (c *Cluster) RestoredViolations() []string {
+// RestoredViolations returns one message per snapshotted document whose
+// live state differs from its snapshot, in sorted peer order — empty when a
+// global abort restored everything. Naming peers limits the check to them.
+func (c *Cluster) RestoredViolations(only ...p2p.PeerID) []string {
+	if len(only) == 0 {
+		only = c.peerIDs()
+	}
 	var out []string
-	for id, p := range c.Peers {
-		for _, name := range p.Store().Names() {
-			key := string(id) + "/" + name
-			snap, ok := c.snaps[key]
+	for _, id := range only {
+		for _, name := range c.Peers[id].Store().Names() {
+			snap, ok := c.snaps[string(id)+"/"+name]
 			if !ok {
 				continue
 			}
-			live, ok := p.Store().Snapshot(name)
-			if !ok || !live.Equal(snap) {
-				out = append(out, fmt.Sprintf("%s: document not restored after abort", key))
+			if live, ok := c.Peers[id].Store().Snapshot(name); !ok || !live.Equal(snap) {
+				out = append(out, RestoredViolation(id, name))
 			}
 		}
 	}
 	return out
+}
+
+// RestoredViolation is the message for a document an abort did not restore.
+func RestoredViolation(id p2p.PeerID, doc string) string {
+	return fmt.Sprintf("%s/%s: document not restored after abort", id, doc)
+}
+
+// TotalMetrics sums the metric snapshots of every peer.
+func (c *Cluster) TotalMetrics() core.MetricsSnapshot {
+	var total core.MetricsSnapshot
+	for _, p := range c.Peers {
+		total.Add(p.Metrics().Snapshot())
+	}
+	return total
 }
 
 // CountEntries counts <entry/> elements in a peer's document (the unit of
@@ -194,26 +212,5 @@ func (c *Cluster) CountEntries(id p2p.PeerID, doc string) int {
 		}
 		return true
 	})
-	return n
-}
-
-// Reconciler returns an unwrapped transport joined to the network under a
-// synthetic ID. The conformance runner uses it after healing to deliver the
-// final decision to straggler peers — modeling the eventual outcome
-// propagation a rejoined peer performs (§3.3) without routing the decision
-// itself through the fault schedule.
-func (c *Cluster) Reconciler() p2p.Transport {
-	return c.Net.Join("__reconciler__")
-}
-
-// FaultSpans counts KindFault spans observed by a sink collecting the run's
-// trace (nil-safe helper for reports).
-func FaultSpans(spans []*obs.Span) int {
-	n := 0
-	for _, s := range spans {
-		if s.Kind == obs.KindFault {
-			n++
-		}
-	}
 	return n
 }

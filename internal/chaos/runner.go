@@ -15,6 +15,7 @@ import (
 	"axmltx/internal/p2p"
 	"axmltx/internal/replication"
 	"axmltx/internal/services"
+	"axmltx/internal/wal"
 	"axmltx/internal/xmldom"
 )
 
@@ -153,43 +154,12 @@ func Run(cfg Config) (*Report, error) {
 	rep.Txn = res.txn
 	rep.Committed = res.committed
 
-	// Heal: chaos ends, crashed peers restart (WAL-replay recovery),
-	// partitions lift, held messages flush.
-	time.Sleep(10 * time.Millisecond) // let in-flight async work land or fail
-	inj.Heal()
-
-	// Reconcile + converge: deliver the final decision to stragglers that
-	// were cut off when it was made — the eventual outcome propagation a
-	// rejoined peer performs (§3.3) — and poll the invariants until every
-	// log is consistent or the deadline expires. Both message handlers are
-	// idempotent, so re-sending each round is safe.
-	rec := c.Reconciler()
-	kind := p2p.KindAbort
-	if res.committed {
-		kind = p2p.KindCommit
-	}
-	ids := c.peerIDs()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		for _, id := range ids {
-			_ = rec.Send(context.Background(), id, &p2p.Message{Kind: kind, Txn: res.txn})
-		}
-		time.Sleep(5 * time.Millisecond)
-		rep.Violations = c.checkInvariants(res.txn, res.committed)
-		if len(rep.Violations) == 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	_ = rec.Close()
+	rep.Violations = c.Settle(res.txn, res.committed)
 	rep.Violations = append(rep.Violations, res.safety...)
 
 	rep.Injections = len(inj.Injections())
 	rep.Restarts = inj.Restarts()
-	var total core.MetricsSnapshot
-	for _, p := range c.Peers {
-		total.Add(p.Metrics().Snapshot())
-	}
-	rep.WorkReused = total.WorkReused
+	rep.WorkReused = c.TotalMetrics().WorkReused
 
 	if rep.Canonical {
 		rep.Violations = append(rep.Violations, canonicalViolations(cfg.Scenario, c, res, rep)...)
@@ -208,25 +178,74 @@ func (c *Cluster) peerIDs() []p2p.PeerID {
 	return ids
 }
 
-// checkInvariants runs the per-peer safety checks: replayable logs, reverse
-// compensation order, terminal completeness, and — on a global abort —
-// every document back to its snapshot.
+// Settle ends a run: it heals the injector (crashed peers restart through
+// WAL replay, partitions lift, held messages flush), then re-sends the final
+// decision to every peer — the eventual outcome propagation a rejoined peer
+// performs (§3.3) — and checks the invariants until they hold or a deadline
+// passes. Both decision handlers are idempotent, so re-sending each round is
+// safe. It returns the violations that remain.
+func (c *Cluster) Settle(txn string, committed bool) []string {
+	time.Sleep(10 * time.Millisecond) // let in-flight async work land or fail
+	c.Inj.Heal()
+	// The reconciler joins the network unwrapped: the decision itself does
+	// not ride the fault schedule.
+	rec := c.Net.Join("__reconciler__")
+	defer rec.Close()
+	kind := p2p.KindAbort
+	if committed {
+		kind = p2p.KindCommit
+	}
+	ids := c.peerIDs()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		for _, id := range ids {
+			_ = rec.Send(context.Background(), id, &p2p.Message{Kind: kind, Txn: txn})
+		}
+		time.Sleep(5 * time.Millisecond)
+		v := c.checkInvariants(txn, committed)
+		if len(v) == 0 || time.Now().After(deadline) {
+			return v
+		}
+	}
+}
+
+// checkInvariants runs the per-log laws on every peer and — on a global
+// abort — checks every snapshotted document is back to its snapshot.
 func (c *Cluster) checkInvariants(txn string, committed bool) []string {
 	var out []string
 	for _, id := range c.peerIDs() {
-		log := c.Logs[id]
-		if err := core.CheckReplayConsistency(log.Records()); err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", id, err))
-		}
-		if err := core.CheckReverseCompensationOrder(log, txn); err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", id, err))
-		}
-		if err := core.CheckCompensationComplete(log, txn); err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", id, err))
-		}
+		out = append(out, LogViolations(id, c.Logs[id], txn)...)
 	}
 	if !committed {
 		out = append(out, c.RestoredViolations()...)
+	}
+	return out
+}
+
+// LogViolations runs the per-log laws over one peer's log: the log is
+// replayable (contiguous LSNs), plus TxnViolations.
+func LogViolations(id p2p.PeerID, log wal.Log, txn string) []string {
+	var out []string
+	if err := core.CheckReplayConsistency(log.Records()); err != nil {
+		out = append(out, fmt.Sprintf("%s: %v", id, err))
+	}
+	return append(out, TxnViolations(id, log, txn)...)
+}
+
+// TxnViolations runs the per-transaction laws over one peer's log: every
+// compensation undoes its epoch in reverse order, a transaction that did
+// not commit leaves no effect behind, and a committed one is never
+// compensated.
+func TxnViolations(id p2p.PeerID, log wal.Log, txn string) []string {
+	var out []string
+	for _, check := range []func(wal.Log, string) error{
+		core.CheckReverseCompensationOrder,
+		core.CheckCompensationComplete,
+		core.CheckNoCompensationAfterCommit,
+	} {
+		if err := check(log, txn); err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", id, err))
+		}
 	}
 	return out
 }
@@ -282,14 +301,18 @@ func canonicalViolations(scenario string, c *Cluster, res runResult, rep *Report
 func runFig1(c *Cluster, variant string) runResult {
 	ids := []p2p.PeerID{"AP1", "AP2", "AP3", "AP4", "AP5", "AP6"}
 	for _, id := range ids {
-		c.Add(id, core.Options{Super: variant == "sphere" || id == "AP1"})
+		super := variant == "sphere" || id == "AP1"
+		c.Add(id, core.Options{Super: super})
+		if super {
+			c.Inj.Protect(id) // super peers "do not disconnect" (§3.3)
+		}
 	}
 	c.HostEntry("AP2", "S2", "D2.xml", "D2")
 	c.HostEntry("AP4", "S4", "D4.xml", "D4")
 	c.HostEntry("AP6", "S6", "D6.xml", "D6")
 	c.HostComposite("AP5", "S5", "D5.xml", "D5", [][2]string{{"S6", "AP6"}}, "")
 	if variant == "fig1f" {
-		failService(c.Peers["AP5"], "S5", "F5")
+		FailService(c.Peers["AP5"], "S5", "F5")
 	}
 	c.HostComposite("AP3", "S3", "D3.xml", "D3", [][2]string{{"S4", "AP4"}, {"S5", "AP5"}}, "")
 	c.HostComposite("AP1", "S1", "D1.xml", "D1", [][2]string{{"S2", "AP2"}, {"S3", "AP3"}}, "")
@@ -332,6 +355,7 @@ func runDisconnection(c *Cluster, scenario string) runResult {
 	for _, id := range ids {
 		c.Add(id, core.Options{Super: id == "AP1"})
 	}
+	c.Inj.Protect("AP1") // the super peer "does not disconnect" (§3.3)
 	c.HostEntry("AP2", "S2w", "D2.xml", "D2")
 	c.HostEntry("AP3", "S3w", "D3.xml", "D3")
 	c.HostEntry("AP4", "S4w", "D4.xml", "D4")
@@ -430,7 +454,7 @@ func runDisconnection(c *Cluster, scenario string) runResult {
 		var once sync.Once
 		rel := func() { once.Do(func() { close(release) }) }
 		defer rel()
-		gate(c.Peers["AP6"], "S6", release)
+		Gate(c.Peers["AP6"], "S6", release)
 		ap3.HostService(services.NewFuncService(
 			services.Descriptor{Name: "S3", ResultName: "updateResult", TargetDocument: "D3.xml"},
 			func(cctx context.Context, params map[string]string) ([]string, error) {
@@ -447,7 +471,7 @@ func runDisconnection(c *Cluster, scenario string) runResult {
 			return abort()
 		}
 		rel()
-		return finish(waitService(resultCh, "S3", 5*time.Second))
+		return finish(WaitService(resultCh, "S3", 5*time.Second))
 
 	case "c":
 		// AP3 dies mid-processing (programmatic crash — nothing on the wire
@@ -472,14 +496,14 @@ func runDisconnection(c *Cluster, scenario string) runResult {
 		if err := ap2.CallAsync(bg, ctx2, "AP3", "S3", nil); err != nil {
 			return abort()
 		}
-		waitTrue(2*time.Second, func() bool { return c.CountEntries("AP6", "D6.xml") == 1 })
+		WaitTrue(2*time.Second, func() bool { return c.CountEntries("AP6", "D6.xml") == 1 })
 		c.Inj.Crash("AP3")
 		pinger := p2p.NewPinger(ap2.Transport(), time.Millisecond, 1,
 			func(id p2p.PeerID) { ap2.OnPeerDown(id) })
 		defer pinger.Stop()
 		pinger.Watch("AP3")
 		pinger.ProbeNow(bg)
-		return finish(waitService(resultCh, "S3", 5*time.Second))
+		return finish(WaitService(resultCh, "S3", 5*time.Second))
 
 	case "d":
 		// AP3 streams to its sibling AP4 and crashes mid-stream (scripted
@@ -518,7 +542,7 @@ func runDisconnection(c *Cluster, scenario string) runResult {
 		case <-time.After(5 * time.Second):
 		}
 		ap4.NotifySiblingDown(txc.ID, "AP3")
-		return finish(waitService(resultCh, "S3", 5*time.Second))
+		return finish(WaitService(resultCh, "S3", 5*time.Second))
 
 	default:
 		panic("chaos: unknown scenario " + scenario)
@@ -544,6 +568,7 @@ func runCacheCoherence(c *Cluster) runResult {
 	for _, id := range []p2p.PeerID{"AP1", "AP2", "AP3", "PR"} {
 		c.Add(id, core.Options{Super: id == "AP1", CallCacheCapacity: 16})
 	}
+	c.Inj.Protect("AP1")
 	var gen atomic.Int64
 	c.Peers["PR"].HostService(services.NewFuncService(
 		services.Descriptor{Name: "quote", ResultName: "r"},
@@ -644,9 +669,9 @@ func docString(c *Cluster, id p2p.PeerID, doc string) string {
 	return xmldom.MarshalString(d.Root())
 }
 
-// failService wraps a registered service so it does its work and then fails
+// FailService wraps a registered service so it does its work and then fails
 // with the named fault — the paper's F5 failure at AP5.
-func failService(p *core.Peer, name, faultName string) {
+func FailService(p *core.Peer, name, faultName string) {
 	inner, ok := p.Registry().Get(name)
 	if !ok {
 		panic("chaos: no such service " + name)
@@ -664,8 +689,8 @@ func failService(p *core.Peer, name, faultName string) {
 		}))
 }
 
-// gate wraps a registered service so it blocks until release is closed.
-func gate(p *core.Peer, name string, release <-chan struct{}) {
+// Gate wraps a registered service so it blocks until release is closed.
+func Gate(p *core.Peer, name string, release <-chan struct{}) {
 	inner, ok := p.Registry().Get(name)
 	if !ok {
 		panic("chaos: no such service " + name)
@@ -678,9 +703,9 @@ func gate(p *core.Peer, name string, release <-chan struct{}) {
 		}))
 }
 
-// waitService drains ch until the named service's result arrives or the
+// WaitService drains ch until the named service's result arrives or the
 // timeout expires.
-func waitService(ch <-chan string, service string, timeout time.Duration) bool {
+func WaitService(ch <-chan string, service string, timeout time.Duration) bool {
 	deadline := time.After(timeout)
 	for {
 		select {
@@ -705,8 +730,8 @@ func hasProvider(t *replication.Table, svc string, id p2p.PeerID) bool {
 	return false
 }
 
-// waitTrue polls cond until it holds or the timeout expires.
-func waitTrue(timeout time.Duration, cond func() bool) bool {
+// WaitTrue polls cond until it holds or the timeout expires.
+func WaitTrue(timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if cond() {

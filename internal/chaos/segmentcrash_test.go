@@ -131,11 +131,8 @@ func segRecover(t *testing.T, dir string, opts wal.SegmentOptions, dirty *xmldom
 	if got := xmldom.MarshalString(live.Root()); got != want {
 		t.Fatalf("replayed document diverged from no-fault run:\n got: %s\nwant: %s", got, want)
 	}
-	if err := core.CheckReverseCompensationOrder(relog, "T"); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.CheckCompensationComplete(relog, "T"); err != nil {
-		t.Fatal(err)
+	if v := TxnViolations("peer", relog, "T"); len(v) > 0 {
+		t.Fatal(v)
 	}
 	return relog
 }

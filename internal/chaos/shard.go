@@ -42,6 +42,7 @@ func runShard(c *Cluster) runResult {
 	for _, id := range []p2p.PeerID{"AP1", "AP2", "AP3", "AP4"} {
 		c.Add(id, core.Options{Super: id == "AP1"})
 	}
+	c.Inj.Protect("AP1")
 	// The transactional workload runs against AP4, keeping AP2 — the crash
 	// victim — out of the transaction so fragment recovery and transaction
 	// recovery stay independently observable.

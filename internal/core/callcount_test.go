@@ -227,7 +227,7 @@ func TestLockWaitHistogram(t *testing.T) {
 	waits := reg.Histogram("axml_lock_wait_seconds", obs.Labels{"peer": "AP1"})
 	lt := p.locks
 	for _, doc := range []string{"D", "D", "E"} { // first, re-entrant, another document
-		if err := lt.Acquire("t1", doc, LockExclusive); err != nil {
+		if err := lt.Acquire("t1", doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,14 +235,14 @@ func TestLockWaitHistogram(t *testing.T) {
 		t.Fatalf("uncontended acquisitions observed %d waits", n)
 	}
 	// t2 contends with t1 for D and waits out the lock timeout.
-	if err := lt.Acquire("t2", "D", LockExclusive); !errors.Is(err, ErrLockTimeout) {
+	if err := lt.Acquire("t2", "D"); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("contended Acquire = %v, want ErrLockTimeout", err)
 	}
 	if n, sum := waits.Count(), waits.Sum(); n != 1 || sum < 30*time.Millisecond {
 		t.Fatalf("one contended acquisition observed %d waits totalling %v", n, sum)
 	}
 	lt.ReleaseAll("t1")
-	if err := lt.Acquire("t2", "D", LockExclusive); err != nil {
+	if err := lt.Acquire("t2", "D"); err != nil {
 		t.Fatal(err)
 	}
 	if n := waits.Count(); n != 1 {

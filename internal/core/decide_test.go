@@ -439,6 +439,32 @@ func TestStrayAbortWritesNothing(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommitLogsOnlyTheDecision: a committed transaction that only
+// read leaves one record in the origin's log, its commit. Begin writes
+// nothing: no reader of the log needs a begin record.
+func TestReadOnlyCommitLogsOnlyTheDecision(t *testing.T) {
+	log := wal.NewMemory()
+	ap1 := NewPeer(p2p.NewNetwork(0).Join("AP1"), log, Options{})
+	if err := ap1.HostDocument("D.xml", "<D><a>1</a></D>"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := axml.ParseQuery("Select x from x in D/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	txc := ap1.Begin()
+	if _, err := ap1.Exec(bg, txc, axml.NewQuery(q)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ap1.Commit(bg, txc); err != nil {
+		t.Fatal(err)
+	}
+	recs := log.Records()
+	if len(recs) != 1 || recs[0].Type != wal.TypeCommit || recs[0].Txn != txc.ID {
+		t.Fatalf("log = %v, want one commit record of %s", recs, txc.ID)
+	}
+}
+
 // TestSlowTxnLogWithoutTracing: the slow-transaction hook sees aborts as
 // well as commits when the peer traces nothing.
 func TestSlowTxnLogWithoutTracing(t *testing.T) {

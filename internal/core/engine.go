@@ -33,8 +33,6 @@ type Options struct {
 	// DisableChaining suppresses active-peer-list propagation — the
 	// "traditional" baseline for the disconnection experiments.
 	DisableChaining bool
-	// EvalMode selects lazy or eager materialization; zero means Lazy.
-	EvalMode axml.EvalMode
 	// LockTimeout bounds document lock waits; zero means 2s.
 	LockTimeout time.Duration
 	// TraceSink receives every span the engine emits (one per Exec, Call,
@@ -131,9 +129,6 @@ func NewPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
 
 // newPeer assembles a peer whose handler is not installed yet.
 func newPeer(transport p2p.Transport, log wal.Log, opts Options) *Peer {
-	if opts.EvalMode == 0 {
-		opts.EvalMode = axml.Lazy
-	}
 	if opts.LockTimeout == 0 {
 		opts.LockTimeout = 2 * time.Second
 	}
@@ -391,7 +386,7 @@ func (p *Peer) HostDocument(name, xml string) error {
 // with this peer as materializer (embedded calls reach remote providers)
 // and announces it in the replication table.
 func (p *Peer) HostQueryService(desc services.Descriptor, template string) {
-	p.registry.Register(services.NewQueryService(desc, p.store, template, p, p.opts.EvalMode))
+	p.registry.Register(services.NewQueryService(desc, p.store, template, p, axml.Lazy))
 	p.replicas.AddService(desc.Name, p.id)
 	if m := p.opts.Membership; m != nil {
 		m.AnnounceService(desc.Name)
@@ -423,7 +418,6 @@ func (p *Peer) Begin() *Context {
 	ctx.rootSpan = p.tracer.Start(id, "", obs.KindTxn, "")
 	ctx.swapSpanID(ctx.rootSpan.ID())
 	p.metrics.TxnsBegun.Add(1)
-	_, _ = p.store.Log().Append(&wal.Record{Txn: id, Type: wal.TypeBegin})
 	return ctx
 }
 
@@ -465,20 +459,11 @@ func (p *Peer) Exec(ctx context.Context, txc *Context, action *axml.Action) (*ax
 
 func (p *Peer) execLocked(txc *Context, action *axml.Action) (*axml.Result, error) {
 	if doc := action.DocName(); doc != "" {
-		if err := p.locks.Acquire(txc.ID, doc, lockModeFor(action)); err != nil {
+		if err := p.locks.Acquire(txc.ID, doc); err != nil {
 			return nil, &services.Fault{Name: "lock-timeout", Msg: err.Error(), Err: ErrTimeout}
 		}
 	}
-	return p.store.Apply(txc.ID, action, p, p.opts.EvalMode)
-}
-
-// lockModeFor picks the document lock mode. Every action takes exclusive:
-// updates obviously write, and queries may write too because lazy
-// evaluation materializes service calls into the document — the "active"
-// nature of AXML documents that §2 argues defeats classic XML lock
-// protocols.
-func lockModeFor(a *axml.Action) LockMode {
-	return LockExclusive
+	return p.store.Apply(txc.ID, action, p, axml.Lazy)
 }
 
 // Call invokes a service within the transaction from the top level (not

@@ -67,6 +67,24 @@ func CheckCompensationComplete(log wal.Log, txn string) error {
 	return nil
 }
 
+// CheckNoCompensationAfterCommit verifies that no compensation bracket of
+// txn opens after txn's commit record in the log: once a peer logged the
+// commit, nothing may undo that work.
+func CheckNoCompensationAfterCommit(log wal.Log, txn string) error {
+	committed := false
+	for _, r := range log.TxnRecords(txn) {
+		switch r.Type {
+		case wal.TypeCommit:
+			committed = true
+		case wal.TypeCompensateBegin:
+			if committed {
+				return fmt.Errorf("core: txn %s compensated after its commit (LSN %d)", txn, r.LSN)
+			}
+		}
+	}
+	return nil
+}
+
 // CheckReverseCompensationOrder verifies that every completed compensation
 // bracket in txn's log undoes the effects of its epoch in exact reverse
 // order: the i-th compensating record must undo the (n-i)-th forward record

@@ -167,3 +167,25 @@ func TestCrashMidCompensationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckNoCompensationAfterCommit(t *testing.T) {
+	appendAll := func(types ...wal.Type) wal.Log {
+		log := wal.NewMemory()
+		for _, ty := range types {
+			if _, err := log.Append(&wal.Record{Txn: "T", Type: ty}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return log
+	}
+	// Compensating an epoch and committing a later one is allowed…
+	ok := appendAll(wal.TypeInsert, wal.TypeCompensateBegin, wal.TypeDelete, wal.TypeCompensateEnd, wal.TypeInsert, wal.TypeCommit)
+	if err := CheckNoCompensationAfterCommit(ok, "T"); err != nil {
+		t.Fatalf("compensation before the commit flagged: %v", err)
+	}
+	// …undoing committed work is not.
+	bad := appendAll(wal.TypeInsert, wal.TypeCommit, wal.TypeCompensateBegin, wal.TypeDelete, wal.TypeCompensateEnd)
+	if err := CheckNoCompensationAfterCommit(bad, "T"); err == nil {
+		t.Fatal("compensation after the commit not flagged")
+	}
+}

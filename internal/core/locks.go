@@ -15,58 +15,43 @@ import (
 // breaks deadlocks between transactions.
 var ErrLockTimeout = errors.New("core: lock wait timeout")
 
-// LockMode is the requested access.
-type LockMode uint8
-
-const (
-	// LockShared allows concurrent readers.
-	LockShared LockMode = iota + 1
-	// LockExclusive is required by any document-modifying operation —
-	// including queries, since lazy materialization writes (§3.1); this is
-	// why the paper considers classic XML lock protocols ill-suited to
-	// "active" documents, and why our isolation unit is the document.
-	LockExclusive
-)
-
-// LockTable provides per-document two-phase locking with txn ownership,
-// re-entrancy and lock upgrade. Growth happens as operations execute;
-// shrink happens only at commit/abort (strict 2PL), which combined with
-// compensation-based recovery gives the relaxed isolation of the framework.
+// LockTable provides per-document two-phase locking with txn ownership and
+// re-entrancy. Every lock is exclusive: updates write, and queries may write
+// too, because lazy evaluation materializes service calls into the document
+// (§3.1) — the "active" nature of AXML documents that §2 argues defeats
+// classic XML lock protocols, and why our isolation unit is the document.
+// Growth happens as operations execute; shrink happens only at commit/abort
+// (strict 2PL), which combined with compensation-based recovery gives the
+// relaxed isolation of the framework.
 type LockTable struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	locks   map[string]*docLock
+	holders map[string]string // doc -> the one txn holding it
 	timeout time.Duration
 	// waits observes how long each contended Acquire waited (granted or
 	// timed out); nil until observeWaits.
 	waits *obs.Histogram
 }
 
-type docLock struct {
-	// holders maps txn -> mode currently held.
-	holders map[string]LockMode
-}
-
 // NewLockTable creates a table with the given acquisition timeout.
 func NewLockTable(timeout time.Duration) *LockTable {
-	lt := &LockTable{locks: make(map[string]*docLock), timeout: timeout}
+	lt := &LockTable{holders: make(map[string]string), timeout: timeout}
 	lt.cond = sync.NewCond(&lt.mu)
 	return lt
 }
 
-// Acquire obtains doc for txn in the given mode, blocking up to the table
-// timeout. Re-acquiring an already-held lock succeeds immediately; holding
-// shared and requesting exclusive upgrades when no other holder exists.
-func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
+// Acquire obtains doc for txn, blocking up to the table timeout.
+// Re-acquiring an already-held lock succeeds immediately.
+func (lt *LockTable) Acquire(txn, doc string) error {
 	lt.mu.Lock()
-	if lt.grant(txn, doc, mode) {
+	if lt.grant(txn, doc) {
 		lt.mu.Unlock()
 		return nil
 	}
 	// Contended. The wait is observed once lt.mu is released, outside the
 	// critical section every locker shares.
 	start, waits := time.Now(), lt.waits
-	err := lt.waitLocked(txn, doc, mode, start)
+	err := lt.waitLocked(txn, doc, start)
 	lt.mu.Unlock()
 	waits.Observe(time.Since(start))
 	return err
@@ -76,7 +61,7 @@ func (lt *LockTable) Acquire(txn, doc string, mode LockMode) error {
 // timeout passes; the caller holds lt.mu. The condition-variable wait
 // cannot time out by itself, so a waker goroutine broadcasts at the
 // deadline and waiters re-check.
-func (lt *LockTable) waitLocked(txn, doc string, mode LockMode, start time.Time) error {
+func (lt *LockTable) waitLocked(txn, doc string, start time.Time) error {
 	deadline := start.Add(lt.timeout)
 	timerFired := false
 	timer := time.AfterFunc(lt.timeout, func() {
@@ -91,7 +76,7 @@ func (lt *LockTable) waitLocked(txn, doc string, mode LockMode, start time.Time)
 			return fmt.Errorf("%w: txn %s on %q", ErrLockTimeout, txn, doc)
 		}
 		lt.cond.Wait()
-		if lt.grant(txn, doc, mode) {
+		if lt.grant(txn, doc) {
 			return nil
 		}
 	}
@@ -105,34 +90,13 @@ func (lt *LockTable) observeWaits(h *obs.Histogram) {
 	lt.waits = h
 }
 
-// grant records txn as a holder of doc in mode when the compatibility
-// matrix allows it; the caller holds lt.mu.
-func (lt *LockTable) grant(txn, doc string, mode LockMode) bool {
-	dl, ok := lt.locks[doc]
-	if !ok {
-		dl = &docLock{holders: make(map[string]LockMode)}
-		lt.locks[doc] = dl
-	}
-	if !lt.grantable(dl, txn, mode) {
+// grant records txn as the holder of doc unless another transaction holds
+// it; the caller holds lt.mu.
+func (lt *LockTable) grant(txn, doc string) bool {
+	if holder, held := lt.holders[doc]; held && holder != txn {
 		return false
 	}
-	if cur, held := dl.holders[txn]; !held || mode > cur {
-		dl.holders[txn] = mode
-	}
-	return true
-}
-
-// grantable implements the compatibility matrix with upgrade support; the
-// caller holds lt.mu.
-func (lt *LockTable) grantable(dl *docLock, txn string, mode LockMode) bool {
-	for holder, held := range dl.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == LockExclusive || held == LockExclusive {
-			return false
-		}
-	}
+	lt.holders[doc] = txn
 	return true
 }
 
@@ -140,23 +104,17 @@ func (lt *LockTable) grantable(dl *docLock, txn string, mode LockMode) bool {
 func (lt *LockTable) ReleaseAll(txn string) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	for doc, dl := range lt.locks {
-		if _, ok := dl.holders[txn]; ok {
-			delete(dl.holders, txn)
-			if len(dl.holders) == 0 {
-				delete(lt.locks, doc)
-			}
+	for doc, holder := range lt.holders {
+		if holder == txn {
+			delete(lt.holders, doc)
 		}
 	}
 	lt.cond.Broadcast()
 }
 
-// Held reports the mode txn holds on doc (0 when none), for tests.
-func (lt *LockTable) Held(txn, doc string) LockMode {
+// Held reports whether txn holds doc, for tests.
+func (lt *LockTable) Held(txn, doc string) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if dl, ok := lt.locks[doc]; ok {
-		return dl.holders[txn]
-	}
-	return 0
+	return lt.holders[doc] == txn
 }

@@ -7,67 +7,41 @@ import (
 	"time"
 )
 
-func TestLockSharedCompatible(t *testing.T) {
-	lt := NewLockTable(50 * time.Millisecond)
-	if err := lt.Acquire("t1", "d", LockShared); err != nil {
-		t.Fatal(err)
-	}
-	if err := lt.Acquire("t2", "d", LockShared); err != nil {
-		t.Fatal(err)
-	}
-	if lt.Held("t1", "d") != LockShared || lt.Held("t2", "d") != LockShared {
-		t.Fatal("Held")
-	}
-}
-
 func TestLockExclusiveConflicts(t *testing.T) {
 	lt := NewLockTable(30 * time.Millisecond)
-	if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+	if err := lt.Acquire("t1", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire("t2", "d", LockShared); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("shared under exclusive: %v", err)
-	}
-	if err := lt.Acquire("t2", "d", LockExclusive); !errors.Is(err, ErrLockTimeout) {
+	if err := lt.Acquire("t2", "d"); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("exclusive under exclusive: %v", err)
 	}
 	// Different document is free.
-	if err := lt.Acquire("t2", "other", LockExclusive); err != nil {
+	if err := lt.Acquire("t2", "other"); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestLockReentrantAndUpgrade(t *testing.T) {
+func TestLockReentrant(t *testing.T) {
 	lt := NewLockTable(30 * time.Millisecond)
-	if err := lt.Acquire("t1", "d", LockShared); err != nil {
+	if err := lt.Acquire("t1", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire("t1", "d", LockShared); err != nil {
+	if err := lt.Acquire("t1", "d"); err != nil {
 		t.Fatal("re-acquire failed")
 	}
-	if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
-		t.Fatal("upgrade failed with sole holder")
-	}
-	if lt.Held("t1", "d") != LockExclusive {
-		t.Fatal("upgrade not recorded")
-	}
-	// Downgrade request keeps exclusive.
-	if err := lt.Acquire("t1", "d", LockShared); err != nil {
-		t.Fatal(err)
-	}
-	if lt.Held("t1", "d") != LockExclusive {
-		t.Fatal("downgrade clobbered mode")
+	if !lt.Held("t1", "d") || lt.Held("t2", "d") {
+		t.Fatal("Held")
 	}
 }
 
 func TestLockReleaseWakesWaiters(t *testing.T) {
 	lt := NewLockTable(2 * time.Second)
-	if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+	if err := lt.Acquire("t1", "d"); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- lt.Acquire("t2", "d", LockExclusive)
+		done <- lt.Acquire("t2", "d")
 	}()
 	time.Sleep(10 * time.Millisecond)
 	lt.ReleaseAll("t1")
@@ -79,24 +53,24 @@ func TestLockReleaseWakesWaiters(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("waiter never woke")
 	}
-	if lt.Held("t1", "d") != 0 {
+	if lt.Held("t1", "d") {
 		t.Fatal("t1 still holds after release")
 	}
 }
 
 func TestLockTimeoutBreaksDeadlock(t *testing.T) {
 	lt := NewLockTable(60 * time.Millisecond)
-	if err := lt.Acquire("t1", "a", LockExclusive); err != nil {
+	if err := lt.Acquire("t1", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire("t2", "b", LockExclusive); err != nil {
+	if err := lt.Acquire("t2", "b"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	var err1, err2 error
 	wg.Add(2)
-	go func() { defer wg.Done(); err1 = lt.Acquire("t1", "b", LockExclusive) }()
-	go func() { defer wg.Done(); err2 = lt.Acquire("t2", "a", LockExclusive) }()
+	go func() { defer wg.Done(); err1 = lt.Acquire("t1", "b") }()
+	go func() { defer wg.Done(); err2 = lt.Acquire("t2", "a") }()
 	wg.Wait()
 	if err1 == nil && err2 == nil {
 		t.Fatal("deadlock not broken")
@@ -112,7 +86,7 @@ func TestLockManyConcurrentTxns(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			txn := string(rune('a' + n))
-			if err := lt.Acquire(txn, "d", LockExclusive); err != nil {
+			if err := lt.Acquire(txn, "d"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -132,11 +106,11 @@ func TestLockManyConcurrentTxns(t *testing.T) {
 func TestLockContendedTimesOutAtDeadline(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	lt := NewLockTable(timeout)
-	if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+	if err := lt.Acquire("t1", "d"); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err := lt.Acquire("t2", "d", LockExclusive)
+	err := lt.Acquire("t2", "d")
 	waited := time.Since(start)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("contended acquire: %v, want ErrLockTimeout", err)
@@ -152,7 +126,7 @@ func TestLockContendedTimesOutAtDeadline(t *testing.T) {
 func TestLockUncontendedAllocs(t *testing.T) {
 	lt := NewLockTable(time.Second)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := lt.Acquire("t1", "d", LockExclusive); err != nil {
+		if err := lt.Acquire("t1", "d"); err != nil {
 			t.Fatal(err)
 		}
 		lt.ReleaseAll("t1")

@@ -124,7 +124,7 @@ func (s *Scheduler) refresh(d due) {
 	p := s.peer
 	bg := context.Background()
 	txc := p.Begin()
-	if err := p.locks.Acquire(txc.ID, d.doc, LockExclusive); err != nil {
+	if err := p.locks.Acquire(txc.ID, d.doc); err != nil {
 		_ = p.Abort(bg, txc)
 		s.countErr()
 		return

@@ -19,7 +19,7 @@ func (p *Peer) executeLocalService(txc *Context, service string, params map[stri
 	}
 	desc := svc.Descriptor()
 	if desc.TargetDocument != "" {
-		if err := p.locks.Acquire(txc.ID, desc.TargetDocument, LockExclusive); err != nil {
+		if err := p.locks.Acquire(txc.ID, desc.TargetDocument); err != nil {
 			return nil, &services.Fault{Name: "lock-timeout", Msg: err.Error()}
 		}
 	}

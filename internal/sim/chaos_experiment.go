@@ -2,13 +2,10 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"time"
 
 	"axmltx/internal/chaos"
-	"axmltx/internal/core"
 	"axmltx/internal/p2p"
+	"axmltx/internal/wal"
 )
 
 // ChaosTreeResult is the outcome of one fault-injected tree transaction.
@@ -25,6 +22,8 @@ type ChaosTreeResult struct {
 	// Violations lists every invariant the run broke after healing; empty
 	// means the run conforms.
 	Violations []string
+	// States is each peer's log folded for Txn after healing.
+	States map[p2p.PeerID]wal.TxnState
 }
 
 // ChaosTreeConfig parameterizes RunChaosTreeCfg beyond the positional
@@ -51,76 +50,28 @@ func RunChaosTree(depth, fanout int, seed int64, faults string) (*ChaosTreeResul
 
 // RunChaosTreeCfg is RunChaosTree with the full configuration surface.
 func RunChaosTreeCfg(cfg ChaosTreeConfig) (*ChaosTreeResult, error) {
-	depth, fanout, seed, faults := cfg.Depth, cfg.Fanout, cfg.Seed, cfg.Faults
-	rules, err := chaos.ParseRules(faults)
+	rules, err := chaos.ParseRules(cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
-	inj := chaos.NewInjector(seed, rules, nil)
-	tc := BuildTree(TreeSpec{
-		Depth: depth, Fanout: fanout, Seed: seed, SuperRatio: cfg.SuperRatio,
-		WrapTransport: func(t p2p.Transport) p2p.Transport { return inj.Wrap(t) },
-	})
+	inj := chaos.NewInjector(cfg.Seed, rules, nil)
+	tc := buildTree(TreeSpec{Depth: cfg.Depth, Fanout: cfg.Fanout, Seed: cfg.Seed, SuperRatio: cfg.SuperRatio}, inj)
 	// The origin drives the workload and holds the decision; crashing it
 	// models nothing from §3.3 (it is the super peer of every chain here).
 	inj.Protect(tc.Order[0])
-	for id, p := range tc.Peers {
-		p := p
-		inj.OnRestart(id, func() { _, _ = p.Restart() })
-	}
 
-	res := &ChaosTreeResult{Depth: depth, Fanout: fanout, Seed: seed, Faults: faults}
-	bg := context.Background()
+	res := &ChaosTreeResult{Depth: cfg.Depth, Fanout: cfg.Fanout, Seed: cfg.Seed, Faults: cfg.Faults}
 	txc, runErr := tc.RunNoCommit()
 	res.Txn = txc.ID
 	if runErr == nil {
-		res.Committed = tc.Origin.Commit(bg, txc) == nil
+		res.Committed = tc.Origin.Commit(context.Background(), txc) == nil
 	} else {
-		_ = tc.Origin.Abort(bg, txc)
+		_ = tc.Origin.Abort(context.Background(), txc)
 	}
-
-	time.Sleep(10 * time.Millisecond) // let in-flight async work land or fail
-	inj.Heal()
-
-	// Reconcile + converge, exactly like the chaos conformance runner: keep
-	// re-sending the final decision (both handlers are idempotent) and poll
-	// the invariants until every log is consistent or the deadline expires.
-	ids := make([]p2p.PeerID, 0, len(tc.Peers))
-	for id := range tc.Peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rec := tc.Net.Join("__reconciler__")
-	defer rec.Close()
-	kind := p2p.KindAbort
-	if res.Committed {
-		kind = p2p.KindCommit
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		for _, id := range ids {
-			_ = rec.Send(bg, id, &p2p.Message{Kind: kind, Txn: txc.ID})
-		}
-		time.Sleep(5 * time.Millisecond)
-		res.Violations = res.Violations[:0]
-		for _, id := range ids {
-			log := tc.Logs[id]
-			if err := core.CheckReplayConsistency(log.Records()); err != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("%s: %v", id, err))
-			}
-			if err := core.CheckReverseCompensationOrder(log, txc.ID); err != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("%s: %v", id, err))
-			}
-			if err := core.CheckCompensationComplete(log, txc.ID); err != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("%s: %v", id, err))
-			}
-		}
-		if !res.Committed && !tc.AllRestored() {
-			res.Violations = append(res.Violations, "aborted transaction left a work document modified")
-		}
-		if len(res.Violations) == 0 || time.Now().After(deadline) {
-			break
-		}
+	res.Violations = tc.Settle(txc.ID, res.Committed)
+	res.States = make(map[p2p.PeerID]wal.TxnState, len(tc.Logs))
+	for id, log := range tc.Logs {
+		res.States[id] = wal.Fold(log.TxnRecords(txc.ID))
 	}
 	res.Injections = len(inj.Injections())
 	res.Restarts = inj.Restarts()

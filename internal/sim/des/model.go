@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,15 +33,13 @@ type Config struct {
 }
 
 // Plan describes one transaction's invocation tree over the deployment:
-// which peer originates, who calls whom (document order), and which work
-// services are scripted to fault.
+// which peer originates and who calls whom (document order).
 type Plan struct {
 	Txn         string
 	Origin      p2p.PeerID
 	Children    map[p2p.PeerID][]p2p.PeerID
 	Parent      map[p2p.PeerID]p2p.PeerID
 	WorkEntries int
-	Fail        map[p2p.PeerID]bool
 }
 
 // Participants returns every peer in the plan, origin first, in
@@ -79,10 +79,6 @@ type mctx struct {
 	// children lists completed child invocations in AddChild order — the
 	// set commit/abort notifications cascade to.
 	children []p2p.PeerID
-	// materialized marks the local service calls as consumed (the <sc>
-	// elements replaced), making a duplicate invoke a no-op. Compensation
-	// restores the elements and clears the flag.
-	materialized bool
 }
 
 // Deployment is a simulated cluster: model peers wired through the chaos
@@ -146,6 +142,7 @@ func (d *Deployment) AddPeer(id p2p.PeerID) *Peer {
 		dropper: dropper,
 		ctxs:    make(map[string]*mctx),
 		live:    make(map[string]map[uint64]bool),
+		results: make(map[string]map[uint64][]uint64),
 	}
 	tr := d.Inj.Wrap(&desTransport{d: d, id: id})
 	tr.SetHandler(p.handle)
@@ -207,7 +204,6 @@ func (d *Deployment) RunTxn(txn string) (committed bool, latency time.Duration) 
 	o := d.peers[pl.Origin]
 	c := &mctx{txn: txn, origin: pl.Origin, status: statusActive}
 	o.ctxs[txn] = c
-	o.append(&wal.Record{Txn: txn, Type: wal.TypeBegin})
 
 	d.pushFrame()
 	err := o.execute(txn)
@@ -231,9 +227,9 @@ func (d *Deployment) RunTxn(txn string) (committed bool, latency time.Duration) 
 
 // Reconcile re-sends the final decision to every listed peer (idempotent
 // handlers) until the transaction's invariants hold on all of them or the
-// state stops changing. It mirrors the conformance reconciler in
-// internal/sim but needs no wall-clock polling: the model is synchronous,
-// so a fixed number of rounds either converges or never will.
+// state stops changing. It mirrors chaos.Cluster.Settle but needs no
+// wall-clock polling: the model is synchronous, so a fixed number of rounds
+// either converges or never will.
 func (d *Deployment) Reconcile(txn string, committed bool, peers []p2p.PeerID) []string {
 	rec := &desTransport{d: d, id: "__reconciler__"}
 	kind := p2p.KindAbort
@@ -249,7 +245,7 @@ func (d *Deployment) Reconcile(txn string, committed bool, peers []p2p.PeerID) [
 		if len(v) == 0 {
 			return nil
 		}
-		if last != nil && equalStrings(v, last) {
+		if last != nil && slices.Equal(v, last) {
 			return v
 		}
 		last = v
@@ -257,43 +253,31 @@ func (d *Deployment) Reconcile(txn string, committed bool, peers []p2p.PeerID) [
 	return last
 }
 
-// Violations runs the shared WAL invariants (the same core.Check* functions
-// the real chaos runner uses) over the listed peers, plus the restored-work
-// check for aborted transactions. The strings match RunChaosTree's format.
+// Violations runs the chaos harness's per-log laws over the listed peers,
+// plus the restored-work check for aborted transactions, so the strings
+// match RunChaosTree's by construction.
 func (d *Deployment) Violations(txn string, committed bool, peers []p2p.PeerID) []string {
 	var out []string
 	for _, id := range peers {
 		p := d.peers[id]
 		// LSN contiguity only holds on unpruned logs; scale mode drops
 		// settled transactions, leaving gaps by design.
-		if !d.Cfg.PrunableLogs {
-			if err := core.CheckReplayConsistency(p.log.Records()); err != nil {
-				out = append(out, fmt.Sprintf("%s: %v", id, err))
+		if d.Cfg.PrunableLogs {
+			out = append(out, chaos.TxnViolations(id, p.log, txn)...)
+		} else {
+			out = append(out, chaos.LogViolations(id, p.log, txn)...)
+		}
+	}
+	if !committed {
+		// The model equivalent of a work document differing from its
+		// snapshot: live work entries of txn remain.
+		for _, id := range peers {
+			if p := d.peers[id]; len(p.live[txn]) > 0 {
+				out = append(out, chaos.RestoredViolation(id, p.workDoc()))
 			}
 		}
-		if err := core.CheckReverseCompensationOrder(p.log, txn); err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", id, err))
-		}
-		if err := core.CheckCompensationComplete(p.log, txn); err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", id, err))
-		}
-	}
-	if !committed && !d.restored(txn, peers) {
-		out = append(out, "aborted transaction left a work document modified")
 	}
 	return out
-}
-
-// restored reports whether no live work entries remain for txn on the
-// listed peers — the model equivalent of TreeCluster.AllRestored (every
-// work document back to its baseline).
-func (d *Deployment) restored(txn string, peers []p2p.PeerID) bool {
-	for _, id := range peers {
-		if len(d.peers[id].live[txn]) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // DropTxn releases a settled transaction's per-peer state (records, live
@@ -306,26 +290,16 @@ func (d *Deployment) DropTxn(txn string, peers []p2p.PeerID) {
 			p.dropper.Drop(txn)
 		}
 		delete(p.live, txn)
+		delete(p.results, txn)
 		delete(p.ctxs, txn)
 	}
 	delete(d.plans, txn)
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Peer is one simulated AXML peer: a WAL, the live transaction contexts,
-// and the set of live work entries per transaction standing in for its
-// work document.
+// the set of live work entries per transaction standing in for its work
+// document, and the results each service call of its composition document
+// holds per transaction.
 type Peer struct {
 	d        *Deployment
 	id       p2p.PeerID
@@ -335,7 +309,18 @@ type Peer struct {
 	ctxs     map[string]*mctx
 	nextNode uint64
 	live     map[string]map[uint64]bool // txn -> live inserted node IDs
+	// results maps txn -> service-call node ID -> its result node IDs, in
+	// document order. The work call is node scWork, child i's call node
+	// scWork+1+i, like the engine's composition document.
+	results map[string]map[uint64][]uint64
 }
+
+// scWork is the node ID of the local work call in a composition document;
+// resultXML is the fragment every call's result stands for.
+const (
+	scWork    = 2
+	resultXML = "<updateResult/>"
+)
 
 // Log exposes the peer's WAL for invariant checks and tests.
 func (p *Peer) Log() wal.Log { return p.log }
@@ -348,6 +333,10 @@ func (p *Peer) append(r *wal.Record) {
 
 func (p *Peer) workDoc() string {
 	return "Work" + strings.TrimPrefix(string(p.id), "P") + ".xml"
+}
+
+func (p *Peer) compDoc() string {
+	return "Comp" + strings.TrimPrefix(string(p.id), "P") + ".xml"
 }
 
 func serviceOf(id p2p.PeerID) string {
@@ -412,24 +401,26 @@ func (p *Peer) handleInvoke(msg *p2p.Message) (*p2p.Message, error) {
 		p.abortContext(c, msg.From, false)
 		return &p2p.Message{Kind: p2p.KindResult, Txn: msg.Txn, Subject: "fault", Err: err.Error()}, nil
 	}
-	return &p2p.Message{Kind: p2p.KindResult, Txn: msg.Txn}, nil
+	n := 0
+	for _, ids := range p.results[msg.Txn] {
+		n += len(ids)
+	}
+	return &p2p.Message{Kind: p2p.KindResult, Txn: msg.Txn, Payload: strconv.AppendInt(nil, int64(n), 10)}, nil
 }
 
 // execute materializes the peer's service-call document for txn: the local
 // work service first (document order), then chain propagation for every
 // remote call, then the remote calls themselves, then reply processing —
 // the exact shape of the three phases of core.Peer.Invoke over the
-// in-memory transport's synchronous delivery.
+// in-memory transport's synchronous delivery. Like the engine, it runs in
+// full on every invocation, a duplicated one included: each call's new
+// results replace the ones it holds.
 func (p *Peer) execute(txn string) error {
 	c := p.ctxs[txn]
 	pl := p.d.plans[txn]
-	if c.materialized {
-		// Duplicate invoke after success: the <sc> elements were already
-		// replaced, so materialization is a no-op.
-		return nil
-	}
 
-	// Local work service: WorkEntries inserts into the work document.
+	// Local work service: WorkEntries inserts into the work document, then
+	// its result.
 	for i := 0; i < pl.WorkEntries; i++ {
 		p.nextNode++
 		id := p.nextNode
@@ -441,13 +432,10 @@ func (p *Peer) execute(txn string) error {
 		p.liveAdd(txn, id)
 		p.d.charge(p.d.work())
 	}
-	if pl.Fail[p.id] {
-		return fmt.Errorf("service fault: work-fault on %s", p.id)
-	}
+	p.merge(txn, scWork, 1)
 
 	kids := pl.Children[p.id]
 	if len(kids) == 0 {
-		c.materialized = true
 		return nil
 	}
 
@@ -487,10 +475,10 @@ func (p *Peer) execute(txn string) error {
 
 	// Phase 3: process replies in document order. Successes register as
 	// children (even after an earlier failure — the real engine processes
-	// the whole batch); the first failure becomes the materialization
-	// error.
+	// the whole batch); results merge up to the first failure, which
+	// becomes the materialization error.
 	var firstErr error
-	for _, r := range results {
+	for i, r := range results {
 		switch {
 		case r.err != nil:
 			if firstErr == nil {
@@ -502,13 +490,35 @@ func (p *Peer) execute(txn string) error {
 			}
 		default:
 			c.children = append(c.children, r.child)
+			if firstErr == nil {
+				n, _ := strconv.Atoi(string(r.reply.Payload))
+				p.merge(txn, scWork+1+uint64(i), n)
+			}
 		}
 	}
-	if firstErr != nil {
-		return firstErr
+	return firstErr
+}
+
+// merge logs one call's materialization in the composition document, like
+// the engine's replace mode: the call's previous results are deleted, then
+// its n new results inserted.
+func (p *Peer) merge(txn string, sc uint64, n int) {
+	calls := p.results[txn]
+	if calls == nil {
+		calls = make(map[uint64][]uint64)
+		p.results[txn] = calls
 	}
-	c.materialized = true
-	return nil
+	for _, id := range calls[sc] {
+		p.append(&wal.Record{Txn: txn, Type: wal.TypeDelete, Doc: p.compDoc(), NodeID: id, ParentID: sc, XML: resultXML, Nodes: 1})
+		p.d.charge(p.d.work())
+	}
+	calls[sc] = calls[sc][:0]
+	for i := 0; i < n; i++ {
+		p.nextNode++
+		p.append(&wal.Record{Txn: txn, Type: wal.TypeInsert, Doc: p.compDoc(), NodeID: p.nextNode, ParentID: sc, Pos: i, XML: resultXML})
+		calls[sc] = append(calls[sc], p.nextNode)
+		p.d.charge(p.d.work())
+	}
 }
 
 // abortContext mirrors core's abortContext: idempotent transition, durable
@@ -537,12 +547,14 @@ func (p *Peer) abortContext(c *mctx, skip p2p.PeerID, notifyParent bool) {
 }
 
 // handleAbort mirrors core: without a context, compensate from the log
-// alone unless the transaction committed here; with one, run the abort
-// cascade, notifying the parent only when the abort came from elsewhere.
+// alone only when it holds effects that neither a commit nor a completed
+// compensation settled (a stray abort writes nothing); with one, run the
+// abort cascade, notifying the parent only when the abort came from
+// elsewhere.
 func (p *Peer) handleAbort(msg *p2p.Message) {
 	c := p.ctxs[msg.Txn]
 	if c == nil {
-		if !wal.Fold(p.log.TxnRecords(msg.Txn)).Committed {
+		if wal.Fold(p.log.TxnRecords(msg.Txn)).Pending() {
 			p.compensate(msg.Txn)
 		}
 		return
@@ -582,22 +594,43 @@ func (p *Peer) compensate(txn string) {
 	acts := core.BuildCompensation(p.log, txn)
 	p.append(&wal.Record{Txn: txn, Type: wal.TypeCompensateBegin})
 	for _, a := range acts {
+		id := uint64(a.TargetID)
 		switch a.Type {
 		case axml.ActionDelete:
-			p.append(&wal.Record{Txn: txn, Type: wal.TypeDelete, Doc: a.Doc, NodeID: uint64(a.TargetID), Pos: -1})
-			p.liveDel(txn, uint64(a.TargetID))
+			p.append(&wal.Record{Txn: txn, Type: wal.TypeDelete, Doc: a.Doc, NodeID: id, Pos: -1})
 		case axml.ActionInsert:
+			id = uint64(a.RestoreID)
 			p.append(&wal.Record{
 				Txn: txn, Type: wal.TypeInsert, Doc: a.Doc,
-				NodeID: uint64(a.RestoreID), ParentID: uint64(a.ParentID), Pos: a.Pos, XML: a.Data,
+				NodeID: id, ParentID: uint64(a.ParentID), Pos: a.Pos, XML: a.Data,
 			})
-			p.liveAdd(txn, uint64(a.RestoreID))
 		}
+		p.undo(txn, a.Type == axml.ActionInsert, a.Doc, uint64(a.ParentID), id)
 		p.d.charge(p.d.work())
 	}
 	p.append(&wal.Record{Txn: txn, Type: wal.TypeCompensateEnd})
-	if c := p.ctxs[txn]; c != nil {
-		c.materialized = false
+}
+
+// undo applies one compensating action to the model's documents: a work
+// entry or a call's result comes back (restore) or goes.
+func (p *Peer) undo(txn string, restore bool, doc string, parent, id uint64) {
+	if doc == p.workDoc() {
+		if restore {
+			p.liveAdd(txn, id)
+		} else {
+			p.liveDel(txn, id)
+		}
+		return
+	}
+	calls := p.results[txn]
+	if restore {
+		calls[parent] = append(calls[parent], id)
+		return
+	}
+	for sc, ids := range calls {
+		if i := slices.Index(ids, id); i >= 0 {
+			calls[sc] = slices.Delete(ids, i, i+1)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"axmltx/internal/chaos"
 	"axmltx/internal/p2p"
+	"axmltx/internal/wal"
 )
 
 // TreeConfig configures one equivalence-mode run: the same (depth, fanout,
@@ -27,6 +28,7 @@ type TreeResult struct {
 	Injections    int
 	Restarts      int
 	Violations    []string
+	States        map[p2p.PeerID]wal.TxnState
 }
 
 // BuildTreePlan enumerates the invocation tree breadth-first with the same
@@ -39,7 +41,6 @@ func BuildTreePlan(txn string, depth, fanout int) *Plan {
 		Children:    make(map[p2p.PeerID][]p2p.PeerID),
 		Parent:      make(map[p2p.PeerID]p2p.PeerID),
 		WorkEntries: 1,
-		Fail:        make(map[p2p.PeerID]bool),
 	}
 	next := 1
 	frontier := []p2p.PeerID{"P0"}
@@ -99,6 +100,10 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		sorted[i] = p2p.PeerID(id)
 	}
 	res.Violations = d.Reconcile(txn, res.Committed, sorted)
+	res.States = make(map[p2p.PeerID]wal.TxnState, len(peers))
+	for _, id := range peers {
+		res.States[id] = wal.Fold(d.Peer(id).Log().TxnRecords(txn))
+	}
 
 	res.Injections = len(inj.Injections())
 	res.Restarts = inj.Restarts()

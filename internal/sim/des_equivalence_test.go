@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"axmltx/internal/p2p"
 	"axmltx/internal/sim/des"
+	"axmltx/internal/wal"
 )
 
 // desNoiseMixes are the fault schedules the equivalence sweep layers over
@@ -70,10 +73,26 @@ func normalizeViolations(vs []string, txn string) []string {
 	return out
 }
 
+// foldSummary renders each peer's folded log state for the transaction —
+// committed, compensated, effect count — in sorted peer order.
+func foldSummary(states map[p2p.PeerID]wal.TxnState) string {
+	ids := make([]p2p.PeerID, 0, len(states))
+	for id := range states {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		st := states[id]
+		fmt.Fprintf(&b, "%s:committed=%t,compensated=%t,effects=%d ", id, st.Committed, st.Compensated, len(st.Effects))
+	}
+	return b.String()
+}
+
 // compareDESPair runs the same (tree shape, seed, faults) configuration
 // through the real chaos engine and the discrete-event model and fails the
-// test on any disagreement in outcome, injection count, restart count, or
-// invariant-check results. corpusLine is the seed-corpus-format repro
+// test on any disagreement in outcome, injection count, restart count,
+// invariant-check results, or any peer's folded log state. corpusLine is the seed-corpus-format repro
 // ("<tree> <seed> [faults]") printed on failure — and appended to
 // testdata/des_seeds.txt when DES_RECORD=1 is set, mirroring CHAOS_RECORD.
 func compareDESPair(t *testing.T, corpusLine string, depth, fanout int, super float64, seed int64, faults string) {
@@ -110,6 +129,10 @@ func compareDESPair(t *testing.T, corpusLine string, depth, fanout int, super fl
 	if fmt.Sprint(rv) != fmt.Sprint(mv) {
 		bad = true
 		t.Errorf("%s: violations real=%v model=%v", corpusLine, rv, mv)
+	}
+	if rs, ms := foldSummary(real.States), foldSummary(model.States); rs != ms {
+		bad = true
+		t.Errorf("%s: per-peer log state real=%s model=%s", corpusLine, rs, ms)
 	}
 	if bad {
 		recordDESSeed(t, corpusLine)

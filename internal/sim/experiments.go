@@ -7,7 +7,6 @@ import (
 
 	"axmltx/internal/core"
 	"axmltx/internal/p2p"
-	"axmltx/internal/xmldom"
 )
 
 // E3Row is one data point of experiment E3 (nested recovery scaling).
@@ -50,7 +49,7 @@ func RunE3(depth, fanout int, forward bool, seed int64) E3Row {
 		row.Restored = err == nil
 	} else {
 		row.Mode = "backward"
-		row.Restored = tc.AllRestored()
+		row.Restored = len(tc.RestoredViolations()) == 0
 	}
 	return row
 }
@@ -106,7 +105,7 @@ func RunE4(fanout int, p float64, peerIndependent bool, trials int, seed int64) 
 				continue
 			}
 			total++
-			if tc.RestoredExcept(allExcept(tc, id)...) {
+			if len(tc.RestoredViolations(id)) == 0 {
 				restored++
 			}
 		}
@@ -123,18 +122,6 @@ func RunE4(fanout int, p float64, peerIndependent bool, trials int, seed int64) 
 	}
 	row.SurvivorRestoredFrac = fracSum / float64(trials)
 	return row
-}
-
-// allExcept returns every main peer except id, so RestoredExcept checks a
-// single peer's document.
-func allExcept(tc *TreeCluster, id p2p.PeerID) []p2p.PeerID {
-	var out []p2p.PeerID
-	for _, o := range tc.Order {
-		if o != id {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // E5Row is one data point of experiment E5 (chaining vs traditional
@@ -187,12 +174,8 @@ func RunE5(depth, fanout int, chaining bool, seed int64) E5Row {
 
 	orphans := 0
 	for _, id := range descendantsOf(tc, dead) {
-		doc, ok := tc.Peers[id].Store().Snapshot("Work" + trimP(id) + ".xml")
-		if !ok {
-			continue
-		}
-		if snap := tc.snapshots[id]; snap != nil && !doc.Equal(snap) && !committed {
-			orphans += countEntries(doc)
+		if !committed && len(tc.RestoredViolations(id)) > 0 {
+			orphans += tc.CountEntries(id, workDoc(id))
 		}
 	}
 	m := tc.TotalMetrics()
@@ -275,7 +258,7 @@ func RunE7(superRatio float64, trials int, seed int64) E7Row {
 			}
 		}
 		_ = tc.Origin.Abort(context.Background(), txc)
-		if tc.RestoredExcept(dead...) && len(dead) == 0 {
+		if len(dead) == 0 && len(tc.RestoredViolations()) == 0 {
 			atomic++
 		}
 	}
@@ -320,14 +303,6 @@ func RunOverhead(depth, fanout int, chaining, peerIndependent bool, seed int64) 
 	}
 }
 
-func trimP(id p2p.PeerID) string {
-	s := string(id)
-	if len(s) > 0 && s[0] == 'P' {
-		return s[1:]
-	}
-	return s
-}
-
 func descendantsOf(tc *TreeCluster, root p2p.PeerID) []p2p.PeerID {
 	var out []p2p.PeerID
 	for _, id := range tc.Order {
@@ -339,19 +314,4 @@ func descendantsOf(tc *TreeCluster, root p2p.PeerID) []p2p.PeerID {
 		}
 	}
 	return out
-}
-
-// countEntries counts <entry> nodes in a document snapshot.
-func countEntries(doc *xmldom.Document) int {
-	if doc.Root() == nil {
-		return 0
-	}
-	n := 0
-	doc.Root().Walk(func(x *xmldom.Node) bool {
-		if x.Name() == "entry" {
-			n++
-		}
-		return true
-	})
-	return n
 }

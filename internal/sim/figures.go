@@ -2,91 +2,14 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/chaos"
 	"axmltx/internal/core"
 	"axmltx/internal/p2p"
 	"axmltx/internal/services"
-	"axmltx/internal/wal"
-	"axmltx/internal/xmldom"
 )
-
-// figCluster wires the named peers over one network with standard work
-// documents and services.
-type figCluster struct {
-	Net   *p2p.Network
-	Peers map[p2p.PeerID]*core.Peer
-}
-
-func newFigCluster(ids []p2p.PeerID, opt func(p2p.PeerID) core.Options) *figCluster {
-	fc := &figCluster{Net: p2p.NewNetwork(0), Peers: make(map[p2p.PeerID]*core.Peer)}
-	for _, id := range ids {
-		fc.Peers[id] = core.NewPeer(fc.Net.Join(id), wal.NewMemory(), opt(id))
-	}
-	return fc
-}
-
-// hostEntry gives a peer a work document and an update service inserting
-// one <entry/> per invocation.
-func (fc *figCluster) hostEntry(id p2p.PeerID, service, doc, root string) {
-	p := fc.Peers[id]
-	if err := p.HostDocument(doc, fmt.Sprintf("<%s><log/></%s>", root, root)); err != nil {
-		panic(err)
-	}
-	p.HostUpdateService(services.Descriptor{
-		Name: service, ResultName: "updateResult", TargetDocument: doc,
-	}, fmt.Sprintf(`<action type="insert"><data><entry svc=%q/></data><location>Select l from l in %s/log;</location></action>`, service, root))
-}
-
-// hostComposite gives a peer a composition document embedding the given
-// (service, provider) calls — optionally with handler XML on the last call
-// — and a query service named svc over it.
-func (fc *figCluster) hostComposite(id p2p.PeerID, svc, doc, root string, calls [][2]string, lastHandlerXML string) {
-	var b []byte
-	b = append(b, fmt.Sprintf("<%s>", root)...)
-	for i, c := range calls {
-		b = append(b, fmt.Sprintf(`<axml:sc mode="replace" methodName=%q serviceURL=%q>`, c[0], c[1])...)
-		if i == len(calls)-1 && lastHandlerXML != "" {
-			b = append(b, lastHandlerXML...)
-		}
-		b = append(b, `</axml:sc>`...)
-	}
-	b = append(b, fmt.Sprintf("</%s>", root)...)
-	p := fc.Peers[id]
-	if err := p.HostDocument(doc, string(b)); err != nil {
-		panic(err)
-	}
-	p.HostQueryService(services.Descriptor{
-		Name: svc, ResultName: "updateResult", TargetDocument: doc,
-	}, fmt.Sprintf("Select d/updateResult from d in %s", root))
-}
-
-// injectFaultAfter wraps a peer's service so it fails with the named fault
-// after doing its work, while flag is set.
-func injectFaultAfter(p *core.Peer, name string, flag *atomic.Bool, faultName string) {
-	inner, ok := p.Registry().Get(name)
-	if !ok {
-		panic("sim: no such service " + name)
-	}
-	p.Registry().Register(services.NewFuncService(inner.Descriptor(),
-		func(cctx context.Context, params map[string]string) ([]string, error) {
-			env, ok := core.EnvFrom(cctx)
-			if !ok {
-				return nil, fmt.Errorf("sim: no engine environment")
-			}
-			out, err := inner.Invoke(cctx, &services.Request{Txn: env.Txn.ID, Params: params})
-			if err != nil {
-				return nil, err
-			}
-			if flag.Load() {
-				return nil, &services.Fault{Name: faultName, Msg: "injected"}
-			}
-			return out, nil
-		}))
-}
 
 // F1Row reports one Figure 1 scenario run.
 type F1Row struct {
@@ -109,35 +32,26 @@ func RunF1(forward bool) F1Row {
 	if forward {
 		ids = append(ids, "AP5b")
 	}
-	fc := newFigCluster(ids, func(id p2p.PeerID) core.Options {
-		return core.Options{Super: id == "AP1"}
-	})
-	fc.hostEntry("AP2", "S2", "D2.xml", "D2")
-	fc.hostEntry("AP4", "S4", "D4.xml", "D4")
-	fc.hostEntry("AP6", "S6", "D6.xml", "D6")
-	fc.hostComposite("AP5", "S5", "D5.xml", "D5", [][2]string{{"S6", "AP6"}}, "")
-	fail := &atomic.Bool{}
-	fail.Store(true)
-	injectFaultAfter(fc.Peers["AP5"], "S5", fail, "F5")
+	c := chaos.NewCluster(chaos.NewInjector(0, nil, nil))
+	for _, id := range ids {
+		c.Add(id, core.Options{Super: id == "AP1"})
+	}
+	c.HostEntry("AP2", "S2", "D2.xml", "D2")
+	c.HostEntry("AP4", "S4", "D4.xml", "D4")
+	c.HostEntry("AP6", "S6", "D6.xml", "D6")
+	c.HostComposite("AP5", "S5", "D5.xml", "D5", [][2]string{{"S6", "AP6"}}, "")
+	chaos.FailService(c.Peers["AP5"], "S5", "F5")
 
 	handler := ""
 	if forward {
 		handler = `<axml:catch faultName="F5"><axml:retry times="1"><axml:sc methodName="S5" serviceURL="AP5b"/></axml:retry></axml:catch>`
-		fc.hostComposite("AP5b", "S5", "D5.xml", "D5", [][2]string{{"S6", "AP6"}}, "")
+		c.HostComposite("AP5b", "S5", "D5.xml", "D5", [][2]string{{"S6", "AP6"}}, "")
 	}
-	fc.hostComposite("AP3", "S3", "D3.xml", "D3", [][2]string{{"S4", "AP4"}, {"S5", "AP5"}}, handler)
-	fc.hostComposite("AP1", "S1", "D1.xml", "D1", [][2]string{{"S2", "AP2"}, {"S3", "AP3"}}, "")
+	c.HostComposite("AP3", "S3", "D3.xml", "D3", [][2]string{{"S4", "AP4"}, {"S5", "AP5"}}, handler)
+	c.HostComposite("AP1", "S1", "D1.xml", "D1", [][2]string{{"S2", "AP2"}, {"S3", "AP3"}}, "")
+	c.SnapshotAll()
 
-	snaps := make(map[string]*xmldom.Document)
-	for id, p := range fc.Peers {
-		for _, name := range p.Store().Names() {
-			if snap, ok := p.Store().Snapshot(name); ok {
-				snaps[string(id)+"/"+name] = snap
-			}
-		}
-	}
-
-	origin := fc.Peers["AP1"]
+	origin := c.Peers["AP1"]
 	txc := origin.Begin()
 	q, _ := axml.ParseQuery("Select d/updateResult from d in D1")
 	_, err := origin.Exec(context.Background(), txc, axml.NewQuery(q))
@@ -155,24 +69,12 @@ func RunF1(forward bool) F1Row {
 	if row.Committed {
 		// Forward recovery: the failed peer's partial work must still have
 		// been compensated ("undo only as much as required").
-		live, ok := fc.Peers["AP5"].Store().Snapshot("D5.xml")
-		row.AllRestored = ok && live.Equal(snaps["AP5/D5.xml"])
+		row.AllRestored = len(c.RestoredViolations("AP5")) == 0
 	} else {
-		row.AllRestored = true
-		for id, p := range fc.Peers {
-			for _, name := range p.Store().Names() {
-				live, ok := p.Store().Snapshot(name)
-				if !ok || !live.Equal(snaps[string(id)+"/"+name]) {
-					row.AllRestored = false
-				}
-			}
-		}
+		row.AllRestored = len(c.RestoredViolations()) == 0
 	}
-	var total core.MetricsSnapshot
-	for _, p := range fc.Peers {
-		total.Add(p.Metrics().Snapshot())
-	}
-	stats := fc.Net.Stats()
+	total := c.TotalMetrics()
+	stats := c.Net.Stats()
 	row.AbortMessages = stats.ByKind[p2p.KindAbort]
 	row.TotalMessages = stats.Total
 	row.NodesUndone = total.NodesUndone
@@ -200,17 +102,18 @@ type F2Row struct {
 // the traditional baseline).
 func RunF2(scenario string, chaining bool) F2Row {
 	ids := []p2p.PeerID{"AP1", "AP2", "AP3", "AP4", "AP5", "AP6", "AP3b"}
-	fc := newFigCluster(ids, func(id p2p.PeerID) core.Options {
-		return core.Options{Super: id == "AP1", DisableChaining: !chaining}
-	})
-	ap1, ap2, ap3, ap4, ap6 := fc.Peers["AP1"], fc.Peers["AP2"], fc.Peers["AP3"], fc.Peers["AP4"], fc.Peers["AP6"]
-	fc.hostEntry("AP2", "S2w", "D2.xml", "D2")
-	fc.hostEntry("AP3", "S3w", "D3.xml", "D3")
-	fc.hostEntry("AP4", "S4w", "D4.xml", "D4")
-	fc.hostEntry("AP5", "S5", "D5.xml", "D5")
-	fc.hostEntry("AP6", "S6", "D6.xml", "D6")
-	fc.hostEntry("AP3b", "S3", "D3b.xml", "D3b") // replica provider of S3
-	for _, p := range fc.Peers {
+	c := chaos.NewCluster(chaos.NewInjector(0, nil, nil))
+	for _, id := range ids {
+		c.Add(id, core.Options{Super: id == "AP1", DisableChaining: !chaining})
+	}
+	ap1, ap2, ap3, ap4, ap6 := c.Peers["AP1"], c.Peers["AP2"], c.Peers["AP3"], c.Peers["AP4"], c.Peers["AP6"]
+	c.HostEntry("AP2", "S2w", "D2.xml", "D2")
+	c.HostEntry("AP3", "S3w", "D3.xml", "D3")
+	c.HostEntry("AP4", "S4w", "D4.xml", "D4")
+	c.HostEntry("AP5", "S5", "D5.xml", "D5")
+	c.HostEntry("AP6", "S6", "D6.xml", "D6")
+	c.HostEntry("AP3b", "S3", "D3b.xml", "D3b") // replica provider of S3
+	for _, p := range c.Peers {
 		p.Replicas().AddService("S3", "AP3")
 		p.Replicas().AddService("S3", "AP3b")
 	}
@@ -237,7 +140,7 @@ func RunF2(scenario string, chaining bool) F2Row {
 		if _, err := ap2.Call(context.Background(), ctx2, "AP3", "S3w", nil); err != nil {
 			panic(err)
 		}
-		fc.Net.Disconnect("AP6")
+		c.Net.Disconnect("AP6")
 		ctx3, _ := ap3.Manager().Get(txc.ID)
 		if _, err := ap3.Call(context.Background(), ctx3, "AP6", "S6", nil); err == nil {
 			panic("sim: expected unreachable")
@@ -247,7 +150,7 @@ func RunF2(scenario string, chaining bool) F2Row {
 		// AP3 invokes S6 asynchronously then dies; AP6 redirects the
 		// results to AP2, which forward-recovers S3 on AP3b reusing them.
 		release := make(chan struct{})
-		gateService(ap6, "S6", release)
+		chaos.Gate(ap6, "S6", release)
 		ap3.HostService(services.NewFuncService(
 			services.Descriptor{Name: "S3", ResultName: "updateResult", TargetDocument: "D3.xml"},
 			func(cctx context.Context, params map[string]string) ([]string, error) {
@@ -263,9 +166,9 @@ func RunF2(scenario string, chaining bool) F2Row {
 		if _, err := ap2.Call(context.Background(), ctx2, "AP3", "S3", nil); err != nil {
 			panic(err)
 		}
-		fc.Net.Disconnect("AP3")
+		c.Net.Disconnect("AP3")
 		close(release)
-		if chaining && waitService(resultCh, "S3", 5*time.Second) {
+		if chaining && chaos.WaitService(resultCh, "S3", 5*time.Second) {
 			row.Committed = ap1.Commit(context.Background(), txc) == nil
 		} else {
 			// Traditional baseline: the redirect never happens, AP2 learns
@@ -293,15 +196,12 @@ func RunF2(scenario string, chaining bool) F2Row {
 		if err := ap2.CallAsync(context.Background(), ctx2, "AP3", "S3", nil); err != nil {
 			panic(err)
 		}
-		waitUntil(func() bool {
-			d, ok := ap6.Store().Snapshot("D6.xml")
-			return ok && countEntries(d) == 1
-		})
-		fc.Net.Disconnect("AP3")
+		chaos.WaitTrue(5*time.Second, func() bool { return c.CountEntries("AP6", "D6.xml") == 1 })
+		c.Net.Disconnect("AP3")
 		pinger := p2p.NewPinger(ap2.Transport(), time.Millisecond, 1, func(id p2p.PeerID) { ap2.OnPeerDown(id) })
 		pinger.Watch("AP3")
 		pinger.ProbeNow(context.Background())
-		if chaining && waitService(resultCh, "S3", 5*time.Second) {
+		if chaining && chaos.WaitService(resultCh, "S3", 5*time.Second) {
 			row.Committed = ap1.Commit(context.Background(), txc) == nil
 		} else {
 			// Traditional: the chain is unknown, recovery cannot redirect;
@@ -335,11 +235,11 @@ func RunF2(scenario string, chaining bool) F2Row {
 		for seq := 0; seq < 3; seq++ {
 			_ = ap3.StreamTo("AP4", &core.StreamBatch{Txn: txc.ID, Service: "S3", Seq: seq})
 		}
-		fc.Net.Disconnect("AP3")
+		c.Net.Disconnect("AP3")
 		<-silence
 		ap4.NotifySiblingDown(txc.ID, "AP3")
 		// With a replica available the parent forward-recovers; commit.
-		if chaining && waitService(resultCh, "S3", 5*time.Second) {
+		if chaining && chaos.WaitService(resultCh, "S3", 5*time.Second) {
 			row.Committed = ap1.Commit(context.Background(), txc) == nil
 		} else {
 			time.Sleep(20 * time.Millisecond)
@@ -351,53 +251,15 @@ func RunF2(scenario string, chaining bool) F2Row {
 	}
 
 	// Settle asynchronous cleanups.
-	waitUntil(func() bool { return true })
 	time.Sleep(5 * time.Millisecond)
 
-	var total core.MetricsSnapshot
-	for _, p := range fc.Peers {
-		total.Add(p.Metrics().Snapshot())
-	}
+	total := c.TotalMetrics()
 	row.Recovered = row.Committed || txc.Status() != core.StatusActive
-	row.Redirects = fc.Peers["AP6"].Metrics().Redirects.Load() + ap2.Metrics().Redirects.Load()
+	row.Redirects = ap6.Metrics().Redirects.Load() + ap2.Metrics().Redirects.Load()
 	row.WorkReused = total.WorkReused
 	row.NodesLost = total.NodesLost
 	row.NodesUndone = total.NodesUndone
-	row.Messages = fc.Net.Stats().Total
+	row.Messages = c.Net.Stats().Total
 	row.DisconnectsDetected = total.DisconnectsDetected
 	return row
-}
-
-func gateService(p *core.Peer, name string, release <-chan struct{}) {
-	inner, _ := p.Registry().Get(name)
-	p.Registry().Register(services.NewFuncService(inner.Descriptor(),
-		func(cctx context.Context, params map[string]string) ([]string, error) {
-			<-release
-			env, _ := core.EnvFrom(cctx)
-			return inner.Invoke(cctx, &services.Request{Txn: env.Txn.ID, Params: params})
-		}))
-}
-
-func waitService(ch <-chan string, service string, timeout time.Duration) bool {
-	deadline := time.After(timeout)
-	for {
-		select {
-		case got := <-ch:
-			if got == service {
-				return true
-			}
-		case <-deadline:
-			return false
-		}
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

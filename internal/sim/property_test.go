@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"axmltx/internal/core"
+	"axmltx/internal/chaos"
 )
 
 // TestPropertyAtomicityUnderRandomFailure is the central invariant of the
@@ -33,7 +33,7 @@ func TestPropertyAtomicityUnderRandomFailure(t *testing.T) {
 			t.Logf("seed %d: expected failure with victim %s", seed, victim)
 			return false
 		}
-		if !tc.AllRestored() {
+		if len(tc.RestoredViolations()) > 0 {
 			t.Logf("seed %d: victim %s: not all restored (depth=%d fanout=%d)", seed, victim, depth, fanout)
 			return false
 		}
@@ -137,20 +137,12 @@ func TestPropertyCompensationReverseOrder(t *testing.T) {
 					return false
 				}
 				for id, log := range tc.Logs {
-					if err := core.CheckReplayConsistency(log.Records()); err != nil {
-						t.Logf("seed %d: %s: %v", seed, id, err)
-						return false
-					}
-					if err := core.CheckReverseCompensationOrder(log, txc.ID); err != nil {
-						t.Logf("seed %d: %s: %v", seed, id, err)
-						return false
-					}
-					if err := core.CheckCompensationComplete(log, txc.ID); err != nil {
-						t.Logf("seed %d: %s: %v", seed, id, err)
+					if v := chaos.LogViolations(id, log, txc.ID); len(v) > 0 {
+						t.Logf("seed %d: %v", seed, v)
 						return false
 					}
 				}
-				return tc.AllRestored()
+				return len(tc.RestoredViolations()) == 0
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 				t.Fatal(err)

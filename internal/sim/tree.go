@@ -17,12 +17,11 @@ import (
 	"sync/atomic"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/chaos"
 	"axmltx/internal/core"
 	"axmltx/internal/obs"
 	"axmltx/internal/p2p"
 	"axmltx/internal/services"
-	"axmltx/internal/wal"
-	"axmltx/internal/xmldom"
 )
 
 // TreeSpec describes a synthetic invocation tree: the origin peer invokes
@@ -57,30 +56,31 @@ type TreeSpec struct {
 	// MetricsRegistry, when set, collects every peer's protocol counters
 	// and latency histograms under the shared axml_* schema.
 	MetricsRegistry *obs.Registry
-	// WrapTransport, when set, wraps every peer's transport before the peer
-	// is built — the hook the chaos layer uses to interpose fault injection
-	// on all traffic of a tree deployment.
-	WrapTransport func(p2p.Transport) p2p.Transport
 }
 
-// TreeCluster is a built tree deployment.
+// TreeCluster is a built tree deployment. Its chaos.Cluster holds the
+// network, every peer (replicas included) with its WAL, and the snapshot of
+// every work document the atomicity checks compare against.
 type TreeCluster struct {
+	*chaos.Cluster
 	Spec   TreeSpec
-	Net    *p2p.Network
 	Origin *core.Peer
-	Peers  map[p2p.PeerID]*core.Peer // includes replicas
-	Logs   map[p2p.PeerID]wal.Log    // each peer's WAL, for invariant checks
-	Order  []p2p.PeerID              // main peers, breadth-first; Order[0] is the origin
+	Order  []p2p.PeerID // main peers, breadth-first; Order[0] is the origin
 	Parent map[p2p.PeerID]p2p.PeerID
 	Leaves []p2p.PeerID
 	// Fail holds the per-peer failure flags of the local work services.
 	Fail map[p2p.PeerID]*atomic.Bool
-	// snapshots of every work document, for atomicity verification.
-	snapshots map[p2p.PeerID]*xmldom.Document
 }
 
-// BuildTree constructs the deployment on a fresh in-memory network.
+// BuildTree constructs the deployment on a fresh in-memory network, behind
+// an injector with no rules.
 func BuildTree(spec TreeSpec) *TreeCluster {
+	return buildTree(spec, chaos.NewInjector(spec.Seed, nil, nil))
+}
+
+// buildTree constructs the deployment with every peer's traffic routed
+// through inj.
+func buildTree(spec TreeSpec, inj *chaos.Injector) *TreeCluster {
 	if spec.Fanout < 1 {
 		spec.Fanout = 1
 	}
@@ -95,13 +95,10 @@ func BuildTree(spec TreeSpec) *TreeCluster {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	tc := &TreeCluster{
-		Spec:      spec,
-		Net:       p2p.NewNetwork(0),
-		Peers:     make(map[p2p.PeerID]*core.Peer),
-		Logs:      make(map[p2p.PeerID]wal.Log),
-		Parent:    make(map[p2p.PeerID]p2p.PeerID),
-		Fail:      make(map[p2p.PeerID]*atomic.Bool),
-		snapshots: make(map[p2p.PeerID]*xmldom.Document),
+		Cluster: chaos.NewCluster(inj),
+		Spec:    spec,
+		Parent:  make(map[p2p.PeerID]p2p.PeerID),
+		Fail:    make(map[p2p.PeerID]*atomic.Bool),
 	}
 
 	// Enumerate the tree breadth-first: peer IDs P0 (origin), P1, ...
@@ -163,6 +160,7 @@ func BuildTree(spec TreeSpec) *TreeCluster {
 
 func serviceName(id p2p.PeerID) string { return "S" + strings.TrimPrefix(string(id), "P") }
 func workName(id p2p.PeerID) string    { return "W" + strings.TrimPrefix(string(id), "P") }
+func workDoc(id p2p.PeerID) string     { return "Work" + strings.TrimPrefix(string(id), "P") + ".xml" }
 
 // buildPeer assembles one peer: its work document + work service, its
 // composition document embedding the local work call and the child service
@@ -170,27 +168,19 @@ func workName(id p2p.PeerID) string    { return "W" + strings.TrimPrefix(string(
 // the same services under the same names, doing its local work locally but
 // invoking the same children.
 func (tc *TreeCluster) buildPeer(id p2p.PeerID, children []p2p.PeerID, super, isReplica bool) {
-	opts := core.Options{
+	peer := tc.Add(id, core.Options{
 		Super:           super,
 		PeerIndependent: tc.Spec.PeerIndependent,
 		DisableChaining: tc.Spec.DisableChaining,
 		TraceSink:       tc.Spec.TraceSink,
 		MetricsRegistry: tc.Spec.MetricsRegistry,
-	}
-	transport := tc.Net.Join(id)
-	if tc.Spec.WrapTransport != nil {
-		transport = tc.Spec.WrapTransport(transport)
-	}
-	log := wal.NewMemory()
-	peer := core.NewPeer(transport, log, opts)
-	tc.Peers[id] = peer
-	tc.Logs[id] = log
+	})
 
 	base := p2p.PeerID(strings.TrimSuffix(string(id), "r"))
 	svc, work := serviceName(base), workName(base)
-	workDoc := "Work" + strings.TrimPrefix(string(id), "P") + ".xml"
-	workRoot := strings.TrimSuffix(workDoc, ".xml")
-	if err := peer.HostDocument(workDoc, fmt.Sprintf("<%s><log/></%s>", workRoot, workRoot)); err != nil {
+	doc := workDoc(id)
+	workRoot := strings.TrimSuffix(doc, ".xml")
+	if err := peer.HostDocument(doc, fmt.Sprintf("<%s><log/></%s>", workRoot, workRoot)); err != nil {
 		panic(err)
 	}
 
@@ -202,7 +192,7 @@ func (tc *TreeCluster) buildPeer(id p2p.PeerID, children []p2p.PeerID, super, is
 	}
 	entries := tc.Spec.WorkEntries
 	peer.HostService(services.NewFuncService(
-		services.Descriptor{Name: work, ResultName: "updateResult", TargetDocument: workDoc},
+		services.Descriptor{Name: work, ResultName: "updateResult", TargetDocument: doc},
 		func(cctx context.Context, params map[string]string) ([]string, error) {
 			env, ok := core.EnvFrom(cctx)
 			if !ok {
@@ -247,22 +237,14 @@ func (tc *TreeCluster) buildPeer(id p2p.PeerID, children []p2p.PeerID, super, is
 		Name: svc, ResultName: "updateResult", TargetDocument: compDoc,
 	}, fmt.Sprintf("Select d/updateResult from d in %s", compRoot))
 
-	if snap, ok := peer.Store().Snapshot(workDoc); ok {
-		tc.snapshots[id] = snap
-	}
+	tc.Snapshot(id, doc)
 }
 
 // Run executes one transaction: the origin queries its composition
 // document, which drives the whole tree, then commits on success or aborts
 // on failure. It returns the origin-side error (nil on commit).
 func (tc *TreeCluster) Run() error {
-	txc := tc.Origin.Begin()
-	q, err := axml.ParseQuery(fmt.Sprintf("Select d/updateResult from d in Comp%s",
-		strings.TrimPrefix(string(tc.Order[0]), "P")))
-	if err != nil {
-		panic(err)
-	}
-	_, err = tc.Origin.Exec(context.Background(), txc, axml.NewQuery(q))
+	txc, err := tc.RunNoCommit()
 	if err != nil {
 		_ = tc.Origin.Abort(context.Background(), txc)
 		return err
@@ -283,63 +265,14 @@ func (tc *TreeCluster) RunNoCommit() (*core.Context, error) {
 	return txc, err
 }
 
-// TotalMetrics sums the metric snapshots of every peer.
-func (tc *TreeCluster) TotalMetrics() core.MetricsSnapshot {
-	var total core.MetricsSnapshot
-	for _, p := range tc.Peers {
-		total.Add(p.Metrics().Snapshot())
-	}
-	return total
-}
-
-// WorkEntriesCommitted counts live <entry> nodes across all main-peer work
-// documents.
+// WorkEntriesCommitted counts live <entry> nodes across the work documents
+// of every peer, replicas included.
 func (tc *TreeCluster) WorkEntriesCommitted() int {
 	total := 0
-	for id := range tc.snapshots {
-		doc, ok := tc.Peers[id].Store().Snapshot("Work" + strings.TrimPrefix(string(id), "P") + ".xml")
-		if !ok {
-			continue
-		}
-		doc.Root().Walk(func(n *xmldom.Node) bool {
-			if n.Name() == "entry" {
-				total++
-			}
-			return true
-		})
+	for id := range tc.Peers {
+		total += tc.CountEntries(id, workDoc(id))
 	}
 	return total
-}
-
-// AllRestored reports whether every main peer's work document equals its
-// pre-transaction snapshot — the atomicity check after an abort.
-func (tc *TreeCluster) AllRestored() bool {
-	for id, snap := range tc.snapshots {
-		doc, ok := tc.Peers[id].Store().Snapshot("Work" + strings.TrimPrefix(string(id), "P") + ".xml")
-		if !ok || !doc.Equal(snap) {
-			return false
-		}
-	}
-	return true
-}
-
-// RestoredExcept is AllRestored ignoring the given (e.g. disconnected)
-// peers.
-func (tc *TreeCluster) RestoredExcept(skip ...p2p.PeerID) bool {
-	drop := make(map[p2p.PeerID]bool, len(skip))
-	for _, s := range skip {
-		drop[s] = true
-	}
-	for id, snap := range tc.snapshots {
-		if drop[id] {
-			continue
-		}
-		doc, ok := tc.Peers[id].Store().Snapshot("Work" + strings.TrimPrefix(string(id), "P") + ".xml")
-		if !ok || !doc.Equal(snap) {
-			return false
-		}
-	}
-	return true
 }
 
 // PeerCount returns the number of main (non-replica) peers.
