@@ -467,8 +467,9 @@ func NewPeer(t Transport, opts ...Option) (*Peer, error) { return Open("", t, ni
 
 // Open opens the durable peer whose state lives in directory dir, creating
 // it if needed: dir/wal holds the operation log (group commit: commit,
-// abort and compensate-end records are durable when their append returns,
-// and a served invocation's reply waits for the log) and dir/docs the
+// abort and compensate-end records of a transaction that logged before
+// them are durable when their append returns, and a served invocation's
+// reply waits for the log) and dir/docs the
 // document checkpoints. setup hosts the peer's configured documents and
 // services; the checkpoints of the last Peer.Close override them, what the
 // log shows in flight is compensated, and only then does the peer serve.

@@ -75,23 +75,28 @@ func (l syncGroupLog) Append(r *wal.Record) (uint64, error) {
 // and compensation invariants, torn tail included.
 // One more row crashes after a serve barrier with buffered effect records
 // behind it: the crash loses exactly those, and recovery still compensates
-// back to the pre-transaction document.
+// back to the pre-transaction document. A last row commits T (forced), then
+// a read-only R whose commit is not forced, and the kill loses R's record:
+// recovery finds nothing to do and the document is T's committed one.
 func TestCrashRestartMatrix(t *testing.T) {
 	type crashCase struct {
 		name      string
 		wrap      func(wal.Log) wal.Log
 		committed bool // the commit record was durable at the kill instant
 		unsynced  int  // inserts appended after the barrier, lost in the crash
+		readOnly  bool // a read-only R commits after the barrier, lost in the crash
 	}
 	var cases []crashCase
 	for _, pat := range syncPatterns {
 		cases = append(cases,
-			crashCase{pat.name + "/beforeCommit", pat.wrap, false, 0},
-			crashCase{pat.name + "/afterCommit", pat.wrap, true, 0})
+			crashCase{pat.name + "/beforeCommit", pat.wrap, false, 0, false},
+			crashCase{pat.name + "/afterCommit", pat.wrap, true, 0, false})
 	}
 	// Only a log with no extra barriers leaves records buffered behind the
-	// serve barrier.
-	cases = append(cases, crashCase{"afterServeBarrier", syncPatterns[0].wrap, false, 2})
+	// serve barrier, or a read-only commit unforced.
+	cases = append(cases,
+		crashCase{"afterServeBarrier", syncPatterns[0].wrap, false, 2, false},
+		crashCase{"lostReadOnlyCommit", syncPatterns[0].wrap, true, 0, true})
 	const inserts = 3
 
 	// The no-fault outcomes, built once on an in-memory store.
@@ -161,6 +166,20 @@ func TestCrashRestartMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if kill.readOnly {
+				// R reads and commits. It logged nothing before its commit,
+				// so the commit waits for no fsync.
+				if _, err := store.Apply("R", axml.NewQuery(loc), nil, axml.Lazy); err != nil {
+					t.Fatal(err)
+				}
+				fsyncs := seg.Fsyncs()
+				if _, err := log.Append(&wal.Record{Txn: "R", Type: wal.TypeCommit}); err != nil {
+					t.Fatal(err)
+				}
+				if n := seg.Fsyncs() - fsyncs; n != 0 {
+					t.Fatalf("read-only commit issued %d fsyncs, want 0", n)
+				}
+			}
 			// The kill instant: the process dies — the handle is abandoned,
 			// never closed, records appended after the barrier were never
 			// synced and are lost, and the dying write leaves a torn tail.
@@ -211,6 +230,11 @@ func TestCrashRestartMatrix(t *testing.T) {
 			}
 			if v := TxnViolations("peer", relog, "T"); len(v) > 0 {
 				t.Fatal(v)
+			}
+			if kill.readOnly {
+				if recs := relog.TxnRecords("R"); len(recs) != 0 {
+					t.Fatalf("the kill kept the unforced read-only commit: %v", recs)
+				}
 			}
 		})
 	}

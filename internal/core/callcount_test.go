@@ -250,6 +250,19 @@ func TestLockWaitHistogram(t *testing.T) {
 	}
 }
 
+// gaugeValue returns the value of reg's series name, failing t when there
+// is none.
+func gaugeValue(t *testing.T, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	for _, s := range reg.Export() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	t.Fatalf("no %s series", name)
+	return 0
+}
+
 // TestQueryElementsVisited: axml_query_elements_visited counts what finding
 // a query's bindings cost. On local_rw's shape of document, the first read
 // and the first replace by key each walk all of it to build their index;
@@ -268,15 +281,7 @@ func TestQueryElementsVisited(t *testing.T) {
 	if err := p.HostDocument("ATP0.xml", b.String()); err != nil {
 		t.Fatal(err)
 	}
-	gauge := func(name string) int64 {
-		for _, s := range reg.Export() {
-			if s.Name == name {
-				return s.Value
-			}
-		}
-		t.Fatalf("no %s series", name)
-		return 0
-	}
+	gauge := func(name string) int64 { return gaugeValue(t, reg, name) }
 	read, err := axml.ParseQuery(`Select p/name/lastname, p/points from p in ATP0//player where p/citizenship = C7`)
 	if err != nil {
 		t.Fatal(err)

@@ -109,9 +109,11 @@ func (p *Peer) decide(txc *Context, ev event) error {
 			kind = obs.KindAbort
 		}
 		sp = p.tracer.Start(ev.txn, txc.SpanID(), kind, txc.Service)
-		// A decision's Append returns once it, and every effect record before
+		// When the transaction has an earlier record in this log, a
+		// decision's Append returns once it, and every effect record before
 		// it, is on disk: nothing below runs ahead of it, and a crash
-		// mid-compensation replays as an abort.
+		// mid-compensation replays as an abort. An effect-free transaction's
+		// decision is not forced; restart has nothing of it to act on.
 		_, err = p.store.Log().Append(&wal.Record{Txn: ev.txn, Type: a.record})
 		if txc.Self == txc.Origin && a.record == wal.TypeCommit {
 			p.metrics.TxnsCommitted.Add(1)

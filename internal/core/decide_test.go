@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"axmltx/internal/axml"
+	"axmltx/internal/obs"
 	"axmltx/internal/p2p"
 	"axmltx/internal/services"
 	"axmltx/internal/wal"
@@ -462,6 +463,58 @@ func TestReadOnlyCommitLogsOnlyTheDecision(t *testing.T) {
 	recs := log.Records()
 	if len(recs) != 1 || recs[0].Type != wal.TypeCommit || recs[0].Txn != txc.ID {
 		t.Fatalf("log = %v, want one commit record of %s", recs, txc.ID)
+	}
+}
+
+// TestReadOnlyCommitsIssueNoFsync: on a durable peer, a committed read-only
+// transaction still logs its commit record but waits for no fsync, because
+// nothing of it is there to compensate; a committed replace forces its
+// commit record. axml_wal_fsyncs counts every fsync the log issues.
+func TestReadOnlyCommitsIssueNoFsync(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, err := Open(t.TempDir(), p2p.NewNetwork(0).Join("AP1"), Options{MetricsRegistry: reg}, wal.SegmentOptions{},
+		func(p *Peer) error { return p.HostDocument("D.xml", "<D><a>1</a></D>") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	fsyncs := func() int64 { return gaugeValue(t, reg, "axml_wal_fsyncs") }
+	commits := func() int {
+		n := 0
+		for _, r := range p.Store().Log().Records() {
+			if r.Type == wal.TypeCommit {
+				n++
+			}
+		}
+		return n
+	}
+	q, err := axml.ParseQuery("Select x from x in D/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(action *axml.Action) {
+		txc := p.Begin()
+		if _, err := p.Exec(bg, txc, action); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(bg, txc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncs, logged := fsyncs(), commits()
+	for i := 0; i < 100; i++ {
+		run(axml.NewQuery(q))
+	}
+	if n := fsyncs() - syncs; n != 0 {
+		t.Fatalf("100 read-only commits issued %d fsyncs, want 0", n)
+	}
+	if n := commits() - logged; n != 100 {
+		t.Fatalf("100 read-only commits logged %d commit records, want 100", n)
+	}
+	syncs = fsyncs()
+	run(axml.NewReplace(q, "<a>2</a>"))
+	if n := fsyncs() - syncs; n < 1 {
+		t.Fatalf("a committed replace issued %d fsyncs, want at least 1", n)
 	}
 }
 

@@ -233,8 +233,10 @@ func (p *Peer) RegisterObservability(reg *obs.Registry) {
 	p.store.SetApplyObserver(func(d time.Duration) { p.histMaterialize.Observe(d) })
 	if seg, ok := p.store.Log().(*wal.SegmentedLog); ok {
 		// Make log compaction visible on /metrics: a gauge for the current
-		// segment count (noteCompact adds the spans).
+		// segment count (noteCompact adds the spans), and the fsyncs the log
+		// has issued, forced decisions and barriers included.
 		reg.Gauge("axml_wal_segments", labels, func() int64 { return int64(seg.Segments()) })
+		reg.Gauge("axml_wal_fsyncs", labels, func() int64 { return int64(seg.Fsyncs()) })
 	}
 }
 
@@ -257,7 +259,8 @@ func (p *Peer) Tracer() *obs.Tracer { return p.tracer }
 // syncLog runs the WAL durability barrier and feeds its latency histogram.
 // The engine calls it once per served invocation, before anything derived
 // from the serve's records leaves the peer; decision records need no call,
-// because their Append already waits for the disk.
+// because the Append of one that follows a record of its transaction
+// already waits for the disk.
 func (p *Peer) syncLog() error {
 	start := time.Now()
 	err := p.store.Log().Sync()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -22,15 +23,19 @@ func raiseTo(v *atomic.Uint64, lsn uint64) {
 }
 
 // durableTap decorates a peer's log with its durable watermark: the highest
-// LSN covered by a returned Sync or decision Append. A Sync covers every
-// LSN whose Append had returned when it was called.
+// LSN covered by a returned Sync or forced decision Append. A Sync covers
+// every LSN whose Append had returned when it was called; a decision is
+// forced when its transaction appended a record before it (the runs here
+// take no checkpoint, so a record once seen stays in the log's index).
 type durableTap struct {
 	wal.Log
 	appended  atomic.Uint64
 	watermark atomic.Uint64
+	logged    sync.Map // transaction ID -> true once it appended a record
 }
 
 func (l *durableTap) Append(r *wal.Record) (uint64, error) {
+	_, earlier := l.logged.LoadOrStore(r.Txn, true)
 	lsn, err := l.Log.Append(r)
 	if err != nil {
 		return lsn, err
@@ -38,7 +43,9 @@ func (l *durableTap) Append(r *wal.Record) (uint64, error) {
 	raiseTo(&l.appended, lsn)
 	switch r.Type {
 	case wal.TypeCommit, wal.TypeAbort, wal.TypeCompensateEnd:
-		raiseTo(&l.watermark, lsn)
+		if earlier {
+			raiseTo(&l.watermark, lsn)
+		}
 	}
 	return lsn, nil
 }

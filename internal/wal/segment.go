@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"axmltx/internal/codec"
 )
@@ -62,11 +63,15 @@ func parseSegmentName(name string) (uint64, bool) {
 //     checkpoint, whose state the checkpoint wholly covers.
 //
 // Append writes the frame and returns without waiting for the disk, except
-// for a decision record (TypeCommit, TypeAbort, TypeCompensateEnd), which
-// returns only once it and every earlier record are durable. Sync is the
-// explicit barrier. Both wait through one group commit, so concurrent
-// waiters share an fsync. A Log decorator therefore sees a decision durable
-// when its Append returns.
+// for a decision record (TypeCommit, TypeAbort, TypeCompensateEnd) of a
+// transaction that already has a record in this log, which returns only
+// once it and every earlier record are durable. A decision with no earlier
+// record of its transaction closes a transaction with nothing to
+// compensate, so restart reads nothing from it; it is written in LSN order
+// and made durable by the next forced write. Sync is the explicit barrier.
+// Both wait through one group commit, so concurrent waiters share an fsync.
+// A Log decorator therefore sees a forced decision durable when its Append
+// returns.
 //
 // Only the last segment can have a torn tail: rotation fsyncs a segment
 // before opening its successor, so every non-last segment is fully durable.
@@ -89,6 +94,7 @@ type SegmentedLog struct {
 	ckDone   *sync.Cond // signals ckBusy clearing (Close waits on it)
 	closed   bool
 	onComp   func(removed, remaining int, err error)
+	fsyncs   atomic.Uint64 // fsyncs issued: group commit, rotation, checkpoint frame, directory
 
 	// Group commit, leader/follower: the first waiter to find no fsync in
 	// flight becomes the leader and syncs on behalf of everyone whose frame
@@ -249,18 +255,24 @@ func (l *SegmentedLog) createSegment(n uint64) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	syncDir(l.dir)
+	l.syncDir()
 	return f, nil
 }
 
-// syncDir fsyncs a directory so freshly created or removed segment files
-// survive a crash. Best effort: not every platform supports it.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
+// syncDir fsyncs the segment directory so freshly created or removed
+// segment files survive a crash. Best effort: not every platform supports
+// it.
+func (l *SegmentedLog) syncDir() {
+	if d, err := os.Open(l.dir); err == nil {
+		l.fsyncs.Add(1)
 		_ = d.Sync()
 		_ = d.Close()
 	}
 }
+
+// Fsyncs returns the number of fsyncs the log has issued since OpenDir:
+// group-commit leaders, rotations, checkpoint frames and directory syncs.
+func (l *SegmentedLog) Fsyncs() uint64 { return l.fsyncs.Load() }
 
 // rotateLocked fsyncs the active segment and swaps in its successor.
 // Caller holds l.mu. After it returns, every record appended so far is
@@ -269,6 +281,7 @@ func syncDir(dir string) {
 // before anything is swapped, so a failed create leaves the old segment
 // active and intact, and the next Append retries the rotation.
 func (l *SegmentedLog) rotateLocked() error {
+	l.fsyncs.Add(1)
 	if err := l.f.Sync(); err != nil {
 		err = fmt.Errorf("%w: rotate: %w", ErrSync, err)
 		l.failGroupLocked(err)
@@ -337,8 +350,9 @@ func (l *SegmentedLog) writeLocked(frame []byte) error {
 }
 
 // Append implements Log. The frame is written under l.mu, in LSN order, so
-// a durable record implies every earlier one is durable too. Only decision
-// records wait for the disk.
+// a durable record implies every earlier one is durable too. Only a
+// decision record whose transaction already has a record in the index
+// waits for the disk.
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
@@ -361,6 +375,10 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 		return 0, err
 	}
 	l.next = r.LSN
+	// The index holds every record of a Pending transaction across a
+	// checkpoint trim, so a transaction with effects always finds them
+	// here. l.mu serialises every write to l.mem, so the read is safe.
+	force := r.Type.decision() && len(l.mem.byTxn[r.Txn]) > 0
 	if err := l.mem.appendExisting(r); err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -376,7 +394,7 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	if kick {
 		go l.backgroundCheckpoint()
 	}
-	if r.Type.decision() {
+	if force {
 		if err := l.waitDurable(lsn); err != nil {
 			return 0, err
 		}
@@ -430,6 +448,7 @@ func (l *SegmentedLog) waitDurable(lsn uint64) error {
 			target := l.written
 			f, gen := l.gf, l.gen
 			l.gmu.Unlock()
+			l.fsyncs.Add(1)
 			err := f.Sync()
 			l.gmu.Lock()
 			l.syncing = false
@@ -496,6 +515,7 @@ func (l *SegmentedLog) Checkpoint() error {
 		return err
 	}
 	// The checkpoint must be durable before it can license compaction.
+	l.fsyncs.Add(1)
 	if err := l.f.Sync(); err != nil {
 		err = fmt.Errorf("%w: checkpoint: %w", ErrSync, err)
 		l.failGroupLocked(err)
@@ -547,7 +567,7 @@ func (l *SegmentedLog) Compact() (int, error) {
 	}
 	l.minSeg = l.ckSeg
 	if removed > 0 {
-		syncDir(l.dir)
+		l.syncDir()
 		l.nsegs -= removed
 	}
 	if cb := l.onComp; cb != nil && removed > 0 {

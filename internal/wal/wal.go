@@ -79,7 +79,10 @@ func (t Type) String() string {
 
 // decision reports whether t records a decision: a commit, an abort or a
 // completed compensation. A durable log returns from Append of a decision
-// only once the record, and every record before it, is on disk.
+// whose transaction already has a record in that log only once the
+// record, and every record before it, is on disk. A decision with no such
+// record settles a transaction with nothing to compensate, so it is not
+// forced (R*'s read-only optimisation, applied to the force).
 func (t Type) decision() bool {
 	return t == TypeCommit || t == TypeAbort || t == TypeCompensateEnd
 }
@@ -132,9 +135,9 @@ var (
 	// ErrClosed is returned by Append on a closed log.
 	ErrClosed = errors.New("wal: log is closed")
 	// ErrSync classes every fsync failure (the group commit leader that a
-	// decision Append or the Sync barrier waits on, rotation, checkpoint).
-	// Durability past a failed fsync is unknown, so it is sticky: every
-	// later decision Append and Sync returns it.
+	// forced decision Append or the Sync barrier waits on, rotation,
+	// checkpoint). Durability past a failed fsync is unknown, so it is
+	// sticky: every later forced decision Append and Sync returns it.
 	ErrSync = errors.New("wal: sync failed")
 	// ErrCorrupt classes every framing or decode failure: torn tails, CRC
 	// mismatches, malformed record bodies.
